@@ -2,9 +2,21 @@
 
 A SlotStore is a fixed array of equally sized slots.  Each slot index belongs
 permanently to one region: a tenant's dedicated partition ("DC", tenant_id) or
-the shared region SC.  Victim selection uses lazily validated heaps keyed by
-recency (LRU) or insertion order (FCFS), so per-access cost stays logarithmic
-even for large candidate sets.
+the shared region SC.  Every slot carries two stamps from one counter: its
+last access (the LRU order) and its insertion (the FCFS order).
+
+Victims come from a lazily validated index, one per replacement policy, built
+by heapifying the occupied slots when a victim query first asks for that
+policy; until then nothing is indexed, so filling an empty store and a run
+that never evicts cost no heap work.  The index keeps one heap of (stamp,
+index) per (region, owner); an owner-free query takes the least live top over
+the region's owner heaps.  An update pushes the slot's new entry and leaves
+the old one to be dropped when it surfaces.  Once pushes would take the index
+past 2 * capacity + 64 entries it is rebuilt from the occupied slots, so
+memory stays O(capacity) whatever the trace length, at amortised O(1) cost
+per push.  A victim query does not consume its answer: the slot stays
+indexed, and only when the caller re-stamps, moves or evicts it does the next
+query see another slot.
 """
 from __future__ import annotations
 
@@ -19,6 +31,7 @@ Region = object  # SC or ("DC", tenant_id)
 
 LRU = "lru"
 FCFS = "fcfs"
+REPLACEMENTS = (LRU, FCFS)
 
 
 def dc_region(tenant_id) -> tuple:
@@ -75,8 +88,78 @@ class RegionLayout:
         return cls(dc_sizes=sizes, sc_size=0)
 
 
+class _VictimIndex:
+    """Min-heaps of (stamp, slot) for one replacement policy, by region then owner.
+
+    An entry is live while its slot is occupied and still carries that stamp.
+    Stamps are never reused and travel with their key on a swap, so a live
+    entry also names the slot's current owner.  ``room`` counts the entries
+    that still fit under ``limit`` before the next rebuild.
+    """
+
+    __slots__ = ("keys", "owners", "regions", "stamps", "limit", "heaps", "room")
+
+    def __init__(self, store: "SlotStore", stamps: list):
+        # the store's arrays, not the store: no reference cycle keeps it alive
+        self.keys, self.owners, self.regions = store.keys, store.owners, store.regions
+        self.stamps = stamps
+        self.limit = 2 * store.capacity + 64
+        self.rebuild()
+
+    def rebuild(self) -> None:
+        owners, regions, stamps = self.owners, self.regions, self.stamps
+        heaps: dict = {}
+        live = 0
+        for idx, key in enumerate(self.keys):
+            if key is not None:
+                by_owner = heaps.setdefault(regions[idx], {})
+                by_owner.setdefault(owners[idx], []).append((stamps[idx], idx))
+                live += 1
+        for by_owner in heaps.values():
+            for heap in by_owner.values():
+                heapq.heapify(heap)
+        self.heaps = heaps
+        self.room = self.limit - live
+
+    def push(self, idx: int) -> None:
+        """Index slot idx under its current stamp, owner and region."""
+        if not self.room:
+            self.rebuild()  # the rebuild indexes idx as it is now
+            return
+        self.room -= 1
+        by_owner = self.heaps.setdefault(self.regions[idx], {})
+        heapq.heappush(by_owner.setdefault(self.owners[idx], []), (self.stamps[idx], idx))
+
+    def _top(self, heap):
+        """The heap's least live entry, after dropping stale ones above it; or None."""
+        stamps, keys = self.stamps, self.keys
+        while heap:
+            entry = heap[0]
+            idx = entry[1]
+            if stamps[idx] == entry[0] and keys[idx] is not None:
+                return entry
+            heapq.heappop(heap)
+            self.room += 1
+        return None
+
+    def victim(self, region: Region, owner) -> int:
+        """Slot with the least (stamp, index) in region, owned by owner unless None."""
+        by_owner = self.heaps.get(region, {})
+        if owner is not None:
+            best = self._top(by_owner.get(owner))
+        else:
+            best = None
+            for heap in by_owner.values():
+                entry = self._top(heap)
+                if entry is not None and (best is None or entry < best):
+                    best = entry
+        if best is None:
+            raise NoCandidateError(f"no occupied slot in {region!r} for owner {owner!r}")
+        return best[1]
+
+
 class SlotStore:
-    """The slot array plus the indexes needed for O(log) cache operations."""
+    """The slot array, its free lists and per-owner counts, and the victim index."""
 
     def __init__(self, layout: RegionLayout):
         self.layout = layout
@@ -88,8 +171,7 @@ class SlotStore:
         self.regions: list = [None] * self.capacity
         self.key_index: dict = {}
         self._free: dict = {}
-        self._lru_heaps: dict = {}
-        self._fifo_heaps: dict = {}
+        self._victims: dict = {}  # policy -> _VictimIndex, built on first query
         self._dc_count: dict = {}
         self._sc_count: dict = {}
         self._seq = 0
@@ -113,21 +195,21 @@ class SlotStore:
         self._seq += 1
         return self._seq
 
-    def _push_lru(self, idx: int) -> None:
-        region = self.regions[idx]
-        entry = (self.last_seq[idx], idx)
-        heapq.heappush(self._lru_heaps.setdefault((region, self.owners[idx]), []), entry)
-        heapq.heappush(self._lru_heaps.setdefault((region, None), []), entry)
-
-    def _push_fifo(self, idx: int) -> None:
-        region = self.regions[idx]
-        entry = (self.ins_seq[idx], idx)
-        heapq.heappush(self._fifo_heaps.setdefault((region, self.owners[idx]), []), entry)
-        heapq.heappush(self._fifo_heaps.setdefault((region, None), []), entry)
-
     def _count(self, owner, region, delta: int) -> None:
         counts = self._sc_count if region == SC else self._dc_count
         counts[owner] = counts.get(owner, 0) + delta
+
+    def _victim_index(self, policy: str) -> _VictimIndex:
+        index = self._victims.get(policy)
+        if index is None:
+            if policy == LRU:
+                stamps = self.last_seq
+            elif policy == FCFS:
+                stamps = self.ins_seq
+            else:
+                raise CacheError(f"unknown replacement policy {policy!r}")
+            index = self._victims[policy] = _VictimIndex(self, stamps)
+        return index
 
     # -- core operations ---------------------------------------------------
 
@@ -137,7 +219,9 @@ class SlotStore:
         if idx is None:
             return None
         self.last_seq[idx] = self._tick()
-        self._push_lru(idx)
+        lru = self._victims.get(LRU)
+        if lru is not None:
+            lru.push(idx)
         return self.regions[idx], idx
 
     def peek(self, key: Key):
@@ -165,35 +249,24 @@ class SlotStore:
         self.ins_seq[idx] = seq
         self.key_index[key] = idx
         self._count(owner, region, +1)
-        self._push_lru(idx)
-        self._push_fifo(idx)
+        for index in self._victims.values():
+            index.push(idx)
         return idx
 
-    def _pop_candidate(self, region: Region, owner, policy: str) -> int:
-        heaps = self._lru_heaps if policy == LRU else self._fifo_heaps
-        seqs = self.last_seq if policy == LRU else self.ins_seq
-        heap = heaps.get((region, owner))
-        while heap:
-            seq, idx = heapq.heappop(heap)
-            if (
-                self.keys[idx] is not None
-                and seqs[idx] == seq
-                and (owner is None or self.owners[idx] == owner)
-            ):
-                return idx
-        raise NoCandidateError(f"no occupied slot in {region!r} for owner {owner!r}")
-
     def select_victim(self, region: Region, owner=None, policy: str = LRU) -> int:
-        """Oldest occupied slot in region (optionally owner-filtered); slot kept.
+        """Slot the policy would evict from region, optionally owner-filtered; kept in place.
 
-        Intended for swap flows: the caller must re-stamp or move the slot,
-        since its queue entry has been consumed.
+        The victim is the occupied candidate with the least (stamp, index),
+        stamp being the last access (LRU) or the insertion (FCFS).  The query
+        changes nothing observable, so asking twice gives the same slot until
+        the caller re-stamps, moves or evicts it.  Raises CacheError for an
+        unknown policy and NoCandidateError when no slot qualifies.
         """
-        return self._pop_candidate(region, owner, policy)
+        return self._victim_index(policy).victim(region, owner)
 
     def evict_victim(self, region: Region, owner=None, policy: str = LRU) -> int:
         """Evict the oldest candidate under the replacement policy; return its index."""
-        idx = self._pop_candidate(region, owner, policy)
+        idx = self._victim_index(policy).victim(region, owner)
         self.evict(idx)
         return idx
 
@@ -213,19 +286,22 @@ class SlotStore:
         if self.keys[i] is None or self.keys[j] is None:
             raise CacheError("swap requires two occupied slots")
         ri, rj = self.regions[i], self.regions[j]
-        self._count(self.owners[i], ri, -1)
-        self._count(self.owners[j], rj, -1)
+        oi, oj = self.owners[i], self.owners[j]
+        # counts are per owner and region kind, so a same-owner promotion keeps them
+        if oi != oj and (ri == SC) != (rj == SC):
+            self._count(oi, ri, -1)
+            self._count(oj, rj, -1)
+            self._count(oi, rj, +1)
+            self._count(oj, ri, +1)
         self.keys[i], self.keys[j] = self.keys[j], self.keys[i]
-        self.owners[i], self.owners[j] = self.owners[j], self.owners[i]
+        self.owners[i], self.owners[j] = oj, oi
         self.last_seq[i], self.last_seq[j] = self.last_seq[j], self.last_seq[i]
         self.ins_seq[i], self.ins_seq[j] = self.ins_seq[j], self.ins_seq[i]
         self.key_index[self.keys[i]] = i
         self.key_index[self.keys[j]] = j
-        self._count(self.owners[i], ri, +1)
-        self._count(self.owners[j], rj, +1)
-        for idx in (i, j):
-            self._push_lru(idx)
-            self._push_fifo(idx)
+        for index in self._victims.values():
+            index.push(i)
+            index.push(j)
 
     # -- queries -----------------------------------------------------------
 
@@ -268,19 +344,22 @@ class InsertOutcome:
         return self.kind == "hit"
 
 
+SC_HIT = InsertOutcome("hit", SC)
+SC_INSERTED = InsertOutcome("inserted", SC)
+
+
 def global_insert(store: SlotStore, key: Key, policy: str = LRU) -> InsertOutcome:
     """Tenant-unaware LRU/FCFS over the whole (all-SC) store."""
     if store.lookup(key) is not None:
-        return InsertOutcome("hit", SC)
-    try:
+        return SC_HIT
+    if store.free_count(SC):
         store.insert_into_empty(key, SC)
-        return InsertOutcome("inserted", SC)
-    except RegionFullError:
-        idx = store.select_victim(SC, None, policy)
-        victim = store.owners[idx]
-        store.evict(idx)
-        store.insert_into_empty(key, SC)
-        return InsertOutcome("replaced", SC, victim_tenant=victim)
+        return SC_INSERTED
+    idx = store.select_victim(SC, None, policy)
+    victim = store.owners[idx]
+    store.evict(idx)
+    store.insert_into_empty(key, SC)
+    return InsertOutcome("replaced", SC, victim_tenant=victim)
 
 
 def static_insert(store: SlotStore, key: Key, policy: str = LRU) -> InsertOutcome:
@@ -291,10 +370,9 @@ def static_insert(store: SlotStore, key: Key, policy: str = LRU) -> InsertOutcom
         raise UnknownTenantError(f"tenant {tenant!r} has no partition")
     if store.lookup(key) is not None:
         return InsertOutcome("hit", region)
-    try:
+    if store.free_count(region):
         store.insert_into_empty(key, region)
         return InsertOutcome("inserted", region)
-    except RegionFullError:
-        store.evict_victim(region, tenant, policy)
-        store.insert_into_empty(key, region)
-        return InsertOutcome("replaced", region, victim_tenant=tenant)
+    store.evict_victim(region, tenant, policy)
+    store.insert_into_empty(key, region)
+    return InsertOutcome("replaced", region, victim_tenant=tenant)

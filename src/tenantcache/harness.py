@@ -3,13 +3,15 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Mapping, Sequence
 
 from .cache_core import (
     LRU,
+    REPLACEMENTS,
     SC,
-    InsertOutcome,
+    CacheError,
     RegionLayout,
     SlotStore,
     dc_region,
@@ -126,6 +128,8 @@ class Scenario:
             raise ConfigurationError("window_length", "must be >= 1")
         if not 0.0 < self.ewma_weight <= 1.0:
             raise ConfigurationError("ewma_weight", "must be in (0, 1]")
+        if self.replacement not in REPLACEMENTS:
+            raise ConfigurationError("replacement", f"must be one of {', '.join(REPLACEMENTS)}")
         layout = self.resolved_layout()
         if layout.capacity != self.capacity:
             raise ConfigurationError(
@@ -168,49 +172,84 @@ def derive_layout(
 # -- JSON configuration ----------------------------------------------------
 
 
-def scenario_from_json(doc: Mapping | str) -> Scenario:
-    """Build a Scenario from a JSON document (dict, JSON text, or file path)."""
-    if isinstance(doc, str):
-        if doc.lstrip().startswith("{"):
-            doc = json.loads(doc)
-        else:
-            with open(doc) as fh:
-                doc = json.load(fh)
+_REQUIRED = object()
+
+_SCALAR_FIELDS = (
+    ("capacity", int, _REQUIRED),
+    ("policy", str, _REQUIRED),
+    ("total_txns", int, 200_000),
+    ("window_length", int, DEFAULT_WINDOW),
+    ("ewma_weight", float, DEFAULT_EWMA_WEIGHT),
+    ("replacement", str, LRU),
+    ("seed", int, 0),
+    ("sample_every", int, 1_000),
+)
+
+
+@contextmanager
+def _reading(path: str):
+    """Report a failure to read or build the field at path as a ConfigurationError.
+
+    A missing key is named below path; any other bad value names path itself.
+    """
     try:
-        tenants = [_tenant_from_json(t) for t in doc["tenants"]]
+        yield
     except KeyError as exc:
-        raise ConfigurationError(str(exc.args[0]), "missing field") from exc
+        raise ConfigurationError(f"{path}.{exc.args[0]}", "missing field") from exc
+    except (OSError, TypeError, ValueError, AttributeError, OverflowError, CacheError) as exc:
+        raise ConfigurationError(path, str(exc)) from exc
+
+
+def scenario_from_json(doc: Mapping | str) -> Scenario:
+    """Build a Scenario from a JSON document (dict, JSON text, or file path).
+
+    Every failure, from an unreadable file to an inconsistent field, raises a
+    ConfigurationError naming the field.
+    """
+    with _reading("config"):
+        if isinstance(doc, str):
+            if doc.lstrip()[:1] in ("{", "["):
+                doc = json.loads(doc)
+            else:
+                with open(doc) as fh:
+                    doc = json.load(fh)
+    if not isinstance(doc, Mapping):
+        raise ConfigurationError("config", f"must be a JSON object, not {type(doc).__name__}")
+    if "tenants" not in doc:
+        raise ConfigurationError("tenants", "missing field")
+    with _reading("tenants"):
+        tenant_docs = list(doc["tenants"])
+    tenants = []
+    for i, td in enumerate(tenant_docs):
+        with _reading(f"tenants[{i}]"):
+            tenants.append(_tenant_from_json(td))
     layout = None
     if doc.get("layout") is not None:
-        ld = doc["layout"]
-        layout = RegionLayout(
-            dc_sizes={int(k): int(v) for k, v in ld.get("dc_sizes", {}).items()},
-            sc_size=int(ld.get("sc_size", 0)),
-        )
+        with _reading("layout"):
+            ld = doc["layout"]
+            layout = RegionLayout(
+                dc_sizes={int(k): int(v) for k, v in ld.get("dc_sizes", {}).items()},
+                sc_size=int(ld.get("sc_size", 0)),
+            )
     strategy = SharingStrategy()
     if doc.get("strategy") is not None:
-        sd = doc["strategy"]
-        strategy = SharingStrategy(
-            mode=sd.get("mode", FAIR),
-            loss_horizon=int(sd.get("loss_horizon", SharingStrategy().loss_horizon)),
-            history_len=int(sd.get("history_len", SharingStrategy().history_len)),
-        )
-    try:
-        scenario = Scenario(
-            capacity=int(doc["capacity"]),
-            policy=str(doc["policy"]),
-            tenants=tenants,
-            layout=layout,
-            total_txns=int(doc.get("total_txns", 200_000)),
-            window_length=int(doc.get("window_length", DEFAULT_WINDOW)),
-            ewma_weight=float(doc.get("ewma_weight", DEFAULT_EWMA_WEIGHT)),
-            strategy=strategy,
-            replacement=str(doc.get("replacement", LRU)),
-            seed=int(doc.get("seed", 0)),
-            sample_every=int(doc.get("sample_every", 1_000)),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(str(exc.args[0]), "missing field") from exc
+        with _reading("strategy"):
+            sd = doc["strategy"]
+            strategy = SharingStrategy(
+                mode=sd.get("mode", FAIR),
+                loss_horizon=int(sd.get("loss_horizon", SharingStrategy().loss_horizon)),
+                history_len=int(sd.get("history_len", SharingStrategy().history_len)),
+            )
+    scalars = {}
+    for name, convert, default in _SCALAR_FIELDS:
+        if name in doc:
+            with _reading(name):
+                scalars[name] = convert(doc[name])
+        elif default is _REQUIRED:
+            raise ConfigurationError(name, "missing field")
+        else:
+            scalars[name] = default
+    scenario = Scenario(tenants=tenants, layout=layout, strategy=strategy, **scalars)
     scenario.validate()
     return scenario
 
@@ -320,6 +359,14 @@ def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> lis
     if trace is None:
         trace = generate_stream([t.workload for t in s.tenants], s.total_txns, s.seed)
 
+    # resolved once per run, from the module globals so that wrappers apply
+    if policy in ("global", "static"):
+        insert = global_insert if policy == "global" else static_insert
+        insert_args: tuple = (replacement,)
+    else:
+        insert = maxmin_insert if policy.startswith("maxmin") else hybrid_insert
+        insert_args = (gaps, strategy, eligible, replacement)
+
     records: list[SampleRecord] = []
     sample_every = s.sample_every
 
@@ -343,16 +390,7 @@ def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> lis
                     gaps[k] = INF
                     eligible[k] = True
 
-        key = (ev.tenant_id, ev.item)
-        if policy == "global":
-            outcome = global_insert(store, key, replacement)
-        elif policy == "static":
-            outcome = static_insert(store, key, replacement)
-        elif policy.startswith("maxmin"):
-            outcome = maxmin_insert(store, key, gaps, strategy, eligible, replacement)
-        else:
-            outcome = hybrid_insert(store, key, gaps, strategy, eligible, replacement)
-
+        outcome = insert(store, (ev.tenant_id, ev.item), *insert_args)
         tracker = trackers[ev.tenant_id]
         if tracker.record_access(outcome.kind == "hit") is not None:
             k = ev.tenant_id

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .cache_core import (
-    FCFS,
     LRU,
     SC,
+    SC_HIT,
+    SC_INSERTED,
     InsertOutcome,
     NoCandidateError,
-    RegionFullError,
     SlotStore,
     UnknownTenantError,
     dc_region,
@@ -175,15 +175,14 @@ def maxmin_insert(
     largest gap donates its oldest slot to the requester.
     """
     if store.lookup(key) is not None:
-        return InsertOutcome("hit", SC)
-    try:
+        return SC_HIT
+    if store.free_count(SC):
         store.insert_into_empty(key, SC)
-        return InsertOutcome("inserted", SC)
-    except RegionFullError:
-        j = _pick_sc_victim(store, gaps, key[0], strategy, eligible)
-        store.evict_victim(SC, j, policy)
-        store.insert_into_empty(key, SC)
-        return InsertOutcome("replaced", SC, victim_tenant=j)
+        return SC_INSERTED
+    j = _pick_sc_victim(store, gaps, key[0], strategy, eligible)
+    store.evict_victim(SC, j, policy)
+    store.insert_into_empty(key, SC)
+    return InsertOutcome("replaced", SC, victim_tenant=j)
 
 
 def hybrid_insert(
@@ -219,22 +218,20 @@ def hybrid_insert(
         if has_dc:
             victim_idx = store.select_victim(dcr, tenant, policy)
             store.swap(idx, victim_idx)
-        return InsertOutcome("hit", SC)
+        return SC_HIT
 
     if store.free_count(dcr) > 0:
         store.insert_into_empty(key, dcr)
         return InsertOutcome("inserted", dcr)
 
     victim_tenant = None
-    try:
-        idx = store.insert_into_empty(key, SC)
-    except RegionFullError:
+    if not store.free_count(SC):
         victim_tenant = _pick_sc_victim(store, gaps, tenant, strategy, eligible)
-        idx = store.evict_victim(SC, victim_tenant, policy)
-        store.insert_into_empty(key, SC)
+        store.evict_victim(SC, victim_tenant, policy)
+    idx = store.insert_into_empty(key, SC)
     if has_dc:
         victim_idx = store.select_victim(dcr, tenant, policy)
         store.swap(idx, victim_idx)
     if victim_tenant is None:
-        return InsertOutcome("inserted", SC)
+        return SC_INSERTED
     return InsertOutcome("replaced", SC, victim_tenant=victim_tenant)

@@ -63,6 +63,7 @@ class TestScenarioValidation:
             (dict(total_txns=-1), "total_txns"),
             (dict(sample_every=0), "sample_every"),
             (dict(ewma_weight=0.0), "ewma_weight"),
+            (dict(replacement="mru"), "replacement"),
         ],
     )
     def test_bad_field_named_in_error(self, kw, field):
@@ -196,6 +197,24 @@ class TestRunScenario:
             write_records_csv(run_scenario(small_scenario(seed=13)), out)
             bufs.append(out.getvalue())
         assert bufs[0] == bufs[1]
+
+
+    @pytest.mark.parametrize("policy", ["global", "maxmin_fair"])
+    def test_insert_looked_up_on_module_at_run_start(self, monkeypatch, policy):
+        import tenantcache.harness as harness
+
+        name = "global_insert" if policy == "global" else "maxmin_insert"
+        real = getattr(harness, name)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(harness, name, counting)
+        s = small_scenario(policy=policy)
+        run_scenario(s)
+        assert len(calls) == s.total_txns
 
 
 class TestCsvFormat:
@@ -367,6 +386,43 @@ class TestCli:
             "--lower", "8", "--upper", "64", "--resolution", "8", "--trials", "1",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda d: d.update(capacity="lots"), "capacity"),
+            (lambda d: d["tenants"][0].update(requirement={"hard": 0.6, "soft": 0.3}),
+             "tenants[0]"),
+            (lambda d: d["tenants"][1].update(weight=0), "tenants[1]"),
+            (lambda d: [d], "config"),
+            (lambda d: d.update(replacement="mru"), "replacement"),
+            (lambda d: d.update(layout={"dc_sizes": {"1": -1}, "sc_size": 65}), "layout"),
+        ],
+        ids=["string-capacity", "hard-above-soft", "zero-weight", "array-document",
+             "unknown-replacement", "negative-region"],
+    )
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, edit, field):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import tenantcache
+
+        doc = scenario_to_json(small_scenario())
+        doc = edit(doc) or doc
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(tenantcache.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tenantcache.cli", "run", "--config", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"configuration error: {field}:" in proc.stderr
 
     def test_parse_targets_range_and_list(self):
         from tenantcache.cli import _parse_targets
