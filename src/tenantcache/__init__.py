@@ -46,8 +46,6 @@ from .metrics import (
     gap_report,
 )
 from .sharing import (
-    FAIR,
-    SELFISH,
     SharingStrategy,
     TenantShareState,
     hybrid_insert,
@@ -62,6 +60,7 @@ from .workload import (
     TenantWorkload,
     WorkloadError,
     WorkloadPhase,
+    activation_timeline,
     generate_stream,
     read_trace,
     sample_item,

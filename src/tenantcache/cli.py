@@ -105,6 +105,9 @@ def main(argv=None) -> int:
                 resolution=args.resolution,
                 trials=args.trials,
                 seed=scenario.seed,
+                window_length=scenario.window_length,
+                ewma_weight=scenario.ewma_weight,
+                replacement=scenario.replacement,
             )
             write_sweep_csv(results, args.out)
         elif args.command == "suggest-dc":

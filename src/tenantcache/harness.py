@@ -25,16 +25,14 @@ from .metrics import (
     Requirement,
 )
 from .sharing import (
-    FAIR,
     INF,
-    SELFISH,
     SharingStrategy,
     TenantShareState,
     hybrid_insert,
     maxmin_insert,
     selfish_eligible,
 )
-from .workload import AccessEvent, TenantWorkload, generate_stream
+from .workload import AccessEvent, TenantWorkload, activation_timeline, generate_stream
 
 POLICIES = (
     "global",
@@ -236,7 +234,6 @@ def scenario_from_json(doc: Mapping | str) -> Scenario:
         with _reading("strategy"):
             sd = doc["strategy"]
             strategy = SharingStrategy(
-                mode=sd.get("mode", FAIR),
                 loss_horizon=int(sd.get("loss_horizon", SharingStrategy().loss_horizon)),
                 history_len=int(sd.get("history_len", SharingStrategy().history_len)),
             )
@@ -283,7 +280,6 @@ def scenario_to_json(s: Scenario) -> dict:
         "window_length": s.window_length,
         "ewma_weight": s.ewma_weight,
         "strategy": {
-            "mode": s.strategy.mode,
             "loss_horizon": s.strategy.loss_horizon,
             "history_len": s.strategy.history_len,
         },
@@ -319,8 +315,11 @@ def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> lis
     """Drive the scenario's policy over its workload stream.
 
     A lookup hit before any mutation counts as a hit; everything else is a
-    miss.  One SampleRecord is emitted every sample_every transactions.  The
-    run is fully deterministic given the scenario (seed included).
+    miss.  One SampleRecord is emitted every sample_every transactions, over
+    the tenants active at that txn per activation_timeline (the generator's
+    account of arrivals and departures).  Selfish or fair sharing follows the
+    policy name.  The run is fully deterministic given the scenario (seed
+    included).
     """
     s.validate()
     layout = s.resolved_layout()
@@ -328,11 +327,7 @@ def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> lis
     policy = s.policy
     replacement = s.replacement
     strategy = s.strategy
-    if policy.endswith("selfish"):
-        strategy = replace(strategy, mode=SELFISH)
-    elif policy.endswith("fair"):
-        strategy = replace(strategy, mode=FAIR)
-    selfish = strategy.mode == SELFISH
+    selfish = policy.endswith("selfish")
 
     specs = {t.workload.tenant_id: t for t in s.tenants}
     trackers = {
@@ -350,14 +345,13 @@ def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> lis
     gaps: dict = {}
     eligible: dict = {}
     active: set = set()
-    boundaries = sorted(
-        {w.workload.active_from for w in s.tenants}
-        | {w.workload.active_until for w in s.tenants if w.workload.active_until is not None}
-    )
-    bi = 0
+    workloads = [t.workload for t in s.tenants]
+    # the active set from each txn where it changes; an idle stretch's two
+    # entries share a txn, and the later one wins
+    changes = {txn: set(ids) for txn, _, ids in activation_timeline(workloads, s.total_txns)}
 
     if trace is None:
-        trace = generate_stream([t.workload for t in s.tenants], s.total_txns, s.seed)
+        trace = generate_stream(workloads, s.total_txns, s.seed)
 
     # resolved once per run, from the module globals so that wrappers apply
     if policy in ("global", "static"):
@@ -365,37 +359,29 @@ def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> lis
         insert_args: tuple = (replacement,)
     else:
         insert = maxmin_insert if policy.startswith("maxmin") else hybrid_insert
-        insert_args = (gaps, strategy, eligible, replacement)
+        insert_args = (gaps, eligible if selfish else None, replacement)
 
     records: list[SampleRecord] = []
     sample_every = s.sample_every
 
     for ev in trace:
         txn = ev.txn
-        if bi < len(boundaries) and boundaries[bi] <= txn:
-            while bi < len(boundaries) and boundaries[bi] <= txn:
-                bi += 1
-            for k, spec in specs.items():
-                w = spec.workload
-                if w.active_at(txn):
-                    if k not in active:
-                        active.add(k)
-                        gaps[k] = trackers[k].hit_rate - softs[k]
-                        if selfish:
-                            eligible[k] = selfish_eligible(
-                                states[k], trackers[k].ewma, softs[k], strategy
-                            )
-                elif k in active:
-                    active.discard(k)
-                    gaps[k] = INF
-                    eligible[k] = True
+        if txn in changes:
+            now = changes[txn]
+            for k in active - now:
+                gaps[k] = INF
+                eligible[k] = True
+            for k in now - active:
+                gaps[k] = trackers[k].hit_rate - softs[k]
+                if selfish:
+                    eligible[k] = selfish_eligible(states[k], trackers[k].ewma, softs[k], strategy)
+            active = now
 
         outcome = insert(store, (ev.tenant_id, ev.item), *insert_args)
         tracker = trackers[ev.tenant_id]
         if tracker.record_access(outcome.kind == "hit") is not None:
             k = ev.tenant_id
-            dc_n, sc_n = store.owned(k)
-            states[k].observe(dc_n, sc_n, tracker.ewma)
+            states[k].observe(sum(store.owned(k)), tracker.ewma)
             gaps[k] = tracker.ewma - softs[k]
             if selfish:
                 eligible[k] = selfish_eligible(states[k], tracker.ewma, softs[k], strategy)
@@ -485,6 +471,7 @@ def meets_target(
     txns_per_slot: int = 4,
     window_length: int = DEFAULT_WINDOW,
     ewma_weight: float = DEFAULT_EWMA_WEIGHT,
+    replacement: str = LRU,
 ) -> bool:
     """True iff every tenant's final-quarter mean EWMA >= target for all seeds."""
     total_txns = max(min_txns, txns_per_slot * capacity)
@@ -498,6 +485,7 @@ def meets_target(
             total_txns=total_txns,
             window_length=window_length,
             ewma_weight=ewma_weight,
+            replacement=replacement,
             seed=seed,
             sample_every=max(1, total_txns // 200),
         )

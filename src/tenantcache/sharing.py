@@ -2,7 +2,7 @@
 the hybrid dedicated/shared (DC/SC) insertion flow.
 
 Victim selection always targets the tenant with the largest gap between its
-measured hit rate and its soft requirement.  Selfish mode additionally lets a
+measured hit rate and its soft requirement.  Selfish sharing additionally lets a
 tenant refuse to donate when a linear-regression forecast says losing slots
 would push it below its requirement.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .cache_core import (
     LRU,
@@ -27,22 +27,16 @@ from .cache_core import (
 
 INF = float("inf")
 
-FAIR = "fair"
-SELFISH = "selfish"
-
 DEFAULT_LOSS_HORIZON = 100
 DEFAULT_HISTORY_LEN = 20
 
 
 @dataclass(frozen=True)
 class SharingStrategy:
-    mode: str = FAIR
     loss_horizon: int = DEFAULT_LOSS_HORIZON
     history_len: int = DEFAULT_HISTORY_LEN
 
     def __post_init__(self):
-        if self.mode not in (FAIR, SELFISH):
-            raise ValueError(f"unknown sharing mode {self.mode!r}")
         if self.loss_horizon < 1:
             raise ValueError("loss_horizon must be >= 1")
         if self.history_len < 2:
@@ -53,19 +47,13 @@ class SharingStrategy:
 class TenantShareState:
     """Slot-usage history a tenant consults before agreeing to donate space."""
 
-    owned_dc_slots: int = 0
-    owned_sc_slots: int = 0
+    owned_slots: int = 0
     history: deque = field(default_factory=lambda: deque(maxlen=DEFAULT_HISTORY_LEN))
 
-    @property
-    def owned_total(self) -> int:
-        return self.owned_dc_slots + self.owned_sc_slots
-
-    def observe(self, dc_slots: int, sc_slots: int, hit_rate: float) -> None:
-        """Record one (total slots, smoothed hit rate) sample at a window boundary."""
-        self.owned_dc_slots = dc_slots
-        self.owned_sc_slots = sc_slots
-        self.history.append((dc_slots + sc_slots, hit_rate))
+    def observe(self, slots: int, hit_rate: float) -> None:
+        """Record one (owned slots, smoothed hit rate) sample at a window boundary."""
+        self.owned_slots = slots
+        self.history.append((slots, hit_rate))
 
 
 def select_victim_tenant(gaps: Mapping, candidates: Iterable) -> object:
@@ -115,7 +103,7 @@ def selfish_eligible(
     """
     if len(state.history) < 2:
         return (ewma if ewma is not None else 0.0) >= soft
-    predicted = predict_hit_rate(state.history, state.owned_total - strategy.loss_horizon)
+    predicted = predict_hit_rate(state.history, state.owned_slots - strategy.loss_horizon)
     return predicted >= soft
 
 
@@ -123,7 +111,7 @@ def selfish_select_victim(
     gaps: Mapping,
     owners: Iterable,
     requester,
-    eligible: Mapping | Callable = (),
+    eligible: Mapping,
 ) -> object:
     """Victim under selfish sharing, restricted to tenants owning contested slots.
 
@@ -133,53 +121,42 @@ def selfish_select_victim(
     back to plain max-gap over all owners so insertion always makes progress.
     """
     owners = list(owners)
-    if callable(eligible):
-        is_ok = eligible
-    else:
-        table = dict(eligible)
-        is_ok = lambda k: table.get(k, True)
     pool = [
         k
         for k in owners
-        if k == requester or gaps[k] == INF or (gaps[k] > 0 and is_ok(k))
+        if k == requester or gaps[k] == INF or (gaps[k] > 0 and eligible.get(k, True))
     ]
     if pool:
         return select_victim_tenant(gaps, pool)
     return select_victim_tenant(gaps, owners)
 
 
-def _pick_sc_victim(
-    store: SlotStore,
-    gaps: Mapping,
-    requester,
-    strategy: SharingStrategy | None,
-    eligible,
-) -> object:
+def _pick_sc_victim(store: SlotStore, gaps: Mapping, requester, eligible: Mapping | None) -> object:
     owners = store.sc_owners()
-    if strategy is not None and strategy.mode == SELFISH:
-        return selfish_select_victim(gaps, owners, requester, eligible)
-    return select_victim_tenant(gaps, owners)
+    if eligible is None:
+        return select_victim_tenant(gaps, owners)
+    return selfish_select_victim(gaps, owners, requester, eligible)
 
 
 def maxmin_insert(
     store: SlotStore,
     key: tuple,
     gaps: Mapping,
-    strategy: SharingStrategy | None = None,
-    eligible: Mapping | Callable = (),
+    eligible: Mapping | None = None,
     policy: str = LRU,
 ) -> InsertOutcome:
     """Max-min insertion over a fully shared store.
 
     Hit: return.  Empty slot: plain insert.  Otherwise the tenant with the
-    largest gap donates its oldest slot to the requester.
+    largest gap donates its oldest slot to the requester; with eligible (the
+    selfish donors' answers) the choice is selfish_select_victim's instead.
     """
     if store.lookup(key) is not None:
         return SC_HIT
     if store.free_count(SC):
         store.insert_into_empty(key, SC)
         return SC_INSERTED
-    j = _pick_sc_victim(store, gaps, key[0], strategy, eligible)
+    j = _pick_sc_victim(store, gaps, key[0], eligible)
     store.evict_victim(SC, j, policy)
     store.insert_into_empty(key, SC)
     return InsertOutcome("replaced", SC, victim_tenant=j)
@@ -189,8 +166,7 @@ def hybrid_insert(
     store: SlotStore,
     key: tuple,
     gaps: Mapping,
-    strategy: SharingStrategy | None = None,
-    eligible: Mapping | Callable = (),
+    eligible: Mapping | None = None,
     policy: str = LRU,
 ) -> InsertOutcome:
     """Insertion for the dedicated/shared layout.
@@ -226,7 +202,7 @@ def hybrid_insert(
 
     victim_tenant = None
     if not store.free_count(SC):
-        victim_tenant = _pick_sc_victim(store, gaps, tenant, strategy, eligible)
+        victim_tenant = _pick_sc_victim(store, gaps, tenant, eligible)
         store.evict_victim(SC, victim_tenant, policy)
     idx = store.insert_into_empty(key, SC)
     if has_dc:

@@ -43,7 +43,12 @@ def sample_item(pmf: np.ndarray, rng: np.random.Generator) -> int:
 
 @dataclass(frozen=True)
 class WorkloadPhase:
-    """One segment of a tenant's access pattern, starting at a global txn index."""
+    """One segment of a tenant's access pattern, starting at start_txn.
+
+    Phase starts, like a tenant's active_from/active_until, are read in
+    schedule time; emitted txn indices skip idle stretches, so after one they
+    run behind schedule time (see activation_timeline).
+    """
 
     alpha: float
     start_txn: int = 0
@@ -153,6 +158,34 @@ class _TenantSampler:
         return item
 
 
+def activation_timeline(
+    workloads: Iterable[TenantWorkload], total_txns: int
+) -> list[tuple[int, int, tuple]]:
+    """Points where the active set changes, as (txn, skew, active_ids) in txn order.
+
+    Activation is read in schedule time (txn + skew).  A stretch where no
+    tenant is active is skipped: its entry has no active ids and is followed
+    by an entry at the same txn whose skew jumps to the next arrival.  A final
+    entry with no active ids ends the stream early.  active_ids are sorted.
+    """
+    workloads = sorted(workloads, key=lambda w: w.tenant_id)
+    bounds = {w.active_from for w in workloads}
+    bounds |= {w.active_until for w in workloads if w.active_until is not None}
+    timeline: list[tuple[int, int, tuple]] = []
+    skew = 0
+    for sched in sorted({0} | {b for b in bounds if b > 0}):
+        if sched - skew >= total_txns:
+            break
+        active = tuple(w.tenant_id for w in workloads if w.active_at(sched))
+        timeline.append((sched - skew, skew, active))
+        if not active:
+            future = [w.active_from for w in workloads if w.active_from > sched]
+            if not future:
+                break
+            skew += min(future) - sched
+    return timeline
+
+
 def generate_stream(
     workloads: Iterable[TenantWorkload],
     total_txns: int,
@@ -161,10 +194,10 @@ def generate_stream(
     """Yield total_txns events, interleaving tenants by weighted round-robin.
 
     A tenant with weight w takes w consecutive turns per rotation over the
-    active set (ordered by tenant id).  Activation changes take effect at the
-    event where the txn counter crosses the boundary; if no tenant is active
-    the schedule jumps ahead to the next activation while emitted txn indices
-    stay consecutive.
+    active set (ordered by tenant id).  The active set follows
+    activation_timeline: idle stretches are skipped while emitted txn indices
+    stay consecutive, and the stream ends early once no tenant is left to
+    arrive.
     """
     workloads = list(workloads)
     if total_txns < 0:
@@ -176,45 +209,26 @@ def generate_stream(
         if w.tenant_id in by_id:
             raise WorkloadError(f"duplicate tenant_id {w.tenant_id}")
         by_id[w.tenant_id] = w
-    ids = sorted(by_id)
-    samplers = {i: _TenantSampler(by_id[i], seed) for i in ids}
+    samplers = {i: _TenantSampler(w, seed) for i, w in by_id.items()}
 
-    bounds = sorted(
-        {w.active_from for w in workloads}
-        | {w.active_until for w in workloads if w.active_until is not None}
-    )
-    skew = 0  # schedule-time offset accumulated over inactive stretches
-    cur: int | None = None
+    timeline = activation_timeline(workloads, total_txns)
+    ends = [txn for txn, _, _ in timeline[1:]] + [total_txns]
+    cur = None
     remaining = 0
-    active: list[int] = []
-    bi = 0
-
-    for txn in range(total_txns):
-        sched = txn + skew
-        if txn == 0 or (bi < len(bounds) and bounds[bi] <= sched):
-            while bi < len(bounds) and bounds[bi] <= sched:
-                bi += 1
-            active = [i for i in ids if by_id[i].active_at(sched)]
-            if cur not in active:
-                remaining = 0
-            if not active:
-                future = [by_id[i].active_from for i in ids if by_id[i].active_from > sched]
-                if not future:
-                    return
-                skew += min(future) - sched
-                sched = txn + skew
-                while bi < len(bounds) and bounds[bi] <= sched:
-                    bi += 1
-                active = [i for i in ids if by_id[i].active_at(sched)]
-                remaining = 0
-        if remaining <= 0:
-            cur = _next_after(active, cur)
-            remaining = by_id[cur].weight
-        remaining -= 1
-        yield AccessEvent(txn, cur, samplers[cur].draw(sched))
+    for (start, skew, active), end in zip(timeline, ends):
+        if not active:
+            continue  # an idle stretch (no txns) or the end of the stream
+        if cur not in active:
+            remaining = 0
+        for txn in range(start, end):
+            if remaining <= 0:
+                cur = _next_after(active, cur)
+                remaining = by_id[cur].weight
+            remaining -= 1
+            yield AccessEvent(txn, cur, samplers[cur].draw(txn + skew))
 
 
-def _next_after(active: list[int], cur: int | None) -> int:
+def _next_after(active: Sequence[int], cur: int | None) -> int:
     """Next tenant after cur in cyclic id order; smallest id when cur is unset."""
     if cur is None:
         return active[0]

@@ -19,7 +19,7 @@ from tenantcache.harness import (
     write_records_csv,
 )
 from tenantcache.metrics import Requirement
-from tenantcache.workload import TenantWorkload, WorkloadPhase
+from tenantcache.workload import TenantWorkload, WorkloadPhase, generate_stream, write_trace
 
 COMPARE_DIGESTS = {
     "lru": {
@@ -41,6 +41,39 @@ COMPARE_DIGESTS = {
 }
 
 CHURN_DIGEST = "a54ca9488f1e3a73ee17ee636bd76a8076819e06b919020af1f40d2990297423"
+
+# generate_stream output (write_trace format) and its event count
+STREAM_DIGESTS = {
+    "idle_stretch": ("967b9469054bb6b79d4c9937976ce25fbb1abf2ef2439c71a225d7fc77e5b946", 2_000),
+    "late_first_arrival": ("80d1856f3db173c65417221ac1fe6867e43a032852edfb62c22bc74513af56d1", 1_500),
+    "early_end": ("f9dc31fc73f10d2bf9a72653f02f9c7963aa94cd8b888f1d3d2594902f23e5b0", 800),
+}
+
+# (workloads, total_txns, seed) per activation pattern
+STREAMS = {
+    # tenant 1 leaves at 400, tenant 2 arrives at 1000 with a phase change at 1200
+    "idle_stretch": ([
+        TenantWorkload(1, universe_size=300, phases=(WorkloadPhase(0.9),),
+                       active_until=400, weight=2),
+        TenantWorkload(2, universe_size=200,
+                       phases=(WorkloadPhase(0.7), WorkloadPhase(1.2, start_txn=1_200)),
+                       active_from=1_000),
+    ], 2_000, 5),
+    # nobody is active before 300
+    "late_first_arrival": ([
+        TenantWorkload(1, universe_size=300,
+                       phases=(WorkloadPhase(1.0), WorkloadPhase(0.5, start_txn=600)),
+                       active_from=300),
+        TenantWorkload(2, universe_size=200, phases=(WorkloadPhase(0.8),),
+                       active_from=700, weight=3),
+    ], 1_500, 11),
+    # the last tenant leaves at 800, so the stream stops short of 2000 events
+    "early_end": ([
+        TenantWorkload(1, universe_size=300, phases=(WorkloadPhase(0.9),), active_until=500),
+        TenantWorkload(2, universe_size=200, phases=(WorkloadPhase(0.6),),
+                       active_from=200, active_until=800, weight=2),
+    ], 2_000, 2),
+}
 
 
 def digest(records) -> str:
@@ -97,6 +130,13 @@ def churn_scenario() -> Scenario:
     )
 
 
+def stream_digest(name: str) -> tuple[str, int]:
+    buf = io.StringIO()
+    write_trace(generate_stream(*STREAMS[name]), buf)
+    text = buf.getvalue()
+    return hashlib.sha256(text.encode()).hexdigest(), text.count("\n")
+
+
 def compare_digests(replacement: str) -> dict:
     results = compare_policies(compare_scenario(replacement), POLICIES)
     return {policy: digest(records) for policy, records in results.items()}
@@ -111,6 +151,12 @@ def test_selfish_churn_output_unchanged():
     assert digest(run_scenario(churn_scenario())) == CHURN_DIGEST
 
 
+@pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
+def test_stream_unchanged(name):
+    assert stream_digest(name) == STREAM_DIGESTS[name]
+
+
 if __name__ == "__main__":
     print({r: compare_digests(r) for r in sorted(COMPARE_DIGESTS)})
     print(repr(digest(run_scenario(churn_scenario()))))
+    print({name: stream_digest(name) for name in sorted(STREAMS)})

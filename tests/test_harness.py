@@ -1,11 +1,15 @@
 import io
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenantcache.cache_core import RegionLayout
 from tenantcache.harness import (
     CSV_HEADER,
+    POLICIES,
     SWEEP_CSV_HEADER,
     CapacitySweepResult,
     ConfigurationError,
@@ -24,7 +28,7 @@ from tenantcache.harness import (
     write_sweep_csv,
 )
 from tenantcache.metrics import Requirement
-from tenantcache.workload import TenantWorkload, WorkloadPhase
+from tenantcache.workload import TenantWorkload, WorkloadPhase, activation_timeline
 
 FAST = dict(min_txns=4_000, txns_per_slot=4)
 
@@ -134,6 +138,13 @@ class TestJsonConfig:
         from_file = scenario_from_json(str(path))
         assert scenario_to_json(from_text) == scenario_to_json(from_file) == doc
 
+    def test_strategy_mode_key_ignored(self):
+        doc = scenario_to_json(small_scenario(policy="maxmin_fair"))
+        assert "mode" not in doc["strategy"]
+        with_mode = json.loads(json.dumps(doc))
+        with_mode["strategy"]["mode"] = "selfish"
+        assert scenario_from_json(with_mode) == scenario_from_json(doc)
+
     def test_missing_capacity_named(self):
         with pytest.raises(ConfigurationError) as exc:
             scenario_from_json({"policy": "global", "tenants": [{"tenant_id": 1}]})
@@ -215,6 +226,40 @@ class TestRunScenario:
         s = small_scenario(policy=policy)
         run_scenario(s)
         assert len(calls) == s.total_txns
+
+
+class TestActivation:
+    """run_scenario's active set is the generator's, idle stretches included."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        windows=st.lists(
+            st.tuples(st.integers(0, 400), st.none() | st.integers(1, 300), st.integers(1, 3)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_samples_follow_timeline_under_every_policy(self, windows):
+        tenants = [
+            tenant(
+                i + 1, universe=30, soft=0.4,
+                active_from=start,
+                active_until=None if span is None else start + span,
+                weight=weight,
+            )
+            for i, (start, span, weight) in enumerate(windows)
+        ]
+        hybrid = RegionLayout(dc_sizes={t.workload.tenant_id: 4 for t in tenants},
+                              sc_size=20 - 4 * len(tenants))
+        base = Scenario(capacity=20, policy="hybrid_fair", tenants=tenants, layout=hybrid,
+                        total_txns=300, window_length=10, sample_every=7)
+        timeline = activation_timeline([t.workload for t in tenants], base.total_txns)
+        for policy in POLICIES:
+            layout = derive_layout(policy, base.capacity, base.tenant_ids(), hybrid)
+            records = run_scenario(replace(base, policy=policy, layout=layout))
+            for rec in records:
+                active = [ids for t, _, ids in timeline if t <= rec.txn][-1]
+                assert sorted(rec.tenants) == list(active), (policy, rec.txn)
 
 
 class TestCsvFormat:
@@ -423,6 +468,54 @@ class TestCli:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"configuration error: {field}:" in proc.stderr
+
+    def test_idle_stretch_runs_under_selfish_policy(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import tenantcache
+
+        cfg = self.config_path(
+            tmp_path,
+            policy="maxmin_selfish",
+            capacity=20,
+            tenants=[tenant(1, active_until=100), tenant(2, active_from=500)],
+            total_txns=300,
+            sample_every=50,
+        )
+        src = str(Path(tenantcache.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tenantcache.cli", "run", "--config", cfg],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        rows = [line.split(",")[:2] for line in proc.stdout.splitlines()[1:]]
+        assert rows == [["49", "1"], ["99", "1"], ["149", "2"], ["199", "2"], ["249", "2"],
+                        ["299", "2"]]
+
+    def test_sweep_uses_config_replacement_and_tracker(self, tmp_path, monkeypatch):
+        import tenantcache.harness as harness
+        from tenantcache.cli import main
+
+        probes = []
+        monkeypatch.setattr(harness, "run_scenario", lambda s: probes.append(s) or [])
+        cfg = self.config_path(
+            tmp_path, policy="global", replacement="fcfs", window_length=40, ewma_weight=0.3
+        )
+        code = main([
+            "sweep", "--config", cfg, "--targets", "0.0", "--policies", "global,static",
+            "--out", str(tmp_path / "sweep.csv"),
+            "--lower", "8", "--upper", "64", "--resolution", "8", "--trials", "2",
+        ])
+        assert code == 0
+        assert len(probes) == 4
+        for s in probes:
+            assert (s.replacement, s.window_length, s.ewma_weight) == ("fcfs", 40, 0.3)
 
     def test_parse_targets_range_and_list(self):
         from tenantcache.cli import _parse_targets

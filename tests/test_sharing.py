@@ -105,24 +105,24 @@ class TestPredictHitRate:
 
 class TestSelfishEligible:
     def strategy(self):
-        return SharingStrategy(mode="selfish", loss_horizon=100)
+        return SharingStrategy(loss_horizon=100)
 
     def test_flat_history_above_requirement(self):
         state = TenantShareState(
-            owned_sc_slots=100, history=deque([(100, 0.9), (100, 0.9), (100, 0.9)])
+            owned_slots=100, history=deque([(100, 0.9), (100, 0.9), (100, 0.9)])
         )
         assert selfish_eligible(state, 0.9, soft=0.6, strategy=self.strategy())
 
     def test_two_point_regression_refuses(self):
         state = TenantShareState(
-            owned_sc_slots=1100, history=deque([(1000, 0.50), (1100, 0.60)])
+            owned_slots=1100, history=deque([(1000, 0.50), (1100, 0.60)])
         )
         # predicted rate at 1100 - 100 = 1000 slots is 0.50 < 0.55
         assert not selfish_eligible(state, 0.60, soft=0.55, strategy=self.strategy())
 
     def test_two_point_regression_agrees_when_safe(self):
         state = TenantShareState(
-            owned_sc_slots=1100, history=deque([(1000, 0.70), (1100, 0.72)])
+            owned_slots=1100, history=deque([(1000, 0.70), (1100, 0.72)])
         )
         assert selfish_eligible(state, 0.72, soft=0.55, strategy=self.strategy())
 

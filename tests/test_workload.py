@@ -10,6 +10,7 @@ from tenantcache.workload import (
     TenantWorkload,
     WorkloadError,
     WorkloadPhase,
+    activation_timeline,
     generate_stream,
     read_trace,
     sample_item,
@@ -169,6 +170,66 @@ class TestGenerateStream:
     def test_no_workloads_rejected(self):
         with pytest.raises(WorkloadError):
             list(generate_stream([], 10, seed=0))
+
+
+def active_at(timeline, txn):
+    """The timeline's active set at txn: its last entry at or before txn."""
+    return [ids for t, _, ids in timeline if t <= txn][-1]
+
+
+class TestActivationTimeline:
+    def test_always_active(self):
+        assert activation_timeline(two_tenants(), 10) == [(0, 0, (1, 2))]
+
+    def test_arrival_and_departure(self):
+        timeline = activation_timeline(two_tenants(active_from=4, active_until=6), 10)
+        assert timeline == [(0, 0, (1,)), (4, 0, (1, 2)), (6, 0, (1,))]
+
+    def test_idle_stretch_moves_skew(self):
+        ws = [
+            TenantWorkload(tenant_id=1, universe_size=10, active_until=100),
+            TenantWorkload(tenant_id=2, universe_size=10, active_from=500),
+        ]
+        assert activation_timeline(ws, 300) == [(0, 0, (1,)), (100, 0, ()), (100, 400, (2,))]
+
+    def test_late_first_arrival(self):
+        ws = [TenantWorkload(tenant_id=1, universe_size=10, active_from=100)]
+        assert activation_timeline(ws, 50) == [(0, 0, ()), (0, 100, (1,))]
+
+    def test_early_end(self):
+        ws = [TenantWorkload(tenant_id=1, universe_size=10, active_until=100)]
+        assert activation_timeline(ws, 300) == [(0, 0, (1,)), (100, 0, ())]
+
+    def test_changes_past_the_stream_dropped(self):
+        assert activation_timeline(two_tenants(active_from=50), 10) == [(0, 0, (1,))]
+        assert activation_timeline(two_tenants(), 0) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        windows=st.lists(
+            st.tuples(st.integers(0, 120), st.none() | st.integers(1, 80), st.integers(1, 3)),
+            min_size=1,
+            max_size=4,
+        ),
+        total=st.integers(0, 200),
+    )
+    def test_stream_follows_timeline(self, windows, total):
+        ws = [
+            TenantWorkload(
+                tenant_id=i,
+                universe_size=5,
+                active_from=start,
+                active_until=None if span is None else start + span,
+                weight=weight,
+            )
+            for i, (start, span, weight) in enumerate(windows)
+        ]
+        timeline = activation_timeline(ws, total)
+        events = list(generate_stream(ws, total, seed=0))
+        ends_early = bool(timeline) and not timeline[-1][2]
+        assert len(events) == (timeline[-1][0] if ends_early else total)
+        for ev in events:
+            assert ev.tenant_id in active_at(timeline, ev.txn)
 
 
 class TestValidation:
