@@ -2,21 +2,21 @@
 
 A SlotStore is a fixed array of equally sized slots.  Each slot index belongs
 permanently to one region: a tenant's dedicated partition ("DC", tenant_id) or
-the shared region SC.  Every slot carries two stamps from one counter: its
-last access (the LRU order) and its insertion (the FCFS order).
+the shared region SC.  The store's replacement policy is fixed when it is
+built, and every slot carries one stamp from one counter: its last access
+under LRU (a hit restamps it), its insertion under FCFS (only an insert does).
 
-Victims come from a lazily validated index, one per replacement policy, built
-by heapifying the occupied slots when a victim query first asks for that
-policy; until then nothing is indexed, so filling an empty store and a run
-that never evicts cost no heap work.  The index keeps one heap of (stamp,
-index) per (region, owner); an owner-free query takes the least live top over
-the region's owner heaps.  An update pushes the slot's new entry and leaves
-the old one to be dropped when it surfaces.  Once pushes would take the index
-past 2 * capacity + 64 entries it is rebuilt from the occupied slots, so
-memory stays O(capacity) whatever the trace length, at amortised O(1) cost
-per push.  A victim query does not consume its answer: the slot stays
-indexed, and only when the caller re-stamps, moves or evicts it does the next
-query see another slot.
+Victims come from one lazily validated index, built by heapifying the occupied
+slots when the first victim query arrives; until then nothing is indexed, so
+filling an empty store and a run that never evicts cost no heap work.  The
+index keeps one heap of (stamp, index) per (region, owner); an owner-free
+query takes the least live top over the region's owner heaps.  An update
+pushes the slot's new entry and leaves the old one to be dropped when it
+surfaces.  Once pushes would take the index past 2 * capacity + 64 entries it
+is rebuilt from the occupied slots, so memory stays O(capacity) whatever the
+trace length, at amortised O(1) cost per push.  A victim query does not
+consume its answer: the slot stays indexed, and only when the caller
+re-stamps, moves or evicts it does the next query see another slot.
 """
 from __future__ import annotations
 
@@ -89,7 +89,7 @@ class RegionLayout:
 
 
 class _VictimIndex:
-    """Min-heaps of (stamp, slot) for one replacement policy, by region then owner.
+    """Min-heaps of (stamp, slot) over the store's stamps, by region then owner.
 
     An entry is live while its slot is occupied and still carries that stamp.
     Stamps are never reused and travel with their key on a swap, so a live
@@ -99,10 +99,10 @@ class _VictimIndex:
 
     __slots__ = ("keys", "owners", "regions", "stamps", "limit", "heaps", "room")
 
-    def __init__(self, store: "SlotStore", stamps: list):
+    def __init__(self, store: "SlotStore"):
         # the store's arrays, not the store: no reference cycle keeps it alive
         self.keys, self.owners, self.regions = store.keys, store.owners, store.regions
-        self.stamps = stamps
+        self.stamps = store.stamps
         self.limit = 2 * store.capacity + 64
         self.rebuild()
 
@@ -161,17 +161,19 @@ class _VictimIndex:
 class SlotStore:
     """The slot array, its free lists and per-owner counts, and the victim index."""
 
-    def __init__(self, layout: RegionLayout):
+    def __init__(self, layout: RegionLayout, replacement: str = LRU):
+        if replacement not in REPLACEMENTS:
+            raise CacheError(f"unknown replacement policy {replacement!r}")
         self.layout = layout
+        self._restamp_on_hit = replacement == LRU
         self.capacity = layout.capacity
         self.keys: list = [None] * self.capacity
         self.owners: list = [None] * self.capacity
-        self.last_seq = [0] * self.capacity
-        self.ins_seq = [0] * self.capacity
+        self.stamps = [0] * self.capacity
         self.regions: list = [None] * self.capacity
         self.key_index: dict = {}
         self._free: dict = {}
-        self._victims: dict = {}  # policy -> _VictimIndex, built on first query
+        self._index: _VictimIndex | None = None  # built on the first victim query
         self._dc_count: dict = {}
         self._sc_count: dict = {}
         self._seq = 0
@@ -199,29 +201,17 @@ class SlotStore:
         counts = self._sc_count if region == SC else self._dc_count
         counts[owner] = counts.get(owner, 0) + delta
 
-    def _victim_index(self, policy: str) -> _VictimIndex:
-        index = self._victims.get(policy)
-        if index is None:
-            if policy == LRU:
-                stamps = self.last_seq
-            elif policy == FCFS:
-                stamps = self.ins_seq
-            else:
-                raise CacheError(f"unknown replacement policy {policy!r}")
-            index = self._victims[policy] = _VictimIndex(self, stamps)
-        return index
-
     # -- core operations ---------------------------------------------------
 
     def lookup(self, key: Key):
-        """Return (region, slot index) on hit and refresh recency; None on miss."""
+        """Return (region, slot index) on hit, restamping under LRU; None on miss."""
         idx = self.key_index.get(key)
         if idx is None:
             return None
-        self.last_seq[idx] = self._tick()
-        lru = self._victims.get(LRU)
-        if lru is not None:
-            lru.push(idx)
+        if self._restamp_on_hit:
+            self.stamps[idx] = self._tick()
+            if self._index is not None:
+                self._index.push(idx)
         return self.regions[idx], idx
 
     def peek(self, key: Key):
@@ -242,31 +232,32 @@ class SlotStore:
             raise CacheError(f"key {key!r} already present")
         idx = free.pop()
         owner = key[0]
-        seq = self._tick()
         self.keys[idx] = key
         self.owners[idx] = owner
-        self.last_seq[idx] = seq
-        self.ins_seq[idx] = seq
+        self.stamps[idx] = self._tick()
         self.key_index[key] = idx
         self._count(owner, region, +1)
-        for index in self._victims.values():
-            index.push(idx)
+        if self._index is not None:
+            self._index.push(idx)
         return idx
 
-    def select_victim(self, region: Region, owner=None, policy: str = LRU) -> int:
-        """Slot the policy would evict from region, optionally owner-filtered; kept in place.
+    def select_victim(self, region: Region, owner=None) -> int:
+        """Slot the store would evict from region, optionally owner-filtered; kept in place.
 
         The victim is the occupied candidate with the least (stamp, index),
-        stamp being the last access (LRU) or the insertion (FCFS).  The query
-        changes nothing observable, so asking twice gives the same slot until
-        the caller re-stamps, moves or evicts it.  Raises CacheError for an
-        unknown policy and NoCandidateError when no slot qualifies.
+        the stamp being the last access (LRU) or the insertion (FCFS), as
+        fixed when the store was built.  The query changes nothing
+        observable, so asking twice gives the same slot until the caller
+        re-stamps, moves or evicts it.  Raises NoCandidateError when no slot
+        qualifies.
         """
-        return self._victim_index(policy).victim(region, owner)
+        if self._index is None:
+            self._index = _VictimIndex(self)
+        return self._index.victim(region, owner)
 
-    def evict_victim(self, region: Region, owner=None, policy: str = LRU) -> int:
-        """Evict the oldest candidate under the replacement policy; return its index."""
-        idx = self._victim_index(policy).victim(region, owner)
+    def evict_victim(self, region: Region, owner=None) -> int:
+        """Evict the oldest candidate under the store's policy; return its index."""
+        idx = self.select_victim(region, owner)
         self.evict(idx)
         return idx
 
@@ -295,13 +286,12 @@ class SlotStore:
             self._count(oj, ri, +1)
         self.keys[i], self.keys[j] = self.keys[j], self.keys[i]
         self.owners[i], self.owners[j] = oj, oi
-        self.last_seq[i], self.last_seq[j] = self.last_seq[j], self.last_seq[i]
-        self.ins_seq[i], self.ins_seq[j] = self.ins_seq[j], self.ins_seq[i]
+        self.stamps[i], self.stamps[j] = self.stamps[j], self.stamps[i]
         self.key_index[self.keys[i]] = i
         self.key_index[self.keys[j]] = j
-        for index in self._victims.values():
-            index.push(i)
-            index.push(j)
+        if self._index is not None:
+            self._index.push(i)
+            self._index.push(j)
 
     # -- queries -----------------------------------------------------------
 
@@ -317,7 +307,7 @@ class SlotStore:
         return len(self.key_index)
 
     def dump(self, out: IO[str] | None = None) -> list[str]:
-        """One slot per line: index,region,owner,key,last_access_seq."""
+        """One slot per line: index,region,owner,key,stamp (last access or insertion)."""
         lines = []
         for idx in range(self.capacity):
             region = self.regions[idx]
@@ -325,7 +315,7 @@ class SlotStore:
             key = self.keys[idx]
             kname = "" if key is None else f"{key[0]}:{key[1]}"
             owner = "" if self.owners[idx] is None else str(self.owners[idx])
-            lines.append(f"{idx},{rname},{owner},{kname},{self.last_seq[idx]}")
+            lines.append(f"{idx},{rname},{owner},{kname},{self.stamps[idx]}")
         if out is not None:
             out.write("\n".join(lines) + "\n")
         return lines
@@ -339,31 +329,27 @@ class InsertOutcome:
     region: Region | None = None
     victim_tenant: object = None
 
-    @property
-    def hit(self) -> bool:
-        return self.kind == "hit"
-
 
 SC_HIT = InsertOutcome("hit", SC)
 SC_INSERTED = InsertOutcome("inserted", SC)
 
 
-def global_insert(store: SlotStore, key: Key, policy: str = LRU) -> InsertOutcome:
-    """Tenant-unaware LRU/FCFS over the whole (all-SC) store."""
+def global_insert(store: SlotStore, key: Key) -> InsertOutcome:
+    """Tenant-unaware replacement over the whole (all-SC) store."""
     if store.lookup(key) is not None:
         return SC_HIT
     if store.free_count(SC):
         store.insert_into_empty(key, SC)
         return SC_INSERTED
-    idx = store.select_victim(SC, None, policy)
+    idx = store.select_victim(SC)
     victim = store.owners[idx]
     store.evict(idx)
     store.insert_into_empty(key, SC)
     return InsertOutcome("replaced", SC, victim_tenant=victim)
 
 
-def static_insert(store: SlotStore, key: Key, policy: str = LRU) -> InsertOutcome:
-    """LRU/FCFS confined to the tenant's own partition."""
+def static_insert(store: SlotStore, key: Key) -> InsertOutcome:
+    """Replacement confined to the tenant's own partition."""
     tenant = key[0]
     region = dc_region(tenant)
     if tenant not in store.layout.dc_sizes:
@@ -373,6 +359,6 @@ def static_insert(store: SlotStore, key: Key, policy: str = LRU) -> InsertOutcom
     if store.free_count(region):
         store.insert_into_empty(key, region)
         return InsertOutcome("inserted", region)
-    store.evict_victim(region, tenant, policy)
+    store.evict_victim(region, tenant)
     store.insert_into_empty(key, region)
     return InsertOutcome("replaced", region, victim_tenant=tenant)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -25,15 +26,22 @@ EXIT_INFEASIBLE = 3
 
 def _parse_targets(spec: str) -> list[float]:
     """Either 'start:stop:step' (inclusive) or a comma-separated list."""
-    if ":" in spec:
+    try:
+        if ":" not in spec:
+            return [float(x) for x in spec.split(",")]
         start, stop, step = (float(x) for x in spec.split(":"))
-        targets = []
-        t = start
-        while t <= stop + 1e-9:
-            targets.append(round(t, 9))
-            t += step
-        return targets
-    return [float(x) for x in spec.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(
+            "targets", f"{spec!r} is neither start:stop:step nor a comma-separated list"
+        ) from exc
+    if not (step > 0 and math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigurationError("targets", "a range needs a finite start and stop and a step > 0")
+    targets = []
+    t = start
+    while t <= stop + 1e-9:
+        targets.append(round(t, 9))
+        t += step
+    return targets
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,9 +113,7 @@ def main(argv=None) -> int:
                 resolution=args.resolution,
                 trials=args.trials,
                 seed=scenario.seed,
-                window_length=scenario.window_length,
-                ewma_weight=scenario.ewma_weight,
-                replacement=scenario.replacement,
+                base=scenario,
             )
             write_sweep_csv(results, args.out)
         elif args.command == "suggest-dc":

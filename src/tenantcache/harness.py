@@ -323,9 +323,8 @@ def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> lis
     """
     s.validate()
     layout = s.resolved_layout()
-    store = SlotStore(layout)
+    store = SlotStore(layout, s.replacement)
     policy = s.policy
-    replacement = s.replacement
     strategy = s.strategy
     selfish = policy.endswith("selfish")
 
@@ -356,10 +355,10 @@ def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> lis
     # resolved once per run, from the module globals so that wrappers apply
     if policy in ("global", "static"):
         insert = global_insert if policy == "global" else static_insert
-        insert_args: tuple = (replacement,)
+        insert_args: tuple = ()
     else:
         insert = maxmin_insert if policy.startswith("maxmin") else hybrid_insert
-        insert_args = (gaps, eligible if selfish else None, replacement)
+        insert_args = (gaps, eligible if selfish else None)
 
     records: list[SampleRecord] = []
     sample_every = s.sample_every
@@ -466,26 +465,28 @@ def meets_target(
     capacity: int,
     target: float,
     seeds: Sequence[int],
-    hybrid_layout: RegionLayout | None = None,
     min_txns: int = 40_000,
     txns_per_slot: int = 4,
-    window_length: int = DEFAULT_WINDOW,
-    ewma_weight: float = DEFAULT_EWMA_WEIGHT,
-    replacement: str = LRU,
+    base: Scenario | None = None,
 ) -> bool:
-    """True iff every tenant's final-quarter mean EWMA >= target for all seeds."""
+    """True iff every tenant's final-quarter mean EWMA >= target for all seeds.
+
+    Each probe is base (a default Scenario when None) with the probe's policy,
+    capacity, tenants, derived layout, length, seed and sampling; everything
+    else, replacement, tracker and sharing strategy included, is base's.
+    """
     total_txns = max(min_txns, txns_per_slot * capacity)
-    layout = derive_layout(policy, capacity, [t.workload.tenant_id for t in tenants], hybrid_layout)
+    layout = derive_layout(policy, capacity, [t.workload.tenant_id for t in tenants])
+    if base is None:
+        base = Scenario(capacity=capacity, policy=policy, tenants=tenants)
     for seed in seeds:
-        scenario = Scenario(
-            capacity=capacity,
+        scenario = replace(
+            base,
             policy=policy,
+            capacity=capacity,
             tenants=tenants,
             layout=layout,
             total_txns=total_txns,
-            window_length=window_length,
-            ewma_weight=ewma_weight,
-            replacement=replacement,
             seed=seed,
             sample_every=max(1, total_txns // 200),
         )
@@ -513,6 +514,10 @@ def min_slots_for_target(
     """
     if not 0.0 <= target < 1.0:
         raise ConfigurationError("target", "must be in [0, 1)")
+    if resolution < 1:
+        raise ConfigurationError("resolution", "must be >= 1")
+    if trials < 1:
+        raise ConfigurationError("trials", "must be >= 1")
     seeds = [seed + i for i in range(trials)]
     lower = max(resolution, (lower // resolution) * resolution)
     upper = ((upper + resolution - 1) // resolution) * resolution

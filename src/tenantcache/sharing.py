@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .cache_core import (
-    LRU,
     SC,
     SC_HIT,
     SC_INSERTED,
@@ -143,7 +142,6 @@ def maxmin_insert(
     key: tuple,
     gaps: Mapping,
     eligible: Mapping | None = None,
-    policy: str = LRU,
 ) -> InsertOutcome:
     """Max-min insertion over a fully shared store.
 
@@ -157,7 +155,7 @@ def maxmin_insert(
         store.insert_into_empty(key, SC)
         return SC_INSERTED
     j = _pick_sc_victim(store, gaps, key[0], eligible)
-    store.evict_victim(SC, j, policy)
+    store.evict_victim(SC, j)
     store.insert_into_empty(key, SC)
     return InsertOutcome("replaced", SC, victim_tenant=j)
 
@@ -167,7 +165,6 @@ def hybrid_insert(
     key: tuple,
     gaps: Mapping,
     eligible: Mapping | None = None,
-    policy: str = LRU,
 ) -> InsertOutcome:
     """Insertion for the dedicated/shared layout.
 
@@ -182,7 +179,7 @@ def hybrid_insert(
     if tenant not in layout.dc_sizes:
         raise UnknownTenantError(f"tenant {tenant!r} has no DC entry in the layout")
     if layout.sc_size == 0:
-        return static_insert(store, key, policy)
+        return static_insert(store, key)
     dcr = dc_region(tenant)
     has_dc = layout.dc_sizes[tenant] > 0
 
@@ -192,7 +189,7 @@ def hybrid_insert(
         if region == dcr:
             return InsertOutcome("hit", dcr)
         if has_dc:
-            victim_idx = store.select_victim(dcr, tenant, policy)
+            victim_idx = store.select_victim(dcr, tenant)
             store.swap(idx, victim_idx)
         return SC_HIT
 
@@ -203,10 +200,10 @@ def hybrid_insert(
     victim_tenant = None
     if not store.free_count(SC):
         victim_tenant = _pick_sc_victim(store, gaps, tenant, eligible)
-        store.evict_victim(SC, victim_tenant, policy)
+        store.evict_victim(SC, victim_tenant)
     idx = store.insert_into_empty(key, SC)
     if has_dc:
-        victim_idx = store.select_victim(dcr, tenant, policy)
+        victim_idx = store.select_victim(dcr, tenant)
         store.swap(idx, victim_idx)
     if victim_tenant is None:
         return SC_INSERTED

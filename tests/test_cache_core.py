@@ -2,7 +2,6 @@ import pytest
 
 from tenantcache.cache_core import (
     FCFS,
-    LRU,
     SC,
     CacheError,
     NoCandidateError,
@@ -101,7 +100,7 @@ class TestEvictVictim:
         for key in [(1, "a"), (1, "b"), (1, "c")]:
             s.insert_into_empty(key, SC)
         s.lookup((1, "a"))  # b has the oldest recency now
-        idx = s.evict_victim(SC, owner=1, policy=LRU)
+        idx = s.evict_victim(SC, owner=1)
         assert s.keys[idx] is None
         assert s.peek((1, "b")) is None
 
@@ -121,11 +120,11 @@ class TestEvictVictim:
         assert s.peek((1, "a")) is not None
 
     def test_fcfs_ignores_later_lookups(self):
-        s = global_store(2)
+        s = SlotStore(RegionLayout.global_layout(2), FCFS)
         s.insert_into_empty((1, "a"), SC)
         s.insert_into_empty((1, "b"), SC)
         s.lookup((1, "a"))
-        idx = s.evict_victim(SC, policy=FCFS)
+        idx = s.evict_victim(SC)
         assert s.peek((1, "a")) is None
 
     def test_empty_candidate_set(self):
@@ -139,10 +138,10 @@ class TestSwap:
         s = SlotStore(layout)
         i = s.insert_into_empty((1, "hot"), dc_region(1))
         j = s.insert_into_empty((1, "cold"), SC)
-        seq_i, seq_j = s.last_seq[i], s.last_seq[j]
+        seq_i, seq_j = s.stamps[i], s.stamps[j]
         s.swap(i, j)
         assert s.keys[i] == (1, "cold") and s.keys[j] == (1, "hot")
-        assert s.last_seq[i] == seq_j and s.last_seq[j] == seq_i
+        assert s.stamps[i] == seq_j and s.stamps[j] == seq_i
         assert s.key_index[(1, "hot")] == j
         check_ownership(s)
 
@@ -270,5 +269,5 @@ class TestDump:
         s = SlotStore(layout)
         s.insert_into_empty((1, 42), dc_region(1))
         lines = s.dump()
-        assert lines[0] == f"0,DC:1,1,1:42,{s.last_seq[0]}"
+        assert lines[0] == f"0,DC:1,1,1:42,{s.stamps[0]}"
         assert lines[1] == "1,SC,,,0"

@@ -104,6 +104,63 @@ class TestScenarioValidation:
             small_scenario(policy="hybrid_fair").validate()
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# near-valid values reach the deeper checks; any JSON value probes the conversions
+numbers = st.integers(-2, 80) | st.floats(-0.5, 1.5) | json_values
+
+
+def _optional(**fields):
+    return st.fixed_dictionaries({}, optional=fields) | json_values
+
+
+tenant_docs = _optional(
+    tenant_id=numbers,
+    universe_size=numbers,
+    phases=st.lists(_optional(alpha=numbers, start_txn=numbers), max_size=3) | json_values,
+    active_from=numbers,
+    active_until=numbers,
+    weight=numbers,
+    requirement=_optional(hard=numbers, soft=numbers),
+)
+config_docs = st.fixed_dictionaries(
+    {},
+    optional={
+        "capacity": numbers,
+        "policy": st.sampled_from(POLICIES) | json_values,
+        "tenants": st.lists(tenant_docs, max_size=3) | json_values,
+        "layout": _optional(
+            dc_sizes=st.dictionaries(st.sampled_from(["1", "2", "x"]), numbers, max_size=2)
+            | json_values,
+            sc_size=numbers,
+        ),
+        "strategy": _optional(loss_horizon=numbers, history_len=numbers),
+        "replacement": st.sampled_from(["lru", "fcfs", "mru"]) | json_values,
+        "total_txns": numbers,
+        "window_length": numbers,
+        "ewma_weight": numbers,
+        "seed": numbers,
+        "sample_every": numbers,
+    },
+) | json_values.filter(lambda v: not isinstance(v, str))  # a string names a file
+
+
+@settings(max_examples=400, deadline=None)
+@given(config_docs, st.booleans())
+def test_any_json_document_gives_a_scenario_or_a_configuration_error(doc, as_text):
+    if as_text and isinstance(doc, (dict, list)):
+        doc = json.dumps(doc)
+    try:
+        scenario = scenario_from_json(doc)
+    except ConfigurationError:
+        return
+    assert isinstance(scenario, Scenario)
+
+
 class TestDeriveLayout:
     def test_global_is_all_shared(self):
         layout = derive_layout("global", 100, [1, 2])
@@ -516,6 +573,68 @@ class TestCli:
         assert len(probes) == 4
         for s in probes:
             assert (s.replacement, s.window_length, s.ewma_weight) == ("fcfs", 40, 0.3)
+
+    def test_sweep_probes_carry_the_config_strategy(self, tmp_path, monkeypatch):
+        import tenantcache.harness as harness
+        from tenantcache.cli import main
+        from tenantcache.sharing import SharingStrategy
+
+        probes = []
+        monkeypatch.setattr(harness, "run_scenario", lambda s: probes.append(s) or [])
+        cfg = self.config_path(
+            tmp_path,
+            policy="maxmin_selfish",
+            strategy=SharingStrategy(loss_horizon=5, history_len=4),
+        )
+        code = main([
+            "sweep", "--config", cfg, "--targets", "0.0", "--policies", "maxmin_selfish",
+            "--out", str(tmp_path / "sweep.csv"),
+            "--lower", "8", "--upper", "64", "--resolution", "8", "--trials", "2",
+        ])
+        assert code == 0
+        assert len(probes) == 2
+        for s in probes:
+            assert (s.strategy.loss_horizon, s.strategy.history_len) == (5, 4)
+
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            (["--targets", "0.3:0.6:0"], "targets"),
+            (["--targets", "0.3:0.6"], "targets"),
+            (["--targets", "abc"], "targets"),
+            (["--resolution", "0"], "resolution"),
+            (["--resolution", "-5"], "resolution"),
+            (["--trials", "0"], "trials"),
+        ],
+        ids=["zero-step", "no-step", "not-a-number", "zero-resolution", "negative-resolution",
+             "zero-trials"],
+    )
+    def test_bad_sweep_arguments_exit_2_before_probing(
+        self, tmp_path, monkeypatch, capsys, flags, field
+    ):
+        import tenantcache.harness as harness
+        from tenantcache.cli import main
+
+        def no_probe(s):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(harness, "run_scenario", no_probe)
+        code = main([
+            "sweep", "--config", self.config_path(tmp_path, policy="global"),
+            "--targets", "0.5", "--policies", "global", "--out", str(tmp_path / "sweep.csv"),
+            *flags,
+        ])
+        assert code == 2
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["0.3,", "0.6:0.3:-0.1", "0:inf:0.1", "-inf:0.5:0.1",
+                                      "0:0.5:nan", "0.1:0.2:0.3:0.4"])
+    def test_parse_targets_rejects_bad_spec(self, spec):
+        from tenantcache.cli import _parse_targets
+
+        with pytest.raises(ConfigurationError) as exc:
+            _parse_targets(spec)
+        assert exc.value.field_name == "targets"
 
     def test_parse_targets_range_and_list(self):
         from tenantcache.cli import _parse_targets

@@ -18,15 +18,10 @@ from tenantcache.cache_core import (
 TENANTS = (1, 2, 3)
 
 
-def stamps(store, policy):
-    return store.last_seq if policy == LRU else store.ins_seq
-
-
-def oracle_victim(store, region, owner, policy):
+def oracle_victim(store, region, owner):
     """argmin of (stamp, index) over the occupied candidate slots, or None."""
-    seqs = stamps(store, policy)
     candidates = [
-        (seqs[i], i)
+        (store.stamps[i], i)
         for i in range(store.capacity)
         if store.keys[i] is not None
         and store.regions[i] == region
@@ -36,11 +31,11 @@ def oracle_victim(store, region, owner, policy):
 
 
 def heap_entries(store):
-    """Entries held per built policy index."""
-    return {
-        policy: sum(len(h) for by_owner in index.heaps.values() for h in by_owner.values())
-        for policy, index in store._victims.items()
-    }
+    """Entries held by the victim index, 0 while it is unbuilt."""
+    index = store._index
+    if index is None:
+        return 0
+    return sum(len(h) for by_owner in index.heaps.values() for h in by_owner.values())
 
 
 layouts = st.builds(
@@ -50,19 +45,19 @@ layouts = st.builds(
 )
 tenants = st.sampled_from(TENANTS)
 owners = st.sampled_from((None,) + TENANTS)
-policies = st.sampled_from((LRU, FCFS))
+replacements = st.sampled_from((LRU, FCFS))
 ops = st.one_of(
     st.tuples(st.just("insert"), tenants, st.integers(0, 9), st.booleans()),
     st.tuples(st.just("lookup"), tenants, st.integers(0, 9)),
-    st.tuples(st.just("evict_victim"), st.booleans(), owners, policies),
-    st.tuples(st.just("promote"), tenants, st.integers(0, 9), policies),
+    st.tuples(st.just("evict_victim"), st.booleans(), owners),
+    st.tuples(st.just("promote"), tenants, st.integers(0, 9)),
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(layouts, st.lists(ops, max_size=400))
-def test_victims_match_oracle_and_memory_is_bounded(layout, script):
-    store = SlotStore(layout)
+@given(layouts, replacements, st.lists(ops, max_size=400))
+def test_victims_match_oracle_and_memory_is_bounded(layout, replacement, script):
+    store = SlotStore(layout, replacement)
     bound = 2 * store.capacity + 64
     for op in script:
         kind = op[0]
@@ -76,37 +71,37 @@ def test_victims_match_oracle_and_memory_is_bounded(layout, script):
             _, tenant, item = op
             store.lookup((tenant, item))
         elif kind == "evict_victim":
-            _, use_sc, owner, policy = op
+            _, use_sc, owner = op
             region = SC if use_sc else dc_region(owner or 1)
-            expected = oracle_victim(store, region, owner, policy)
+            expected = oracle_victim(store, region, owner)
             if expected is None:
                 with pytest.raises(NoCandidateError):
-                    store.evict_victim(region, owner, policy)
+                    store.evict_victim(region, owner)
             else:
-                assert store.evict_victim(region, owner, policy) == expected
+                assert store.evict_victim(region, owner) == expected
                 assert store.keys[expected] is None
         else:  # the hybrid promotion: an SC slot swaps with its owner's DC victim
-            _, tenant, item, policy = op
+            _, tenant, item = op
             idx = store.peek((tenant, item))
             dcr = dc_region(tenant)
-            expected = oracle_victim(store, dcr, tenant, policy)
+            expected = oracle_victim(store, dcr, tenant)
             if expected is None:
                 with pytest.raises(NoCandidateError):
-                    store.select_victim(dcr, tenant, policy)
+                    store.select_victim(dcr, tenant)
             else:
-                victim = store.select_victim(dcr, tenant, policy)
+                victim = store.select_victim(dcr, tenant)
                 assert victim == expected
                 # a query consumes nothing: asking again gives the same slot
-                assert store.select_victim(dcr, tenant, policy) == victim
+                assert store.select_victim(dcr, tenant) == victim
                 if idx is not None and store.regions[idx] == SC:
                     store.swap(idx, victim)
-        for policy in store._victims:
+        if store._index is not None:
             for region in [SC] + [dc_region(t) for t in TENANTS]:
                 for owner in (None,) + TENANTS:
-                    expected = oracle_victim(store, region, owner, policy)
+                    expected = oracle_victim(store, region, owner)
                     if expected is not None:
-                        assert store.select_victim(region, owner, policy) == expected
-        assert all(n <= bound for n in heap_entries(store).values())
+                        assert store.select_victim(region, owner) == expected
+        assert heap_entries(store) <= bound
 
 
 def test_filling_builds_no_index():
@@ -115,14 +110,18 @@ def test_filling_builds_no_index():
         global_insert(store, (1, item))
         global_insert(store, (1, item))
     assert store.occupied_count() == 4
-    assert store._victims == {}
+    assert store._index is None
 
 
-def test_only_the_queried_policy_is_indexed():
-    store = SlotStore(RegionLayout.global_layout(8))
-    for item in range(100):
-        global_insert(store, (item % 2, item % 13), LRU)
-    assert set(store._victims) == {LRU}
+def test_fcfs_lookup_leaves_the_stamp():
+    store = SlotStore(RegionLayout.global_layout(2), FCFS)
+    idx = store.insert_into_empty((1, "a"), SC)
+    store.insert_into_empty((1, "b"), SC)
+    store.select_victim(SC)  # build the index, so a restamp would also be pushed
+    stamp = store.stamps[idx]
+    assert store.lookup((1, "a")) == (SC, idx)
+    assert store.stamps[idx] == stamp
+    assert store.select_victim(SC) == idx
 
 
 def test_memory_bounded_when_a_heap_is_never_queried():
@@ -137,13 +136,9 @@ def test_memory_bounded_when_a_heap_is_never_queried():
                 store.evict_victim(SC, 1)
             store.insert_into_empty(key, SC)
         store.lookup((2, n % 4))
-        assert heap_entries(store).get(LRU, 0) <= 2 * store.capacity + 64
+        assert heap_entries(store) <= 2 * store.capacity + 64
 
 
-@pytest.mark.parametrize("query", ["select_victim", "evict_victim"])
-def test_unknown_policy_rejected(query):
-    store = SlotStore(RegionLayout.global_layout(2))
-    store.insert_into_empty((1, "a"), SC)
+def test_unknown_policy_rejected():
     with pytest.raises(CacheError, match="mru"):
-        getattr(store, query)(SC, None, "mru")
-    assert store.peek((1, "a")) is not None
+        SlotStore(RegionLayout.global_layout(2), "mru")
