@@ -139,6 +139,13 @@ def test_memory_bounded_when_a_heap_is_never_queried():
         assert heap_entries(store) <= 2 * store.capacity + 64
 
 
-def test_unknown_policy_rejected():
+@pytest.mark.parametrize("query", ["select_victim", "evict_victim"])
+def test_unknown_policy_rejected(query):
     with pytest.raises(CacheError, match="mru"):
         SlotStore(RegionLayout.global_layout(2), "mru")
+    store = SlotStore(RegionLayout.global_layout(2))
+    store.insert_into_empty((1, "a"), SC)
+    # The policy is the store's: a query cannot be handed one of its own.
+    with pytest.raises(TypeError):
+        getattr(store, query)(SC, None, "mru")
+    assert store.peek((1, "a")) is not None
