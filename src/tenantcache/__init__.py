@@ -47,7 +47,6 @@ from .metrics import (
 )
 from .sharing import (
     SharingStrategy,
-    TenantShareState,
     hybrid_insert,
     maxmin_insert,
     predict_hit_rate,

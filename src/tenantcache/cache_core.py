@@ -97,23 +97,23 @@ class _VictimIndex:
     that still fit under ``limit`` before the next rebuild.
     """
 
-    __slots__ = ("keys", "owners", "regions", "stamps", "limit", "heaps", "room")
+    __slots__ = ("keys", "regions", "stamps", "limit", "heaps", "room")
 
     def __init__(self, store: "SlotStore"):
         # the store's arrays, not the store: no reference cycle keeps it alive
-        self.keys, self.owners, self.regions = store.keys, store.owners, store.regions
+        self.keys, self.regions = store.keys, store.regions
         self.stamps = store.stamps
         self.limit = 2 * store.capacity + 64
         self.rebuild()
 
     def rebuild(self) -> None:
-        owners, regions, stamps = self.owners, self.regions, self.stamps
+        regions, stamps = self.regions, self.stamps
         heaps: dict = {}
         live = 0
         for idx, key in enumerate(self.keys):
             if key is not None:
                 by_owner = heaps.setdefault(regions[idx], {})
-                by_owner.setdefault(owners[idx], []).append((stamps[idx], idx))
+                by_owner.setdefault(key[0], []).append((stamps[idx], idx))
                 live += 1
         for by_owner in heaps.values():
             for heap in by_owner.values():
@@ -128,7 +128,7 @@ class _VictimIndex:
             return
         self.room -= 1
         by_owner = self.heaps.setdefault(self.regions[idx], {})
-        heapq.heappush(by_owner.setdefault(self.owners[idx], []), (self.stamps[idx], idx))
+        heapq.heappush(by_owner.setdefault(self.keys[idx][0], []), (self.stamps[idx], idx))
 
     def _top(self, heap):
         """The heap's least live entry, after dropping stale ones above it; or None."""
@@ -167,8 +167,7 @@ class SlotStore:
         self.layout = layout
         self._restamp_on_hit = replacement == LRU
         self.capacity = layout.capacity
-        self.keys: list = [None] * self.capacity
-        self.owners: list = [None] * self.capacity
+        self.keys: list = [None] * self.capacity  # a key's owner is its key[0]
         self.stamps = [0] * self.capacity
         self.regions: list = [None] * self.capacity
         self.key_index: dict = {}
@@ -231,12 +230,10 @@ class SlotStore:
         if key in self.key_index:
             raise CacheError(f"key {key!r} already present")
         idx = free.pop()
-        owner = key[0]
         self.keys[idx] = key
-        self.owners[idx] = owner
         self.stamps[idx] = self._tick()
         self.key_index[key] = idx
-        self._count(owner, region, +1)
+        self._count(key[0], region, +1)
         if self._index is not None:
             self._index.push(idx)
         return idx
@@ -267,9 +264,8 @@ class SlotStore:
             raise CacheError(f"slot {idx} already empty")
         region = self.regions[idx]
         del self.key_index[key]
-        self._count(self.owners[idx], region, -1)
+        self._count(key[0], region, -1)
         self.keys[idx] = None
-        self.owners[idx] = None
         self._free[region].append(idx)
 
     def swap(self, i: int, j: int) -> None:
@@ -277,7 +273,7 @@ class SlotStore:
         if self.keys[i] is None or self.keys[j] is None:
             raise CacheError("swap requires two occupied slots")
         ri, rj = self.regions[i], self.regions[j]
-        oi, oj = self.owners[i], self.owners[j]
+        oi, oj = self.keys[i][0], self.keys[j][0]
         # counts are per owner and region kind, so a same-owner promotion keeps them
         if oi != oj and (ri == SC) != (rj == SC):
             self._count(oi, ri, -1)
@@ -285,7 +281,6 @@ class SlotStore:
             self._count(oi, rj, +1)
             self._count(oj, ri, +1)
         self.keys[i], self.keys[j] = self.keys[j], self.keys[i]
-        self.owners[i], self.owners[j] = oj, oi
         self.stamps[i], self.stamps[j] = self.stamps[j], self.stamps[i]
         self.key_index[self.keys[i]] = i
         self.key_index[self.keys[j]] = j
@@ -314,7 +309,7 @@ class SlotStore:
             rname = SC if region == SC else f"DC:{region[1]}"
             key = self.keys[idx]
             kname = "" if key is None else f"{key[0]}:{key[1]}"
-            owner = "" if self.owners[idx] is None else str(self.owners[idx])
+            owner = "" if key is None else str(key[0])
             lines.append(f"{idx},{rname},{owner},{kname},{self.stamps[idx]}")
         if out is not None:
             out.write("\n".join(lines) + "\n")
@@ -342,7 +337,7 @@ def global_insert(store: SlotStore, key: Key) -> InsertOutcome:
         store.insert_into_empty(key, SC)
         return SC_INSERTED
     idx = store.select_victim(SC)
-    victim = store.owners[idx]
+    victim = store.keys[idx][0]
     store.evict(idx)
     store.insert_into_empty(key, SC)
     return InsertOutcome("replaced", SC, victim_tenant=victim)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -23,9 +22,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
+MIN_TARGET_STEP = 1e-6  # the sweep CSV's target precision
+
 
 def _parse_targets(spec: str) -> list[float]:
-    """Either 'start:stop:step' (inclusive) or a comma-separated list."""
+    """Either 'start:stop:step' (inclusive) or a comma-separated list.
+
+    A range is checked before it is listed: start and stop in [0, 1) and a
+    step of at least MIN_TARGET_STEP, so it never lists more than a million
+    targets.
+    """
     try:
         if ":" not in spec:
             return [float(x) for x in spec.split(",")]
@@ -34,8 +40,10 @@ def _parse_targets(spec: str) -> list[float]:
         raise ConfigurationError(
             "targets", f"{spec!r} is neither start:stop:step nor a comma-separated list"
         ) from exc
-    if not (step > 0 and math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigurationError("targets", "a range needs a finite start and stop and a step > 0")
+    if not (step >= MIN_TARGET_STEP and 0.0 <= start < 1.0 and 0.0 <= stop < 1.0):
+        raise ConfigurationError(
+            "targets", f"a range needs start and stop in [0, 1) and a step >= {MIN_TARGET_STEP:g}"
+        )
     targets = []
     t = start
     while t <= stop + 1e-9:

@@ -23,16 +23,23 @@ from .metrics import (
     DEFAULT_WINDOW,
     HitRateTracker,
     Requirement,
+    check_objectives,
 )
 from .sharing import (
     INF,
     SharingStrategy,
-    TenantShareState,
     hybrid_insert,
     maxmin_insert,
     selfish_eligible,
 )
-from .workload import AccessEvent, TenantWorkload, activation_timeline, generate_stream
+from .workload import (
+    AccessEvent,
+    TenantWorkload,
+    WorkloadPhase,
+    activation_timeline,
+    generate_stream,
+    text_file,
+)
 
 POLICIES = (
     "global",
@@ -252,8 +259,6 @@ def scenario_from_json(doc: Mapping | str) -> Scenario:
 
 
 def _tenant_from_json(doc: Mapping) -> TenantSpec:
-    from .workload import WorkloadPhase
-
     phases = [
         WorkloadPhase(alpha=float(p["alpha"]), start_txn=int(p.get("start_txn", 0)))
         for p in doc.get("phases", [{"alpha": 1.0}])
@@ -328,22 +333,27 @@ def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> lis
     strategy = s.strategy
     selfish = policy.endswith("selfish")
 
-    specs = {t.workload.tenant_id: t for t in s.tenants}
+    reqs = {t.workload.tenant_id: t.requirement for t in s.tenants}
     trackers = {
         k: HitRateTracker(window_length=s.window_length, ewma_weight=s.ewma_weight)
-        for k in specs
+        for k in reqs
     }
-    states = {
-        k: TenantShareState(history=deque(maxlen=strategy.history_len)) for k in specs
-    }
-    softs = {k: specs[k].requirement.soft for k in specs}
-    hards = {k: specs[k].requirement.hard for k in specs}
+    # per tenant, one (owned slots, smoothed hit rate) point per closed window
+    histories = {k: deque(maxlen=strategy.history_len) for k in reqs}
 
     # gaps drive victim selection; departed owners get +inf so their residual
     # slots are reclaimed first
     gaps: dict = {}
     eligible: dict = {}
     active: set = set()
+
+    def refresh(k) -> None:
+        """Set k's gap, and under selfish sharing its answer as a donor."""
+        hit_rate = trackers[k].hit_rate
+        gaps[k] = hit_rate - reqs[k].soft
+        if selfish:
+            eligible[k] = selfish_eligible(histories[k], hit_rate, reqs[k].soft, strategy)
+
     workloads = [t.workload for t in s.tenants]
     # the active set from each txn where it changes; an idle stretch's two
     # entries share a txn, and the later one wins
@@ -371,49 +381,49 @@ def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> lis
                 gaps[k] = INF
                 eligible[k] = True
             for k in now - active:
-                gaps[k] = trackers[k].hit_rate - softs[k]
-                if selfish:
-                    eligible[k] = selfish_eligible(states[k], trackers[k].ewma, softs[k], strategy)
+                refresh(k)
             active = now
 
         outcome = insert(store, (ev.tenant_id, ev.item), *insert_args)
         tracker = trackers[ev.tenant_id]
         if tracker.record_access(outcome.kind == "hit") is not None:
             k = ev.tenant_id
-            states[k].observe(sum(store.owned(k)), tracker.ewma)
-            gaps[k] = tracker.ewma - softs[k]
-            if selfish:
-                eligible[k] = selfish_eligible(states[k], tracker.ewma, softs[k], strategy)
+            histories[k].append((sum(store.owned(k)), tracker.hit_rate))
+            refresh(k)
 
         if (txn + 1) % sample_every == 0:
-            records.append(_sample(txn, store, trackers, softs, hards, active))
+            records.append(_sample(txn, store, trackers, reqs, gaps, active))
     return records
 
 
-def _sample(txn, store, trackers, softs, hards, active) -> SampleRecord:
+def _sample(txn, store, trackers, reqs, gaps, active) -> SampleRecord:
+    """One record over the active tenants.
+
+    Each gap is the driver's own (the one victim choice used); the hard flags
+    and the minimum gap come from check_objectives.
+    """
+    if not active:
+        return SampleRecord(txn=txn, tenants={}, min_gap=INF)
+    ids = sorted(active)
+    hit_rates = {k: trackers[k].hit_rate for k in ids}
+    violations, min_gap = check_objectives(hit_rates, reqs, ids)
     tenants = {}
-    min_gap = INF
-    for k in sorted(active):
-        tr = trackers[k]
-        h = tr.hit_rate
-        gap = h - softs[k]
-        min_gap = min(min_gap, gap)
+    for k in ids:
+        last = trackers[k].last_window_rate
         dc_n, sc_n = store.owned(k)
         tenants[k] = TenantSample(
-            ewma_hit_rate=h,
-            window_hit_rate=tr.last_window_rate if tr.last_window_rate is not None else 0.0,
+            ewma_hit_rate=hit_rates[k],
+            window_hit_rate=last if last is not None else 0.0,
             dc_slots=dc_n,
             sc_slots=sc_n,
-            gap=gap,
-            hard_violation=h < hards[k],
+            gap=gaps[k],
+            hard_violation=violations[k],
         )
     return SampleRecord(txn=txn, tenants=tenants, min_gap=min_gap)
 
 
 def write_records_csv(records: Iterable[SampleRecord], out: str | IO[str]) -> None:
-    own = isinstance(out, str)
-    fh = open(out, "w") if own else out
-    try:
+    with text_file(out, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for rec in records:
             for k, t in rec.tenants.items():
@@ -422,9 +432,6 @@ def write_records_csv(records: Iterable[SampleRecord], out: str | IO[str]) -> No
                     f"{t.dc_slots},{t.sc_slots},{t.gap:.6f},{int(t.hard_violation)},"
                     f"{rec.min_gap:.6f}\n"
                 )
-    finally:
-        if own:
-            fh.close()
 
 
 def compare_policies(
@@ -514,6 +521,8 @@ def min_slots_for_target(
     """
     if not 0.0 <= target < 1.0:
         raise ConfigurationError("target", "must be in [0, 1)")
+    if lower > upper:
+        raise ConfigurationError("upper", f"{upper} is below lower {lower}")
     if resolution < 1:
         raise ConfigurationError("resolution", "must be >= 1")
     if trials < 1:
@@ -547,7 +556,13 @@ def capacity_sweep(
     policies: Sequence[str],
     **kwargs,
 ) -> list[CapacitySweepResult]:
-    """min_slots_for_target across a target grid, with savings vs the baselines."""
+    """min_slots_for_target across a target grid, with savings vs the baselines.
+
+    Every target is checked before the first search starts.
+    """
+    for target in targets:
+        if not 0.0 <= target < 1.0:
+            raise ConfigurationError("targets", f"{target} is outside [0, 1)")
     results: list[CapacitySweepResult] = []
     for target in targets:
         per_policy = {
@@ -571,17 +586,12 @@ def capacity_sweep(
 
 
 def write_sweep_csv(results: Iterable[CapacitySweepResult], out: str | IO[str]) -> None:
-    own = isinstance(out, str)
-    fh = open(out, "w") if own else out
-    try:
+    with text_file(out, "w") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
         for r in results:
             sg = "" if r.savings_vs_global is None else f"{r.savings_vs_global:.6f}"
             ss = "" if r.savings_vs_static is None else f"{r.savings_vs_static:.6f}"
             fh.write(f"{r.target:.6f},{r.policy},{r.min_slots},{sg},{ss}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def suggest_dc_size(
@@ -593,16 +603,13 @@ def suggest_dc_size(
 ) -> int:
     """Recommended per-tenant DC size: slots one tenant at the least skewed
     exponent needs to meet the hard requirement on its own."""
-    from .workload import WorkloadPhase
-
-    tenant = TenantSpec(
-        workload=TenantWorkload(
-            tenant_id=0,
-            universe_size=universe,
-            phases=(WorkloadPhase(alpha=least_skewed_alpha),),
-        ),
-        requirement=Requirement(hard=hard, soft=hard),
-    )
+    if not 0.0 <= hard < 1.0:
+        raise ConfigurationError("hard", "must be in [0, 1)")
+    with _reading("alpha"):
+        phase = WorkloadPhase(alpha=least_skewed_alpha)
+    with _reading("universe"):
+        workload = TenantWorkload(tenant_id=0, universe_size=universe, phases=(phase,))
+    tenant = TenantSpec(workload=workload, requirement=Requirement(hard=hard, soft=hard))
     return min_slots_for_target(
         "global", [tenant], hard, lower=resolution, resolution=resolution, **kwargs
     )

@@ -8,9 +8,8 @@ would push it below its requirement.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 from .cache_core import (
     SC,
@@ -40,19 +39,6 @@ class SharingStrategy:
             raise ValueError("loss_horizon must be >= 1")
         if self.history_len < 2:
             raise ValueError("history_len must be >= 2")
-
-
-@dataclass
-class TenantShareState:
-    """Slot-usage history a tenant consults before agreeing to donate space."""
-
-    owned_slots: int = 0
-    history: deque = field(default_factory=lambda: deque(maxlen=DEFAULT_HISTORY_LEN))
-
-    def observe(self, slots: int, hit_rate: float) -> None:
-        """Record one (owned slots, smoothed hit rate) sample at a window boundary."""
-        self.owned_slots = slots
-        self.history.append((slots, hit_rate))
 
 
 def select_victim_tenant(gaps: Mapping, candidates: Iterable) -> object:
@@ -90,20 +76,21 @@ def predict_hit_rate(history: Iterable[tuple], slots: float) -> float:
 
 
 def selfish_eligible(
-    state: TenantShareState,
-    ewma: float | None,
+    history: Sequence[tuple],
+    hit_rate: float,
     soft: float,
     strategy: SharingStrategy,
 ) -> bool:
     """Would this tenant still meet its soft level after losing loss_horizon slots?
 
-    With fewer than two history points there is no regression basis, so the
+    history holds the tenant's (owned slots, smoothed hit rate) samples, one
+    per closed window, newest last; the forecast starts from the newest slot
+    count.  With fewer than two points there is no regression basis, so the
     tenant refuses only when its current smoothed rate is already below soft.
     """
-    if len(state.history) < 2:
-        return (ewma if ewma is not None else 0.0) >= soft
-    predicted = predict_hit_rate(state.history, state.owned_slots - strategy.loss_horizon)
-    return predicted >= soft
+    if len(history) < 2:
+        return hit_rate >= soft
+    return predict_hit_rate(history, history[-1][0] - strategy.loss_horizon) >= soft
 
 
 def selfish_select_victim(

@@ -7,6 +7,7 @@ weighted round-robin so that identical seeds reproduce identical streams.
 from __future__ import annotations
 
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -238,30 +239,30 @@ def _next_after(active: Sequence[int], cur: int | None) -> int:
     return active[0]
 
 
+@contextmanager
+def text_file(target: str | IO[str], mode: str = "r") -> Iterator[IO[str]]:
+    """A path opened in mode and closed on exit, or an open handle passed through and left open."""
+    if isinstance(target, str):
+        with open(target, mode) as fh:
+            yield fh
+    else:
+        yield target
+
+
 def write_trace(events: Iterable[AccessEvent], out: str | IO[str]) -> None:
     """Export events as ASCII lines `txn,tenant_id,item`."""
-    own = isinstance(out, str)
-    fh = open(out, "w") if own else out
-    try:
+    with text_file(out, "w") as fh:
         for ev in events:
             fh.write(f"{ev.txn},{ev.tenant_id},{ev.item}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_trace(src: str | IO[str]) -> list[AccessEvent]:
-    own = isinstance(src, str)
-    fh = open(src) if own else src
-    try:
-        events = []
+    events = []
+    with text_file(src) as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             txn, tenant_id, item = line.split(",")
             events.append(AccessEvent(int(txn), int(tenant_id), int(item)))
-        return events
-    finally:
-        if own:
-            fh.close()
+    return events

@@ -22,10 +22,7 @@ def global_store(capacity):
 def check_ownership(store):
     for idx in range(store.capacity):
         key = store.keys[idx]
-        if key is None:
-            assert store.owners[idx] is None
-        else:
-            assert store.owners[idx] == key[0]
+        if key is not None:
             assert store.key_index[key] == idx
     assert len(store.key_index) <= store.capacity
 
@@ -255,10 +252,13 @@ class TestInvariants:
                 dc_n = sum(
                     1
                     for i in range(s.capacity)
-                    if s.owners[i] == t and s.regions[i] == dc_region(t)
+                    if s.keys[i] is not None and s.keys[i][0] == t
+                    and s.regions[i] == dc_region(t)
                 )
                 sc_n = sum(
-                    1 for i in range(s.capacity) if s.owners[i] == t and s.regions[i] == SC
+                    1
+                    for i in range(s.capacity)
+                    if s.keys[i] is not None and s.keys[i][0] == t and s.regions[i] == SC
                 )
                 assert s.owned(t) == (dc_n, sc_n)
 

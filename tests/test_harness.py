@@ -28,7 +28,12 @@ from tenantcache.harness import (
     write_sweep_csv,
 )
 from tenantcache.metrics import Requirement
-from tenantcache.workload import TenantWorkload, WorkloadPhase, activation_timeline
+from tenantcache.workload import (
+    TenantWorkload,
+    WorkloadPhase,
+    activation_timeline,
+    generate_stream,
+)
 
 FAST = dict(min_txns=4_000, txns_per_slot=4)
 
@@ -241,8 +246,35 @@ class TestRunScenario:
                 assert t.dc_slots <= 10
 
     def test_min_gap_matches_tenant_gaps(self):
-        for r in run_scenario(small_scenario()):
-            assert r.min_gap == pytest.approx(min(t.gap for t in r.tenants.values()))
+        tenants = [
+            tenant(1, soft=0.5, hard=0.45),
+            tenant(2, soft=0.4, hard=0.3, active_until=2_000),
+            tenant(3, universe=100, soft=0.7, hard=0.6, active_from=1_500),
+        ]
+        reqs = {t.workload.tenant_id: t.requirement for t in tenants}
+        hybrid = RegionLayout(dc_sizes={1: 8, 2: 8, 3: 8}, sc_size=40)
+        for policy in POLICIES:
+            layout = derive_layout(policy, 64, [1, 2, 3], hybrid)
+            s = small_scenario(policy=policy, tenants=tenants, layout=layout, sample_every=100)
+            records = run_scenario(s)
+            # tenant 2 departs and tenant 3 arrives late
+            assert set(records[0].tenants) == {1, 2} and set(records[-1].tenants) == {1, 3}
+            flags = set()
+            for r in records:
+                for k, t in r.tenants.items():
+                    assert t.gap == t.ewma_hit_rate - reqs[k].soft, (policy, r.txn, k)
+                    assert t.hard_violation == (t.ewma_hit_rate < reqs[k].hard), (policy, r.txn)
+                    flags.add(t.hard_violation)
+                assert r.min_gap == min(t.gap for t in r.tenants.values()), (policy, r.txn)
+            assert flags == {False, True}, policy
+
+    def test_trace_past_the_timeline_gives_empty_samples(self):
+        # a replayed trace may outrun the scenario's own activation timeline
+        trace = list(generate_stream([tenant(1).workload], 1_000, seed=0))
+        s = small_scenario(tenants=[tenant(1, active_until=500)], total_txns=1_000)
+        records = run_scenario(s, trace=trace)
+        assert [len(r.tenants) for r in records] == [1, 0]
+        assert records[-1].min_gap == float("inf")
 
     def test_departed_tenant_drops_out_of_samples(self):
         s = small_scenario(
@@ -384,6 +416,14 @@ class TestCapacitySearch:
     def test_bad_target_rejected(self):
         with pytest.raises(ConfigurationError):
             min_slots_for_target("global", [tenant(1)], 1.5)
+
+    def test_lower_above_upper_rejected(self, monkeypatch):
+        import tenantcache.harness as harness
+
+        monkeypatch.setattr(harness, "run_scenario", lambda s: pytest.fail("a probe ran"))
+        with pytest.raises(ConfigurationError) as exc:
+            min_slots_for_target("global", [tenant(1)], 0.5, lower=1000, upper=100)
+        assert exc.value.field_name == "upper"
 
     def test_infeasible_upper_bound_raises(self):
         # uniform accesses over 10k items cannot hit 95% with 64 slots
@@ -605,9 +645,14 @@ class TestCli:
             (["--resolution", "0"], "resolution"),
             (["--resolution", "-5"], "resolution"),
             (["--trials", "0"], "trials"),
+            (["--targets", "0.3,1.2"], "targets"),
+            (["--lower", "1000", "--upper", "100"], "upper"),
+            (["--targets", "0:0.00001:1e-7"], "targets"),
+            (["--targets", "0.5:1.5:0.1"], "targets"),
         ],
         ids=["zero-step", "no-step", "not-a-number", "zero-resolution", "negative-resolution",
-             "zero-trials"],
+             "zero-trials", "late-bad-target", "lower-above-upper", "step-too-fine",
+             "stop-out-of-range"],
     )
     def test_bad_sweep_arguments_exit_2_before_probing(
         self, tmp_path, monkeypatch, capsys, flags, field
@@ -628,13 +673,53 @@ class TestCli:
         assert f"configuration error: {field}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["0.3,", "0.6:0.3:-0.1", "0:inf:0.1", "-inf:0.5:0.1",
-                                      "0:0.5:nan", "0.1:0.2:0.3:0.4"])
+                                      "0:0.5:nan", "0.1:0.2:0.3:0.4", "0:0.00001:1e-7",
+                                      "-0.1:0.5:0.1", "0.5:1.5:0.1", "0:1:0.1"])
     def test_parse_targets_rejects_bad_spec(self, spec):
         from tenantcache.cli import _parse_targets
 
         with pytest.raises(ConfigurationError) as exc:
             _parse_targets(spec)
         assert exc.value.field_name == "targets"
+
+    def test_parse_targets_rejects_a_fine_range_before_listing_it(self, monkeypatch):
+        import tenantcache.cli as cli
+
+        # each listed target is rounded: fail at the first one instead of exhausting memory
+        monkeypatch.setattr(cli, "round", lambda *a: pytest.fail("the range was listed"),
+                            raising=False)
+        with pytest.raises(ConfigurationError) as exc:
+            cli._parse_targets("0:0.5:1e-12")
+        assert exc.value.field_name == "targets"
+
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            (["--hard", "-0.1", "--alpha", "0.7"], "hard"),
+            (["--hard", "1.0", "--alpha", "0.7"], "hard"),
+            (["--hard", "0.3", "--alpha", "-1"], "alpha"),
+            (["--hard", "0.3", "--alpha", "0.7", "--universe", "0"], "universe"),
+        ],
+        ids=["negative-hard", "hard-one", "negative-alpha", "zero-universe"],
+    )
+    def test_bad_suggest_dc_arguments_exit_2_without_traceback(self, flags, field):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import tenantcache
+
+        src = str(Path(tenantcache.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tenantcache.cli", "suggest-dc", *flags],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"configuration error: {field}:" in proc.stderr
 
     def test_parse_targets_range_and_list(self):
         from tenantcache.cli import _parse_targets

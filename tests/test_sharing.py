@@ -16,7 +16,6 @@ from tenantcache.cache_core import (
 from tenantcache.sharing import (
     INF,
     SharingStrategy,
-    TenantShareState,
     hybrid_insert,
     maxmin_insert,
     predict_hit_rate,
@@ -108,31 +107,25 @@ class TestSelfishEligible:
         return SharingStrategy(loss_horizon=100)
 
     def test_flat_history_above_requirement(self):
-        state = TenantShareState(
-            owned_slots=100, history=deque([(100, 0.9), (100, 0.9), (100, 0.9)])
-        )
-        assert selfish_eligible(state, 0.9, soft=0.6, strategy=self.strategy())
+        history = deque([(100, 0.9), (100, 0.9), (100, 0.9)])
+        assert selfish_eligible(history, 0.9, soft=0.6, strategy=self.strategy())
 
     def test_two_point_regression_refuses(self):
-        state = TenantShareState(
-            owned_slots=1100, history=deque([(1000, 0.50), (1100, 0.60)])
-        )
+        history = deque([(1000, 0.50), (1100, 0.60)])
         # predicted rate at 1100 - 100 = 1000 slots is 0.50 < 0.55
-        assert not selfish_eligible(state, 0.60, soft=0.55, strategy=self.strategy())
+        assert not selfish_eligible(history, 0.60, soft=0.55, strategy=self.strategy())
 
     def test_two_point_regression_agrees_when_safe(self):
-        state = TenantShareState(
-            owned_slots=1100, history=deque([(1000, 0.70), (1100, 0.72)])
-        )
-        assert selfish_eligible(state, 0.72, soft=0.55, strategy=self.strategy())
+        history = deque([(1000, 0.70), (1100, 0.72)])
+        assert selfish_eligible(history, 0.72, soft=0.55, strategy=self.strategy())
 
     def test_no_history_uses_current_rate(self):
-        state = TenantShareState()
-        assert not selfish_eligible(state, 0.59, soft=0.60, strategy=self.strategy())
-        assert selfish_eligible(state, 0.61, soft=0.60, strategy=self.strategy())
+        history = deque()
+        assert not selfish_eligible(history, 0.59, soft=0.60, strategy=self.strategy())
+        assert selfish_eligible(history, 0.61, soft=0.60, strategy=self.strategy())
 
     def test_no_history_no_rate_refuses(self):
-        assert not selfish_eligible(TenantShareState(), None, soft=0.5, strategy=self.strategy())
+        assert not selfish_eligible(deque(), 0.0, soft=0.5, strategy=self.strategy())
 
 
 class TestSelfishSelectVictim:
@@ -249,8 +242,8 @@ class TestHybridInsert:
             hybrid_insert(store, (tenant, rng.randrange(15)), gaps)
             for idx in range(store.capacity):
                 region = store.regions[idx]
-                if region != SC and store.owners[idx] is not None:
-                    assert store.owners[idx] == region[1]
+                if region != SC and store.keys[idx] is not None:
+                    assert store.keys[idx][0] == region[1]
 
     def test_zero_dc_degenerates_to_maxmin(self):
         rng = random.Random(7)

@@ -25,7 +25,7 @@ def oracle_victim(store, region, owner):
         for i in range(store.capacity)
         if store.keys[i] is not None
         and store.regions[i] == region
-        and (owner is None or store.owners[i] == owner)
+        and (owner is None or store.keys[i][0] == owner)
     ]
     return min(candidates)[1] if candidates else None
 

@@ -1,4 +1,5 @@
 import collections
+import io
 
 import numpy as np
 import pytest
@@ -268,3 +269,12 @@ class TestTraceIO:
         path = str(tmp_path / "trace.txt")
         write_trace([AccessEvent(0, 3, 17)], path)
         assert open(path).read() == "0,3,17\n"
+
+    def test_open_handle_used_and_left_open(self):
+        events = list(generate_stream(two_tenants(), 20, seed=2))
+        buf = io.StringIO()
+        write_trace(events, buf)
+        assert not buf.closed
+        buf.seek(0)
+        assert read_trace(buf) == events
+        assert not buf.closed
