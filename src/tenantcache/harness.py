@@ -5,7 +5,9 @@ import json
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .cache_core import (
     LRU,
@@ -33,7 +35,6 @@ from .sharing import (
     selfish_eligible,
 )
 from .workload import (
-    AccessEvent,
     TenantWorkload,
     WorkloadPhase,
     activation_timeline,
@@ -316,14 +317,20 @@ def scenario_to_json(s: Scenario) -> dict:
 # -- simulation driver -----------------------------------------------------
 
 
-def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> list[SampleRecord]:
+def run_scenario(
+    s: Scenario, trace: Iterable[tuple[int, int, int]] | None = None, sample_from: int = 0
+) -> list[SampleRecord]:
     """Drive the scenario's policy over its workload stream.
 
     A lookup hit before any mutation counts as a hit; everything else is a
-    miss.  One SampleRecord is emitted every sample_every transactions, over
-    the tenants active at that txn per activation_timeline (the generator's
-    account of arrivals and departures).  Selfish or fair sharing follows the
-    policy name.  The run is fully deterministic given the scenario (seed
+    miss.  A given trace holds (txn, tenant_id, item) triples, AccessEvents
+    or plain tuples; without one the scenario's stream is generated.  One
+    SampleRecord is emitted every sample_every transactions from txn
+    sample_from on, over the tenants active at that txn per
+    activation_timeline (the generator's account of arrivals and
+    departures).  Sampling only reads the run, so sample_from decides which
+    records are built, never their values.  Selfish or fair sharing follows
+    the policy name.  The run is fully deterministic given the scenario (seed
     included).
     """
     s.validate()
@@ -373,8 +380,7 @@ def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> lis
     records: list[SampleRecord] = []
     sample_every = s.sample_every
 
-    for ev in trace:
-        txn = ev.txn
+    for txn, tenant, item in trace:
         if txn in changes:
             now = changes[txn]
             for k in active - now:
@@ -384,14 +390,13 @@ def run_scenario(s: Scenario, trace: Iterable[AccessEvent] | None = None) -> lis
                 refresh(k)
             active = now
 
-        outcome = insert(store, (ev.tenant_id, ev.item), *insert_args)
-        tracker = trackers[ev.tenant_id]
+        outcome = insert(store, (tenant, item), *insert_args)
+        tracker = trackers[tenant]
         if tracker.record_access(outcome.kind == "hit") is not None:
-            k = ev.tenant_id
-            histories[k].append((sum(store.owned(k)), tracker.hit_rate))
-            refresh(k)
+            histories[tenant].append((sum(store.owned(tenant)), tracker.hit_rate))
+            refresh(tenant)
 
-        if (txn + 1) % sample_every == 0:
+        if (txn + 1) % sample_every == 0 and txn >= sample_from:
             records.append(_sample(txn, store, trackers, reqs, gaps, active))
     return records
 
@@ -453,13 +458,51 @@ def compare_policies(
 # -- capacity search -------------------------------------------------------
 
 
-def _final_quarter_means(records: Sequence[SampleRecord], total_txns: int) -> dict:
-    cutoff = total_txns * 3 // 4
+class ProbeCache:
+    """What the probes of one capacity search or sweep share.
+
+    It holds one generated trace per seed and the final-quarter means of each
+    distinct (policy, capacity, length, seed) probe already run, so a probe
+    repeated for another target or by the binary search runs no simulation.
+    A cache serves the probes of one tenant set and one base scenario only.
+    It compares and hashes by identity.
+    """
+
+    __slots__ = ("traces", "means")
+
+    def __init__(self):
+        self.traces: dict = {}  # seed -> (length requested, tenant ids, items)
+        self.means: dict = {}  # (policy, capacity, total_txns, seed) -> means
+
+    def trace(
+        self, workloads: Sequence[TenantWorkload], total_txns: int, seed: int
+    ) -> Iterator[tuple[int, int, int]]:
+        """The first total_txns events of seed's stream, fewer if it ends early,
+        as (txn, tenant_id, item) tuples.
+
+        generate_stream is prefix-consistent per seed, so the stream of the
+        longest length requested so far serves every shorter probe.  It is
+        kept under that length, not its event count, so a stream that ends
+        early is generated once.  Nothing is generated until the first event
+        is asked for.
+        """
+        cached = self.traces.get(seed)
+        if cached is None or cached[0] < total_txns:
+            tenant_ids, items = [], []
+            for ev in generate_stream(workloads, total_txns, seed):
+                tenant_ids.append(ev.tenant_id)
+                items.append(ev.item)
+            # items kept as 8-byte integers; a memoryview over them yields plain ints
+            cached = self.traces[seed] = (total_txns, tenant_ids, np.array(items, dtype=np.int64))
+        _, tenant_ids, items = cached
+        yield from zip(range(total_txns), tenant_ids, memoryview(items))
+
+
+def _mean_ewma(records: Iterable[SampleRecord]) -> dict:
+    """Each tenant's mean EWMA hit rate over the records that sample it."""
     sums: dict = {}
     counts: dict = {}
     for rec in records:
-        if rec.txn < cutoff:
-            continue
         for k, t in rec.tenants.items():
             sums[k] = sums.get(k, 0.0) + t.ewma_hit_rate
             counts[k] = counts.get(k, 0) + 1
@@ -475,30 +518,43 @@ def meets_target(
     min_txns: int = 40_000,
     txns_per_slot: int = 4,
     base: Scenario | None = None,
+    cache: ProbeCache | None = None,
 ) -> bool:
-    """True iff every tenant's final-quarter mean EWMA >= target for all seeds.
+    """True iff, for all seeds, every tenant sampled in the final quarter of
+    the probe has a mean EWMA hit rate there of at least target.
 
-    Each probe is base (a default Scenario when None) with the probe's policy,
-    capacity, tenants, derived layout, length, seed and sampling; everything
-    else, replacement, tracker and sharing strategy included, is base's.
+    A tenant with no sample in the final quarter, one that has departed, is
+    not judged.  Each probe is base (a default Scenario when None) with the
+    probe's policy, capacity, tenants, derived layout, length, seed and
+    sampling; everything else, replacement, tracker and sharing strategy
+    included, is base's.  Only the final quarter's samples are built.  With a
+    cache, each seed's trace is generated once and each distinct probe runs
+    once across the calls that share it.
     """
     total_txns = max(min_txns, txns_per_slot * capacity)
     layout = derive_layout(policy, capacity, [t.workload.tenant_id for t in tenants])
     if base is None:
         base = Scenario(capacity=capacity, policy=policy, tenants=tenants)
+    if cache is None:
+        cache = ProbeCache()
     for seed in seeds:
-        scenario = replace(
-            base,
-            policy=policy,
-            capacity=capacity,
-            tenants=tenants,
-            layout=layout,
-            total_txns=total_txns,
-            seed=seed,
-            sample_every=max(1, total_txns // 200),
-        )
-        means = _final_quarter_means(run_scenario(scenario), total_txns)
-        if any(means.get(t.workload.tenant_id, 0.0) < target for t in tenants):
+        key = (policy, capacity, total_txns, seed)
+        means = cache.means.get(key)
+        if means is None:
+            scenario = replace(
+                base,
+                policy=policy,
+                capacity=capacity,
+                tenants=tenants,
+                layout=layout,
+                total_txns=total_txns,
+                seed=seed,
+                sample_every=max(1, total_txns // 200),
+            )
+            trace = cache.trace([t.workload for t in tenants], total_txns, seed)
+            records = run_scenario(scenario, trace=trace, sample_from=total_txns * 3 // 4)
+            means = cache.means[key] = _mean_ewma(records)
+        if any(m < target for m in means.values()):
             return False
     return True
 
@@ -512,12 +568,15 @@ def min_slots_for_target(
     resolution: int = 50,
     trials: int = 3,
     seed: int = 0,
+    cache: ProbeCache | None = None,
     **run_kwargs,
 ) -> int:
     """Smallest capacity (on the resolution grid) meeting the target hit rate.
 
     Binary search between lower and upper; the upper bound is verified
     feasible first and an InfeasibleTargetError is raised when it is not.
+    Every probe goes through meets_target with one ProbeCache, the given one
+    or one private to this search.
     """
     if not 0.0 <= target < 1.0:
         raise ConfigurationError("target", "must be in [0, 1)")
@@ -530,9 +589,11 @@ def min_slots_for_target(
     seeds = [seed + i for i in range(trials)]
     lower = max(resolution, (lower // resolution) * resolution)
     upper = ((upper + resolution - 1) // resolution) * resolution
+    if cache is None:
+        cache = ProbeCache()
 
     def ok(capacity: int) -> bool:
-        return meets_target(policy, tenants, capacity, target, seeds, **run_kwargs)
+        return meets_target(policy, tenants, capacity, target, seeds, cache=cache, **run_kwargs)
 
     if ok(lower):
         return lower
@@ -558,15 +619,19 @@ def capacity_sweep(
 ) -> list[CapacitySweepResult]:
     """min_slots_for_target across a target grid, with savings vs the baselines.
 
-    Every target is checked before the first search starts.
+    Every target is checked before the first search starts.  All searches
+    share one ProbeCache: each seed's trace is generated once (at the
+    longest length asked for so far), and each distinct (policy, capacity,
+    seed) probe is simulated once, whichever targets ask for it.
     """
     for target in targets:
         if not 0.0 <= target < 1.0:
             raise ConfigurationError("targets", f"{target} is outside [0, 1)")
+    cache = ProbeCache()
     results: list[CapacitySweepResult] = []
     for target in targets:
         per_policy = {
-            policy: min_slots_for_target(policy, tenants, target, **kwargs)
+            policy: min_slots_for_target(policy, tenants, target, cache=cache, **kwargs)
             for policy in policies
         }
         for policy, slots in per_policy.items():

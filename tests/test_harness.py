@@ -14,6 +14,7 @@ from tenantcache.harness import (
     CapacitySweepResult,
     ConfigurationError,
     InfeasibleTargetError,
+    ProbeCache,
     Scenario,
     TenantSpec,
     capacity_sweep,
@@ -24,10 +25,12 @@ from tenantcache.harness import (
     run_scenario,
     scenario_from_json,
     scenario_to_json,
+    suggest_dc_size,
     write_records_csv,
     write_sweep_csv,
 )
 from tenantcache.metrics import Requirement
+from tenantcache.sharing import SharingStrategy
 from tenantcache.workload import (
     TenantWorkload,
     WorkloadPhase,
@@ -469,6 +472,110 @@ class TestCapacitySearch:
         )
 
 
+class TestProbeCache:
+    def test_departed_tenant_is_not_judged(self):
+        # tenant 2 leaves at txn 1000, before the final quarter of a 4000-txn probe
+        tenants = [tenant(1), tenant(2, active_until=1_000)]
+        assert meets_target("global", tenants, 200, 0.0001, [0], min_txns=4_000)
+        # the tenant still present is judged
+        assert not meets_target("global", tenants, 200, 0.99, [0], min_txns=4_000)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        replacement=st.sampled_from(["lru", "fcfs"]),
+        strategy=st.builds(
+            SharingStrategy, loss_horizon=st.integers(1, 20), history_len=st.integers(2, 6)
+        ),
+        departs=st.none() | st.integers(100, 1_200),
+        probes=st.lists(
+            st.tuples(
+                st.sampled_from(["global", "static", "maxmin_fair", "maxmin_selfish"]),
+                st.sampled_from([8, 16, 32, 64]),
+                st.sampled_from([0.2, 0.35, 0.5]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_memoised_answers_equal_fresh_ones(self, replacement, strategy, departs, probes):
+        tenants = [tenant(1, universe=120), tenant(2, universe=120, alpha=0.7,
+                                                   active_until=departs)]
+        base = small_scenario(tenants=tenants, replacement=replacement, strategy=strategy)
+        kw = dict(min_txns=1_000, txns_per_slot=4, base=base)
+        cache = ProbeCache()
+        # each probe asked twice: the second answer comes from the memo
+        for policy, capacity, target in probes + probes:
+            memoised = meets_target(policy, tenants, capacity, target, [0, 1], cache=cache, **kw)
+            assert memoised == meets_target(policy, tenants, capacity, target, [0, 1], **kw)
+
+    def test_sweep_runs_each_probe_once_and_generates_each_trace_once(self, monkeypatch):
+        import tenantcache.harness as harness
+
+        runs, generated = [], []
+        real_run, real_generate = harness.run_scenario, harness.generate_stream
+
+        def counting_run(s, **kw):
+            runs.append((s.policy, s.capacity, s.seed))
+            return real_run(s, **kw)
+
+        def counting_generate(workloads, total_txns, seed=0):
+            generated.append((seed, total_txns))
+            return real_generate(workloads, total_txns, seed)
+
+        monkeypatch.setattr(harness, "run_scenario", counting_run)
+        monkeypatch.setattr(harness, "generate_stream", counting_generate)
+        tenants = [tenant(1, universe=60), tenant(2, universe=60, alpha=0.7)]
+        capacity_sweep(
+            tenants, [0.3, 0.4, 0.5], ["global", "static", "maxmin_fair"],
+            lower=4, upper=128, resolution=4, trials=2, **FAST,
+        )
+        assert runs and len(runs) == len(set(runs))
+        assert generated and len(generated) == len(set(generated))
+        assert {seed for seed, _ in generated} == {0, 1}
+
+    def test_early_ending_stream_generated_once(self, monkeypatch):
+        import tenantcache.harness as harness
+
+        calls = []
+        real_generate = harness.generate_stream
+
+        def counting_generate(*args):
+            calls.append(args)
+            return real_generate(*args)
+
+        monkeypatch.setattr(harness, "generate_stream", counting_generate)
+        workloads = [TenantWorkload(tenant_id=1, universe_size=50, active_until=100)]
+        cache = ProbeCache()
+        first = list(cache.trace(workloads, 300, 7))
+        again = list(cache.trace(workloads, 300, 7))
+        shorter = list(cache.trace(workloads, 60, 7))
+        assert len(calls) == 1
+        assert first == again == list(generate_stream(workloads, 300, 7))
+        assert len(first) == 100
+        assert shorter == first[:60]
+
+
+class TestSuggestDcSize:
+    def test_matches_a_global_search_for_the_lone_tenant(self):
+        kw = dict(upper=400, trials=1, **FAST)
+        size = suggest_dc_size(0.3, 0.7, universe=200, resolution=10, **kw)
+        lone = TenantSpec(
+            workload=TenantWorkload(
+                tenant_id=0, universe_size=200, phases=(WorkloadPhase(alpha=0.7),)
+            ),
+            requirement=Requirement(hard=0.3, soft=0.3),
+        )
+        assert size == min_slots_for_target(
+            "global", [lone], 0.3, lower=10, resolution=10, **kw
+        )
+
+    def test_does_not_fall_as_hard_rises(self):
+        kw = dict(universe=200, resolution=10, upper=400, trials=1, **FAST)
+        sizes = [suggest_dc_size(hard, 0.7, **kw) for hard in (0.1, 0.3, 0.5, 0.7)]
+        assert sizes == sorted(sizes)
+        assert sizes[0] < sizes[-1]
+
+
 class TestCli:
     def config_path(self, tmp_path, **kw):
         doc = scenario_to_json(small_scenario(**kw))
@@ -595,12 +702,27 @@ class TestCli:
         assert rows == [["49", "1"], ["99", "1"], ["149", "2"], ["199", "2"], ["249", "2"],
                         ["299", "2"]]
 
+    def test_sweep_with_a_departed_tenant_succeeds(self, tmp_path):
+        from tenantcache.cli import main
+
+        cfg = self.config_path(
+            tmp_path, policy="global", tenants=[tenant(1), tenant(2, active_until=1_000)]
+        )
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--config", cfg, "--targets", "0.1", "--policies", "global",
+            "--out", str(out),
+            "--lower", "8", "--upper", "64", "--resolution", "8", "--trials", "1",
+        ])
+        assert code == 0
+        assert out.read_text().splitlines()[0] == SWEEP_CSV_HEADER
+
     def test_sweep_uses_config_replacement_and_tracker(self, tmp_path, monkeypatch):
         import tenantcache.harness as harness
         from tenantcache.cli import main
 
         probes = []
-        monkeypatch.setattr(harness, "run_scenario", lambda s: probes.append(s) or [])
+        monkeypatch.setattr(harness, "run_scenario", lambda s, **_: probes.append(s) or [])
         cfg = self.config_path(
             tmp_path, policy="global", replacement="fcfs", window_length=40, ewma_weight=0.3
         )
@@ -620,7 +742,7 @@ class TestCli:
         from tenantcache.sharing import SharingStrategy
 
         probes = []
-        monkeypatch.setattr(harness, "run_scenario", lambda s: probes.append(s) or [])
+        monkeypatch.setattr(harness, "run_scenario", lambda s, **_: probes.append(s) or [])
         cfg = self.config_path(
             tmp_path,
             policy="maxmin_selfish",

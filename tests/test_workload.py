@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tenantcache.workload import (
@@ -231,6 +231,58 @@ class TestActivationTimeline:
         assert len(events) == (timeline[-1][0] if ends_early else total)
         for ev in events:
             assert ev.tenant_id in active_at(timeline, ev.txn)
+
+
+class TestPrefixConsistency:
+    """The first T events of a seed's stream are the same for any length >= T;
+    capacity searches replay one stored stream per seed on this fact."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        windows=st.lists(
+            st.tuples(
+                st.integers(0, 150),  # arrival
+                st.none() | st.integers(1, 100),  # time until departure
+                st.integers(1, 3),  # weight
+                st.none() | st.integers(1, 200),  # start of a second phase
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        lengths=st.tuples(st.integers(0, 400), st.integers(0, 400)),
+        seed=st.integers(0, 2**32),
+    )
+    # an idle stretch between the two tenants, and an early end after the second
+    @example(windows=[(0, 100, 1, None), (150, 50, 2, 160)], lengths=(120, 300), seed=0)
+    # a late first arrival; the stream ends before the shorter length
+    @example(windows=[(40, 30, 1, 50)], lengths=(50, 400), seed=3)
+    def test_shorter_stream_is_a_prefix(self, windows, lengths, seed):
+        ws = [
+            TenantWorkload(
+                tenant_id=i,
+                universe_size=50,
+                phases=(WorkloadPhase(1.0),)
+                if switch is None
+                else (WorkloadPhase(1.0), WorkloadPhase(0.3, start_txn=switch)),
+                active_from=start,
+                active_until=None if span is None else start + span,
+                weight=weight,
+            )
+            for i, (start, span, weight, switch) in enumerate(windows)
+        ]
+        short, long = sorted(lengths)
+        prefix = list(generate_stream(ws, short, seed))
+        assert prefix == list(generate_stream(ws, long, seed))[:short]
+
+    def test_prefix_across_sampler_batches(self):
+        # each tenant draws its uniforms in batches of 8192; cut inside the second
+        ws = [
+            TenantWorkload(tenant_id=1, universe_size=500,
+                           phases=(WorkloadPhase(1.0), WorkloadPhase(0.5, start_txn=12_000))),
+            TenantWorkload(tenant_id=2, universe_size=500, active_until=15_000),
+        ]
+        prefix = list(generate_stream(ws, 19_000, seed=5))
+        assert prefix == list(generate_stream(ws, 30_000, seed=5))[:19_000]
 
 
 class TestValidation:
