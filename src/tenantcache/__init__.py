@@ -7,15 +7,12 @@ from .cache_core import (
     LRU,
     SC,
     CacheError,
-    InsertOutcome,
     NoCandidateError,
     RegionFullError,
     RegionLayout,
     SlotStore,
     UnknownTenantError,
     dc_region,
-    global_insert,
-    static_insert,
 )
 from .harness import (
     POLICIES,
@@ -46,13 +43,16 @@ from .metrics import (
     gap_report,
 )
 from .sharing import (
+    InsertOutcome,
     SharingStrategy,
+    global_insert,
     hybrid_insert,
     maxmin_insert,
     predict_hit_rate,
     select_victim_tenant,
     selfish_eligible,
     selfish_select_victim,
+    static_insert,
 )
 from .workload import (
     AccessEvent,

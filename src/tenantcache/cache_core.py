@@ -5,6 +5,8 @@ permanently to one region: a tenant's dedicated partition ("DC", tenant_id) or
 the shared region SC.  The store's replacement policy is fixed when it is
 built, and every slot carries one stamp from one counter: its last access
 under LRU (a hit restamps it), its insertion under FCFS (only an insert does).
+The store offers lookup, insert, victim choice, evict and swap; the insertion
+algorithm that every policy runs over them is sharing.hybrid_insert.
 
 Victims come from one lazily validated index, built by heapifying the occupied
 slots when the first victim query arrives; until then nothing is indexed, so
@@ -176,11 +178,16 @@ class SlotStore:
         self._dc_count: dict = {}
         self._sc_count: dict = {}
         self._seq = 0
+        # tenant -> its DC region, None for a listed tenant without DC slots;
+        # a layout with no DC slot at all serves any tenant from SC alone
+        self.dc_regions: dict = {}
+        self.shared_only = not any(layout.dc_sizes.values())
 
         idx = 0
         for tid in sorted(layout.dc_sizes):
             size = layout.dc_sizes[tid]
             region = dc_region(tid)
+            self.dc_regions[tid] = region if size else None
             for i in range(idx, idx + size):
                 self.regions[i] = region
             # stack: pop() hands out the lowest index first
@@ -314,46 +321,3 @@ class SlotStore:
         if out is not None:
             out.write("\n".join(lines) + "\n")
         return lines
-
-
-@dataclass(frozen=True)
-class InsertOutcome:
-    """What a policy's insert operation did with one access."""
-
-    kind: str  # "hit" | "inserted" | "replaced"
-    region: Region | None = None
-    victim_tenant: object = None
-
-
-SC_HIT = InsertOutcome("hit", SC)
-SC_INSERTED = InsertOutcome("inserted", SC)
-
-
-def global_insert(store: SlotStore, key: Key) -> InsertOutcome:
-    """Tenant-unaware replacement over the whole (all-SC) store."""
-    if store.lookup(key) is not None:
-        return SC_HIT
-    if store.free_count(SC):
-        store.insert_into_empty(key, SC)
-        return SC_INSERTED
-    idx = store.select_victim(SC)
-    victim = store.keys[idx][0]
-    store.evict(idx)
-    store.insert_into_empty(key, SC)
-    return InsertOutcome("replaced", SC, victim_tenant=victim)
-
-
-def static_insert(store: SlotStore, key: Key) -> InsertOutcome:
-    """Replacement confined to the tenant's own partition."""
-    tenant = key[0]
-    region = dc_region(tenant)
-    if tenant not in store.layout.dc_sizes:
-        raise UnknownTenantError(f"tenant {tenant!r} has no partition")
-    if store.lookup(key) is not None:
-        return InsertOutcome("hit", region)
-    if store.free_count(region):
-        store.insert_into_empty(key, region)
-        return InsertOutcome("inserted", region)
-    store.evict_victim(region, tenant)
-    store.insert_into_empty(key, region)
-    return InsertOutcome("replaced", region, victim_tenant=tenant)

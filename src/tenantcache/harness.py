@@ -9,17 +9,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .cache_core import (
-    LRU,
-    REPLACEMENTS,
-    SC,
-    CacheError,
-    RegionLayout,
-    SlotStore,
-    dc_region,
-    global_insert,
-    static_insert,
-)
+from .cache_core import LRU, REPLACEMENTS, CacheError, RegionLayout, SlotStore
 from .metrics import (
     DEFAULT_EWMA_WEIGHT,
     DEFAULT_WINDOW,
@@ -30,9 +20,11 @@ from .metrics import (
 from .sharing import (
     INF,
     SharingStrategy,
+    global_insert,
     hybrid_insert,
     maxmin_insert,
     selfish_eligible,
+    static_insert,
 )
 from .workload import (
     TenantWorkload,
@@ -146,10 +138,19 @@ class Scenario:
                 raise ConfigurationError("layout", f"{self.policy} requires an all-SC layout")
         if self.policy == "static" and layout.sc_size != 0:
             raise ConfigurationError("layout", "static requires sc_size = 0")
-        if self.policy.startswith("hybrid"):
-            missing = [i for i in ids if i not in layout.dc_sizes]
+        # every tenant needs a slot it may use: an SC region or a DC slot of its own
+        dc_sizes = layout.dc_sizes
+        if self.policy.startswith("hybrid") or any(dc_sizes.values()):
+            missing = [i for i in ids if i not in dc_sizes]
             if missing:
                 raise ConfigurationError("layout", f"missing dc_sizes for tenants {missing}")
+        if not layout.sc_size:
+            starved = [i for i in ids if not dc_sizes[i]]
+            if starved:
+                raise ConfigurationError(
+                    "capacity" if self.layout is None else "layout",
+                    f"tenants {starved} get no DC slot and there is no SC region",
+                )
 
     def resolved_layout(self) -> RegionLayout:
         if self.layout is not None:
@@ -369,7 +370,8 @@ def run_scenario(
     if trace is None:
         trace = generate_stream(workloads, s.total_txns, s.seed)
 
-    # resolved once per run, from the module globals so that wrappers apply
+    # one algorithm under the policy family's name, resolved once per run from
+    # the module globals so that wrappers apply; without gaps SC donors go by age
     if policy in ("global", "static"):
         insert = global_insert if policy == "global" else static_insert
         insert_args: tuple = ()
@@ -524,12 +526,13 @@ def meets_target(
     the probe has a mean EWMA hit rate there of at least target.
 
     A tenant with no sample in the final quarter, one that has departed, is
-    not judged.  Each probe is base (a default Scenario when None) with the
-    probe's policy, capacity, tenants, derived layout, length, seed and
-    sampling; everything else, replacement, tracker and sharing strategy
-    included, is base's.  Only the final quarter's samples are built.  With a
-    cache, each seed's trace is generated once and each distinct probe runs
-    once across the calls that share it.
+    not judged; a probe that samples no tenant at all raises a
+    ConfigurationError naming the tenants.  Each probe is base (a default
+    Scenario when None) with the probe's policy, capacity, tenants, derived
+    layout, length, seed and sampling; everything else, replacement, tracker
+    and sharing strategy included, is base's.  Only the final quarter's
+    samples are built.  With a cache, each seed's trace is generated once and
+    each distinct probe runs once across the calls that share it.
     """
     total_txns = max(min_txns, txns_per_slot * capacity)
     layout = derive_layout(policy, capacity, [t.workload.tenant_id for t in tenants])
@@ -554,6 +557,10 @@ def meets_target(
             trace = cache.trace([t.workload for t in tenants], total_txns, seed)
             records = run_scenario(scenario, trace=trace, sample_from=total_txns * 3 // 4)
             means = cache.means[key] = _mean_ewma(records)
+        if not means:
+            raise ConfigurationError(
+                "tenants", f"no tenant is active in the final quarter of a {total_txns}-txn probe"
+            )
         if any(m < target for m in means.values()):
             return False
     return True

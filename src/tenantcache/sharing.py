@@ -1,27 +1,21 @@
-"""Tenant-aware insertion policies: max-min fair sharing, selfish sharing, and
-the hybrid dedicated/shared (DC/SC) insertion flow.
+"""The one insertion algorithm of the dedicated/shared (DC/SC) cache model, and
+the donor choices of max-min fair and selfish sharing.
 
-Victim selection always targets the tenant with the largest gap between its
-measured hit rate and its soft requirement.  Selfish sharing additionally lets a
-tenant refuse to donate when a linear-regression forecast says losing slots
-would push it below its requirement.
+hybrid_insert serves all six policies; the store's layout picks the case.
+global and maxmin_* run it on an all-SC layout, static on an all-DC one, and
+hybrid_* on per-tenant DC regions plus SC.  When SC is full, a tenant donates
+its oldest SC slot: the owner of the oldest SC slot (global caching, no
+gaps), or the tenant with the largest gap between its measured hit rate and
+its soft requirement (max-min fair sharing).  Selfish sharing additionally
+lets a tenant refuse to donate when a linear-regression forecast says losing
+slots would push it below its requirement.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .cache_core import (
-    SC,
-    SC_HIT,
-    SC_INSERTED,
-    InsertOutcome,
-    NoCandidateError,
-    SlotStore,
-    UnknownTenantError,
-    dc_region,
-    static_insert,
-)
+from .cache_core import SC, NoCandidateError, Region, SlotStore, UnknownTenantError
 
 INF = float("inf")
 
@@ -117,81 +111,80 @@ def selfish_select_victim(
     return select_victim_tenant(gaps, owners)
 
 
-def _pick_sc_victim(store: SlotStore, gaps: Mapping, requester, eligible: Mapping | None) -> object:
-    owners = store.sc_owners()
-    if eligible is None:
-        return select_victim_tenant(gaps, owners)
-    return selfish_select_victim(gaps, owners, requester, eligible)
+class InsertOutcome(NamedTuple):
+    """What the insertion algorithm did with one access."""
+
+    kind: str  # "hit" | "inserted" | "replaced"
+    region: Region | None = None
+    victim_tenant: object = None
 
 
-def maxmin_insert(
-    store: SlotStore,
-    key: tuple,
-    gaps: Mapping,
-    eligible: Mapping | None = None,
-) -> InsertOutcome:
-    """Max-min insertion over a fully shared store.
-
-    Hit: return.  Empty slot: plain insert.  Otherwise the tenant with the
-    largest gap donates its oldest slot to the requester; with eligible (the
-    selfish donors' answers) the choice is selfish_select_victim's instead.
-    """
-    if store.lookup(key) is not None:
-        return SC_HIT
-    if store.free_count(SC):
-        store.insert_into_empty(key, SC)
-        return SC_INSERTED
-    j = _pick_sc_victim(store, gaps, key[0], eligible)
-    store.evict_victim(SC, j)
-    store.insert_into_empty(key, SC)
-    return InsertOutcome("replaced", SC, victim_tenant=j)
+SC_HIT = InsertOutcome("hit", SC)
+SC_INSERTED = InsertOutcome("inserted", SC)
 
 
 def hybrid_insert(
     store: SlotStore,
     key: tuple,
-    gaps: Mapping,
+    gaps: Mapping | None = None,
     eligible: Mapping | None = None,
 ) -> InsertOutcome:
-    """Insertion for the dedicated/shared layout.
+    """Insert key's access into store; the store's layout picks the case.
 
-    Case order: hit in the tenant's DC; insert into an empty DC slot; hit in
-    SC (promote by swapping with the DC victim); insert into empty SC then
-    promote; finally evict the max-gap owner's oldest SC slot, insert, and
-    promote.  Promotion degrades to nothing when the tenant has no DC slots;
-    with no SC at all the flow is exactly static caching.
+    Hit: a hit in the tenant's DC returns; a hit in SC is promoted into the
+    tenant's DC, swapping places with its DC victim.  Miss: an empty DC slot
+    comes first.  Otherwise, with an SC, the item takes an SC slot (an empty
+    one, else a donor's oldest) and is promoted; with no SC it replaces the
+    tenant's own oldest DC slot, which is static caching.  The donor is the
+    owner of the oldest SC slot when gaps is None (global caching), else the
+    owner with the largest gap, or selfish_select_victim's choice when
+    eligible (the selfish donors' answers) is given.  A tenant with no DC
+    slot is never promoted.  A layout with any DC slot serves only the
+    tenants it lists; an all-SC layout serves any tenant.
     """
     tenant = key[0]
-    layout = store.layout
-    if tenant not in layout.dc_sizes:
-        raise UnknownTenantError(f"tenant {tenant!r} has no DC entry in the layout")
-    if layout.sc_size == 0:
-        return static_insert(store, key)
-    dcr = dc_region(tenant)
-    has_dc = layout.dc_sizes[tenant] > 0
+    dcr = store.dc_regions.get(tenant)
+    if dcr is None and not store.shared_only and tenant not in store.dc_regions:
+        raise UnknownTenantError(f"tenant {tenant!r} has no entry in the layout")
 
     found = store.lookup(key)
     if found is not None:
         region, idx = found
         if region == dcr:
             return InsertOutcome("hit", dcr)
-        if has_dc:
-            victim_idx = store.select_victim(dcr, tenant)
-            store.swap(idx, victim_idx)
+        if dcr is not None:
+            store.swap(idx, store.select_victim(dcr, tenant))
         return SC_HIT
 
-    if store.free_count(dcr) > 0:
+    if dcr is not None and store.free_count(dcr):
         store.insert_into_empty(key, dcr)
         return InsertOutcome("inserted", dcr)
+    if store.free_count(SC):
+        idx = store.insert_into_empty(key, SC)
+        outcome = SC_INSERTED
+    elif not store.layout.sc_size:
+        store.evict(store.select_victim(dcr, tenant))
+        store.insert_into_empty(key, dcr)
+        return InsertOutcome("replaced", dcr, tenant)
+    else:
+        if gaps is None:
+            victim_idx = store.select_victim(SC)
+            donor = store.keys[victim_idx][0]
+        else:
+            owners = store.sc_owners()
+            if eligible is None:
+                donor = select_victim_tenant(gaps, owners)
+            else:
+                donor = selfish_select_victim(gaps, owners, tenant, eligible)
+            victim_idx = store.select_victim(SC, donor)
+        store.evict(victim_idx)
+        idx = store.insert_into_empty(key, SC)
+        outcome = InsertOutcome("replaced", SC, donor)
+    if dcr is not None:
+        store.swap(idx, store.select_victim(dcr, tenant))
+    return outcome
 
-    victim_tenant = None
-    if not store.free_count(SC):
-        victim_tenant = _pick_sc_victim(store, gaps, tenant, eligible)
-        store.evict_victim(SC, victim_tenant)
-    idx = store.insert_into_empty(key, SC)
-    if has_dc:
-        victim_idx = store.select_victim(dcr, tenant)
-        store.swap(idx, victim_idx)
-    if victim_tenant is None:
-        return SC_INSERTED
-    return InsertOutcome("replaced", SC, victim_tenant=victim_tenant)
+
+# the policy families' names for the one algorithm: run_scenario resolves its
+# insert by family name, so a wrapper of one name sees only that family's calls
+global_insert = static_insert = maxmin_insert = hybrid_insert

@@ -10,12 +10,7 @@ import time
 
 import pytest
 
-from tenantcache.cache_core import (
-    RegionLayout,
-    SlotStore,
-    global_insert,
-    static_insert,
-)
+from tenantcache.cache_core import RegionLayout, SlotStore
 from tenantcache.harness import (
     Scenario,
     TenantSpec,
@@ -30,10 +25,12 @@ from tenantcache.metrics import (
     gap_report,
 )
 from tenantcache.sharing import (
+    global_insert,
     hybrid_insert,
     maxmin_insert,
     select_victim_tenant,
     selfish_select_victim,
+    static_insert,
 )
 from tenantcache.workload import TenantWorkload, WorkloadPhase, generate_stream, zipf_pmf
 

@@ -10,9 +10,8 @@ from tenantcache.cache_core import (
     SlotStore,
     UnknownTenantError,
     dc_region,
-    global_insert,
-    static_insert,
 )
+from tenantcache.sharing import global_insert, static_insert
 
 
 def global_store(capacity):

@@ -15,7 +15,9 @@ from tenantcache.harness import (
     ConfigurationError,
     InfeasibleTargetError,
     ProbeCache,
+    SampleRecord,
     Scenario,
+    TenantSample,
     TenantSpec,
     capacity_sweep,
     compare_policies,
@@ -39,6 +41,11 @@ from tenantcache.workload import (
 )
 
 FAST = dict(min_txns=4_000, txns_per_slot=4)
+
+# what a faked run_scenario returns: one sampled record of one tenant
+ONE_RECORD = [
+    SampleRecord(txn=0, tenants={1: TenantSample(1.0, 1.0, 0, 1, 0.7, False)}, min_gap=0.7)
+]
 
 
 def tenant(tid, universe=300, alpha=1.0, soft=0.3, hard=0.0, **kw):
@@ -473,6 +480,16 @@ class TestCapacitySearch:
 
 
 class TestProbeCache:
+    def test_probe_sampling_no_tenant_raises(self):
+        # every tenant leaves at txn 1000, before the final quarter of a 4000-txn probe
+        with pytest.raises(ConfigurationError) as exc:
+            min_slots_for_target(
+                "global", [tenant(1, active_until=1_000)], 0.99,
+                lower=8, upper=64, resolution=8, trials=1, min_txns=4_000,
+            )
+        assert exc.value.field_name == "tenants"
+        assert "4000-txn probe" in str(exc.value)
+
     def test_departed_tenant_is_not_judged(self):
         # tenant 2 leaves at txn 1000, before the final quarter of a 4000-txn probe
         tenants = [tenant(1), tenant(2, active_until=1_000)]
@@ -646,9 +663,17 @@ class TestCli:
             (lambda d: [d], "config"),
             (lambda d: d.update(replacement="mru"), "replacement"),
             (lambda d: d.update(layout={"dc_sizes": {"1": -1}, "sc_size": 65}), "layout"),
+            (lambda d: d.update(policy="static", capacity=100,
+                                layout={"dc_sizes": {"1": 100}, "sc_size": 0}), "layout"),
+            (lambda d: d.update(policy="static", capacity=100,
+                                layout={"dc_sizes": {"1": 100, "2": 0}, "sc_size": 0}), "layout"),
+            (lambda d: d.update(policy="hybrid_fair", capacity=100,
+                                layout={"dc_sizes": {"1": 100, "2": 0}, "sc_size": 0}), "layout"),
+            (lambda d: d.update(policy="static", capacity=1), "capacity"),
         ],
         ids=["string-capacity", "hard-above-soft", "zero-weight", "array-document",
-             "unknown-replacement", "negative-region"],
+             "unknown-replacement", "negative-region", "static-unlisted-tenant",
+             "static-zero-dc", "hybrid-zero-dc-no-sc", "static-capacity-below-tenants"],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, edit, field):
         import os
@@ -717,12 +742,28 @@ class TestCli:
         assert code == 0
         assert out.read_text().splitlines()[0] == SWEEP_CSV_HEADER
 
+    def test_sweep_with_every_tenant_departed_exits_2(self, tmp_path, capsys):
+        from tenantcache.cli import main
+
+        cfg = self.config_path(
+            tmp_path,
+            policy="global",
+            tenants=[tenant(1, active_until=1_000), tenant(2, active_until=1_000)],
+        )
+        code = main([
+            "sweep", "--config", cfg, "--targets", "0.99", "--policies", "global",
+            "--out", str(tmp_path / "sweep.csv"),
+            "--lower", "8", "--upper", "64", "--resolution", "8", "--trials", "1",
+        ])
+        assert code == 2
+        assert "configuration error: tenants:" in capsys.readouterr().err
+
     def test_sweep_uses_config_replacement_and_tracker(self, tmp_path, monkeypatch):
         import tenantcache.harness as harness
         from tenantcache.cli import main
 
         probes = []
-        monkeypatch.setattr(harness, "run_scenario", lambda s, **_: probes.append(s) or [])
+        monkeypatch.setattr(harness, "run_scenario", lambda s, **_: probes.append(s) or ONE_RECORD)
         cfg = self.config_path(
             tmp_path, policy="global", replacement="fcfs", window_length=40, ewma_weight=0.3
         )
@@ -742,7 +783,7 @@ class TestCli:
         from tenantcache.sharing import SharingStrategy
 
         probes = []
-        monkeypatch.setattr(harness, "run_scenario", lambda s, **_: probes.append(s) or [])
+        monkeypatch.setattr(harness, "run_scenario", lambda s, **_: probes.append(s) or ONE_RECORD)
         cfg = self.config_path(
             tmp_path,
             policy="maxmin_selfish",

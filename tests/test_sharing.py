@@ -10,18 +10,18 @@ from tenantcache.cache_core import (
     SlotStore,
     UnknownTenantError,
     dc_region,
-    global_insert,
-    static_insert,
 )
 from tenantcache.sharing import (
     INF,
     SharingStrategy,
+    global_insert,
     hybrid_insert,
     maxmin_insert,
     predict_hit_rate,
     select_victim_tenant,
     selfish_eligible,
     selfish_select_victim,
+    static_insert,
 )
 
 

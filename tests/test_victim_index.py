@@ -12,8 +12,8 @@ from tenantcache.cache_core import (
     RegionLayout,
     SlotStore,
     dc_region,
-    global_insert,
 )
+from tenantcache.sharing import global_insert
 
 TENANTS = (1, 2, 3)
 
