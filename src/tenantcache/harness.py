@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -16,6 +17,7 @@ from .metrics import (
     HitRateTracker,
     Requirement,
     check_objectives,
+    ewma_update,
 )
 from .sharing import (
     INF,
@@ -460,21 +462,117 @@ def compare_policies(
 # -- capacity search -------------------------------------------------------
 
 
+_COLD = np.iinfo(np.int32).max  # stack distance of a first access: a miss at any capacity
+_ROWS = 1_024  # reuses turned into Python ints at a time, so memory stays O(trace) words
+
+
+def _ranks(groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Each element's index among the elements of its group, in order."""
+    ranks = np.empty(len(groups), dtype=np.int64)
+    for g in range(n_groups):
+        mine = np.flatnonzero(groups == g)
+        ranks[mine] = np.arange(len(mine))
+    return ranks
+
+
+def _stack_distances(codes: np.ndarray, items: np.ndarray, n_tenants: int):
+    """Two LRU stack distances of every access (Mattson et al., IBM Sys. J. 1970).
+
+    An access's distance is the number of distinct keys accessed since its
+    key's previous access, _COLD for a first access; the key is (tenant code,
+    item).  The global distance counts every tenant's keys; the per-tenant
+    distance counts only the accessing tenant's, over its own substream.
+    Under LRU an access hits a cache of c slots iff its distance is below c,
+    whatever else c is.
+
+    One pass, with one Fenwick tree per stream over the positions whose key
+    has been accessed again since (stale ones): the distinct keys accessed
+    between an access and its key's previous one at p are the positions in
+    between less the stale ones among them.  Every earlier reuse made one
+    earlier position stale, so the stale ones in between number the earlier
+    reuses less the stale positions up to p, which the tree counts.
+    """
+    n = len(items)
+    keys = codes.astype(np.int64) * (int(items.max(initial=0)) + 1) + items
+    order = np.argsort(keys, kind="stable")
+    repeat = keys[order[1:]] == keys[order[:-1]]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[order[1:][repeat]] = order[:-1][repeat]
+    reused = np.flatnonzero(prev >= 0)
+    before = prev[reused]
+    reused_codes = codes[reused]
+    local = _ranks(codes, n_tenants)  # each access's index in its tenant's substream
+    global_base = reused - before - 1 - np.arange(len(reused))
+    tenant_base = local[reused] - local[before] - 1 - _ranks(reused_codes, n_tenants)
+
+    def stale_through_then_mark(tree: list, x: int) -> int:
+        """Stale positions up to 1-based x; then mark x stale."""
+        count, i = 0, x
+        while i:
+            count += tree[i]
+            i &= i - 1
+        size = len(tree)
+        while x < size:
+            tree[x] += 1
+            x += x & -x
+        return count
+
+    global_tree = [0] * (n + 1)
+    tenant_trees = [[0] * (int(size) + 1) for size in np.bincount(codes, minlength=n_tenants)]
+    global_d = np.full(n, _COLD, dtype=np.int32)
+    tenant_d = np.full(n, _COLD, dtype=np.int32)
+    for lo in range(0, len(reused), _ROWS):
+        part = slice(lo, lo + _ROWS)
+        global_out, tenant_out = [], []
+        rows = zip(
+            global_base[part].tolist(),
+            (before[part] + 1).tolist(),
+            tenant_base[part].tolist(),
+            (local[before[part]] + 1).tolist(),
+            reused_codes[part].tolist(),
+        )
+        for g, x, t, y, c in rows:
+            global_out.append(g + stale_through_then_mark(global_tree, x))
+            tenant_out.append(t + stale_through_then_mark(tenant_trees[c], y))
+        global_d[reused[part]] = global_out
+        tenant_d[reused[part]] = tenant_out
+    return global_d, tenant_d
+
+
 class ProbeCache:
     """What the probes of one capacity search or sweep share.
 
     It holds one generated trace per seed and the final-quarter means of each
     distinct (policy, capacity, length, seed) probe already run, so a probe
     repeated for another target or by the binary search runs no simulation.
-    A cache serves the probes of one tenant set and one base scenario only.
-    It compares and hashes by identity.
+    For LRU global and static probes it also holds two LRU stack distances of
+    each event of a seed's trace, from one pass over it: the global distance
+    and the tenant's distance within its own substream.  They give the hit
+    bits of every capacity at once, so those probes run no simulation at all
+    (see lru_means).  The distances are recomputed only when a longer trace
+    is generated.  A cache serves the probes of one tenant set and one base
+    scenario only.  It compares and hashes by identity.
     """
 
-    __slots__ = ("traces", "means")
+    __slots__ = ("traces", "distances", "means")
 
     def __init__(self):
         self.traces: dict = {}  # seed -> (length requested, tenant ids, items)
+        # seed -> (length requested, tenant ids, codes, global, per-tenant distances)
+        self.distances: dict = {}
         self.means: dict = {}  # (policy, capacity, total_txns, seed) -> means
+
+    def _held(self, workloads: Sequence[TenantWorkload], total_txns: int, seed: int) -> tuple:
+        """seed's trace entry, generated afresh when shorter than total_txns."""
+        cached = self.traces.get(seed)
+        if cached is None or cached[0] < total_txns:
+            tenant_ids, items = [], []
+            for ev in generate_stream(workloads, total_txns, seed):
+                tenant_ids.append(ev.tenant_id)
+                items.append(ev.item)
+            # items kept as 8-byte integers; a memoryview over them yields plain ints
+            cached = self.traces[seed] = (total_txns, tenant_ids, np.array(items, dtype=np.int64))
+        return cached
 
     def trace(
         self, workloads: Sequence[TenantWorkload], total_txns: int, seed: int
@@ -488,16 +586,81 @@ class ProbeCache:
         early is generated once.  Nothing is generated until the first event
         is asked for.
         """
-        cached = self.traces.get(seed)
-        if cached is None or cached[0] < total_txns:
-            tenant_ids, items = [], []
-            for ev in generate_stream(workloads, total_txns, seed):
-                tenant_ids.append(ev.tenant_id)
-                items.append(ev.item)
-            # items kept as 8-byte integers; a memoryview over them yields plain ints
-            cached = self.traces[seed] = (total_txns, tenant_ids, np.array(items, dtype=np.int64))
-        _, tenant_ids, items = cached
+        _, tenant_ids, items = self._held(workloads, total_txns, seed)
         yield from zip(range(total_txns), tenant_ids, memoryview(items))
+
+    def stack_distances(
+        self, workloads: Sequence[TenantWorkload], total_txns: int, seed: int
+    ) -> tuple:
+        """(tenant ids, codes, global, per-tenant distances) of seed's held trace.
+
+        codes[i] is the index in tenant ids of event i's tenant.  A prefix of
+        the trace has the prefix of its distances, so the arrays of the
+        longest trace held serve every shorter probe.
+        """
+        length, tenant_ids, items = self._held(workloads, total_txns, seed)
+        cached = self.distances.get(seed)
+        if cached is None or cached[0] != length:
+            ids = sorted(w.tenant_id for w in workloads)
+            index = {k: c for c, k in enumerate(ids)}
+            codes = np.array([index[k] for k in tenant_ids], dtype=np.int32)
+            cached = self.distances[seed] = (
+                length, ids, codes, *_stack_distances(codes, items, len(ids))
+            )
+        return cached[1:]
+
+    def lru_hits(self, s: Scenario) -> tuple:
+        """(tenant ids, codes, hit bits) of an LRU global or static scenario s
+        over the first s.total_txns events of s.seed's trace.
+
+        An access hits iff its global distance is below the capacity
+        (global), or its per-tenant distance below its tenant's DC size
+        (static): the outcomes of run_scenario, access by access.
+        """
+        workloads = [t.workload for t in s.tenants]
+        ids, codes, global_d, tenant_d = self.stack_distances(workloads, s.total_txns, s.seed)
+        codes = codes[: s.total_txns]
+        if s.policy == "global":
+            return ids, codes, global_d[: len(codes)] < s.capacity
+        dc_sizes = s.resolved_layout().dc_sizes
+        return ids, codes, tenant_d[: len(codes)] < np.array([dc_sizes[k] for k in ids])[codes]
+
+    def lru_means(self, s: Scenario, sample_from: int) -> dict:
+        """_mean_ewma(run_scenario(s, trace, sample_from)) of an LRU global or
+        static scenario s, bit for bit, without simulating it.
+
+        trace is s.seed's held trace, and s is validated as run_scenario
+        validates it.  The hit bits of lru_hits fill each tenant's windows
+        and EWMA as HitRateTracker does, and each tenant's EWMA is averaged
+        over the sample txns at which activation_timeline marks it active.
+        """
+        s.validate()
+        ids, codes, hits = self.lru_hits(s)
+        n = len(codes)
+        every, window = s.sample_every, s.window_length
+        sample_txns = np.arange((sample_from + every) // every * every - 1, n, every)
+        # per tenant, its EWMA hit rate at each sample txn
+        at_samples = {}
+        for c, k in enumerate(ids):
+            mine = np.flatnonzero(codes == c)
+            m = len(mine) // window
+            rates = hits[mine[: m * window]].reshape(m, window).sum(axis=1) / window
+            ewma, curve = None, [0.0]  # curve[w]: the EWMA once w windows have closed
+            for rate in rates.tolist():
+                ewma = ewma_update(ewma, rate, s.ewma_weight)
+                curve.append(ewma)
+            closed = np.searchsorted(mine, sample_txns, side="right") // window
+            at_samples[k] = [curve[w] for w in closed.tolist()]
+        timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
+        changes = {txn: active for txn, _, active in timeline}
+        starts = sorted(changes)
+        sums: dict = {}
+        counts: dict = {}
+        for i, txn in enumerate(sample_txns.tolist()):
+            for k in changes[starts[bisect_right(starts, txn) - 1]]:
+                sums[k] = sums.get(k, 0.0) + at_samples[k][i]
+                counts[k] = counts.get(k, 0) + 1
+        return {k: sums[k] / counts[k] for k in sums}
 
 
 def _mean_ewma(records: Iterable[SampleRecord]) -> dict:
@@ -533,6 +696,12 @@ def meets_target(
     and sharing strategy included, is base's.  Only the final quarter's
     samples are built.  With a cache, each seed's trace is generated once and
     each distinct probe runs once across the calls that share it.
+
+    An LRU global or static probe is not simulated: its means come from the
+    cache's stack distances (ProbeCache.lru_means), bit for bit those of
+    run_scenario.  Every other probe, FCFS ones included (FCFS is not a
+    stack algorithm), runs run_scenario.  Either way the probe scenario is
+    validated first, so a bad one raises the same ConfigurationError.
     """
     total_txns = max(min_txns, txns_per_slot * capacity)
     layout = derive_layout(policy, capacity, [t.workload.tenant_id for t in tenants])
@@ -554,9 +723,13 @@ def meets_target(
                 seed=seed,
                 sample_every=max(1, total_txns // 200),
             )
-            trace = cache.trace([t.workload for t in tenants], total_txns, seed)
-            records = run_scenario(scenario, trace=trace, sample_from=total_txns * 3 // 4)
-            means = cache.means[key] = _mean_ewma(records)
+            sample_from = total_txns * 3 // 4
+            if policy in ("global", "static") and scenario.replacement == LRU:
+                means = cache.lru_means(scenario, sample_from)
+            else:
+                trace = cache.trace([t.workload for t in tenants], total_txns, seed)
+                means = _mean_ewma(run_scenario(scenario, trace=trace, sample_from=sample_from))
+            cache.means[key] = means
         if not means:
             raise ConfigurationError(
                 "tenants", f"no tenant is active in the final quarter of a {total_txns}-txn probe"

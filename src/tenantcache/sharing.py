@@ -123,6 +123,24 @@ SC_HIT = InsertOutcome("hit", SC)
 SC_INSERTED = InsertOutcome("inserted", SC)
 
 
+class _DcOutcomes(dict):
+    """DC region -> its hit, inserted and static replaced outcomes, built on first use.
+
+    Outcomes are immutable, so one set serves every access to the region.
+    """
+
+    def __missing__(self, dcr):
+        outcomes = self[dcr] = (
+            InsertOutcome("hit", dcr),
+            InsertOutcome("inserted", dcr),
+            InsertOutcome("replaced", dcr, dcr[1]),
+        )
+        return outcomes
+
+
+_DC_OUTCOMES = _DcOutcomes()
+
+
 def hybrid_insert(
     store: SlotStore,
     key: tuple,
@@ -151,21 +169,21 @@ def hybrid_insert(
     if found is not None:
         region, idx = found
         if region == dcr:
-            return InsertOutcome("hit", dcr)
+            return _DC_OUTCOMES[dcr][0]
         if dcr is not None:
             store.swap(idx, store.select_victim(dcr, tenant))
         return SC_HIT
 
     if dcr is not None and store.free_count(dcr):
         store.insert_into_empty(key, dcr)
-        return InsertOutcome("inserted", dcr)
+        return _DC_OUTCOMES[dcr][1]
     if store.free_count(SC):
         idx = store.insert_into_empty(key, SC)
         outcome = SC_INSERTED
     elif not store.layout.sc_size:
         store.evict(store.select_victim(dcr, tenant))
         store.insert_into_empty(key, dcr)
-        return InsertOutcome("replaced", dcr, tenant)
+        return _DC_OUTCOMES[dcr][2]
     else:
         if gaps is None:
             victim_idx = store.select_victim(SC)
