@@ -23,7 +23,7 @@ re-stamps, moves or evicts it does the next query see another slot.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping
 
 SC = "SC"
@@ -60,8 +60,8 @@ class UnknownTenantError(CacheError):
 class RegionLayout:
     """Partitioning of the slot array into per-tenant DC regions plus SC."""
 
-    dc_sizes: Mapping[int, int]
-    sc_size: int
+    dc_sizes: Mapping[int, int] = field(default_factory=dict)
+    sc_size: int = 0
 
     def __post_init__(self):
         if self.sc_size < 0 or any(v < 0 for v in self.dc_sizes.values()):

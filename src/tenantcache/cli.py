@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .harness import (
     POLICIES,
@@ -69,70 +70,55 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--policies", required=True, help=f"comma list of {','.join(POLICIES)}")
     p_cmp.add_argument("--out", required=True, help="output directory, one CSV per policy")
 
-    p_sweep = sub.add_parser("sweep", help="minimal capacity per target hit rate")
+    # sweep and suggest-dc hold only the options given; the library's defaults fill in the rest
+    given_only = {"argument_default": argparse.SUPPRESS}
+    p_sweep = sub.add_parser("sweep", help="minimal capacity per target hit rate", **given_only)
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--targets", required=True, help="start:stop:step or comma list")
     p_sweep.add_argument("--policies", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--lower", type=int, default=50)
-    p_sweep.add_argument("--upper", type=int, default=40_000)
-    p_sweep.add_argument("--resolution", type=int, default=50)
-    p_sweep.add_argument("--trials", type=int, default=3)
+    p_sweep.add_argument("--lower", type=int)
+    p_sweep.add_argument("--upper", type=int)
+    p_sweep.add_argument("--resolution", type=int)
+    p_sweep.add_argument("--trials", type=int)
 
-    p_dc = sub.add_parser("suggest-dc", help="recommended per-tenant dedicated size")
+    p_dc = sub.add_parser("suggest-dc", help="recommended per-tenant dedicated size", **given_only)
     p_dc.add_argument("--hard", type=float, required=True)
     p_dc.add_argument("--alpha", type=float, required=True)
-    p_dc.add_argument("--universe", type=int, default=100_000)
-    p_dc.add_argument("--resolution", type=int, default=50)
-    p_dc.add_argument("--upper", type=int, default=40_000)
+    p_dc.add_argument("--universe", type=int)
+    p_dc.add_argument("--resolution", type=int)
+    p_dc.add_argument("--upper", type=int)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        if args.command == "run":
-            scenario = scenario_from_json(args.config)
-            if args.seed is not None:
-                from dataclasses import replace
-
-                scenario = replace(scenario, seed=args.seed)
-            records = run_scenario(scenario)
-            if args.out:
-                write_records_csv(records, args.out)
-            else:
-                write_records_csv(records, sys.stdout)
-        elif args.command == "compare":
-            scenario = scenario_from_json(args.config)
-            policies = args.policies.split(",")
-            results = compare_policies(scenario, policies)
-            os.makedirs(args.out, exist_ok=True)
+        if command == "run":
+            scenario = scenario_from_json(args["config"])
+            if args["seed"] is not None:
+                scenario = replace(scenario, seed=args["seed"])
+            write_records_csv(run_scenario(scenario), args["out"] or sys.stdout)
+        elif command == "compare":
+            scenario = scenario_from_json(args["config"])
+            results = compare_policies(scenario, args["policies"].split(","))
+            os.makedirs(args["out"], exist_ok=True)
             for policy, records in results.items():
-                write_records_csv(records, os.path.join(args.out, f"{policy}.csv"))
-        elif args.command == "sweep":
-            scenario = scenario_from_json(args.config)
+                write_records_csv(records, os.path.join(args["out"], f"{policy}.csv"))
+        elif command == "sweep":
+            scenario = scenario_from_json(args.pop("config"))
+            targets = _parse_targets(args.pop("targets"))
+            policies = args.pop("policies").split(",")
+            out = args.pop("out")
+            # what is left is the search options given
             results = capacity_sweep(
-                list(scenario.tenants),
-                _parse_targets(args.targets),
-                args.policies.split(","),
-                lower=args.lower,
-                upper=args.upper,
-                resolution=args.resolution,
-                trials=args.trials,
-                seed=scenario.seed,
-                base=scenario,
+                list(scenario.tenants), targets, policies, seed=scenario.seed, base=scenario, **args
             )
-            write_sweep_csv(results, args.out)
-        elif args.command == "suggest-dc":
-            slots = suggest_dc_size(
-                args.hard,
-                args.alpha,
-                universe=args.universe,
-                resolution=args.resolution,
-                upper=args.upper,
-            )
-            print(slots)
+            write_sweep_csv(results, out)
+        elif command == "suggest-dc":
+            print(suggest_dc_size(args.pop("hard"), args.pop("alpha"), **args))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from collections import deque
+from collections import abc, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cache, partial
+from types import NoneType, UnionType
+from typing import IO, Iterable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .sharing import (
     static_insert,
 )
 from .workload import (
+    DEFAULT_UNIVERSE,
     TenantWorkload,
     WorkloadPhase,
     activation_timeline,
@@ -181,28 +184,17 @@ def derive_layout(
 # -- JSON configuration ----------------------------------------------------
 
 
-_REQUIRED = object()
-
-_SCALAR_FIELDS = (
-    ("capacity", int, _REQUIRED),
-    ("policy", str, _REQUIRED),
-    ("total_txns", int, 200_000),
-    ("window_length", int, DEFAULT_WINDOW),
-    ("ewma_weight", float, DEFAULT_EWMA_WEIGHT),
-    ("replacement", str, LRU),
-    ("seed", int, 0),
-    ("sample_every", int, 1_000),
-)
-
-
 @contextmanager
 def _reading(path: str):
     """Report a failure to read or build the field at path as a ConfigurationError.
 
     A missing key is named below path; any other bad value names path itself.
+    A ConfigurationError from within names its field already and passes unchanged.
     """
     try:
         yield
+    except ConfigurationError:
+        raise
     except KeyError as exc:
         raise ConfigurationError(f"{path}.{exc.args[0]}", "missing field") from exc
     except (OSError, TypeError, ValueError, AttributeError, OverflowError, CacheError) as exc:
@@ -212,8 +204,10 @@ def _reading(path: str):
 def scenario_from_json(doc: Mapping | str) -> Scenario:
     """Build a Scenario from a JSON document (dict, JSON text, or file path).
 
-    Every failure, from an unreadable file to an inconsistent field, raises a
-    ConfigurationError naming the field.
+    Each key that names a Scenario field is read by the field's type (see
+    _reader); an absent one takes the dataclass's default, and other keys are
+    ignored.  Every failure, from an unreadable file to an inconsistent field,
+    raises a ConfigurationError naming the field.
     """
     with _reading("config"):
         if isinstance(doc, str):
@@ -224,96 +218,111 @@ def scenario_from_json(doc: Mapping | str) -> Scenario:
                     doc = json.load(fh)
     if not isinstance(doc, Mapping):
         raise ConfigurationError("config", f"must be a JSON object, not {type(doc).__name__}")
-    if "tenants" not in doc:
-        raise ConfigurationError("tenants", "missing field")
-    with _reading("tenants"):
-        tenant_docs = list(doc["tenants"])
-    tenants = []
-    for i, td in enumerate(tenant_docs):
-        with _reading(f"tenants[{i}]"):
-            tenants.append(_tenant_from_json(td))
-    layout = None
-    if doc.get("layout") is not None:
-        with _reading("layout"):
-            ld = doc["layout"]
-            layout = RegionLayout(
-                dc_sizes={int(k): int(v) for k, v in ld.get("dc_sizes", {}).items()},
-                sc_size=int(ld.get("sc_size", 0)),
-            )
-    strategy = SharingStrategy()
-    if doc.get("strategy") is not None:
-        with _reading("strategy"):
-            sd = doc["strategy"]
-            strategy = SharingStrategy(
-                loss_horizon=int(sd.get("loss_horizon", SharingStrategy().loss_horizon)),
-                history_len=int(sd.get("history_len", SharingStrategy().history_len)),
-            )
-    scalars = {}
-    for name, convert, default in _SCALAR_FIELDS:
+    values = {}
+    for name, (read, required) in _table(Scenario).items():
         if name in doc:
             with _reading(name):
-                scalars[name] = convert(doc[name])
-        elif default is _REQUIRED:
+                values[name] = read(doc[name])
+        elif required:
             raise ConfigurationError(name, "missing field")
-        else:
-            scalars[name] = default
-    scenario = Scenario(tenants=tenants, layout=layout, strategy=strategy, **scalars)
+    scenario = Scenario(**values)
     scenario.validate()
     return scenario
 
 
-def _tenant_from_json(doc: Mapping) -> TenantSpec:
-    phases = [
-        WorkloadPhase(alpha=float(p["alpha"]), start_txn=int(p.get("start_txn", 0)))
-        for p in doc.get("phases", [{"alpha": 1.0}])
-    ]
-    workload = TenantWorkload(
-        tenant_id=int(doc["tenant_id"]),
-        universe_size=int(doc.get("universe_size", 100_000)),
-        phases=phases,
-        active_from=int(doc.get("active_from", 0)),
-        active_until=None if doc.get("active_until") is None else int(doc["active_until"]),
-        weight=int(doc.get("weight", 1)),
-    )
-    rd = doc.get("requirement", {})
-    requirement = Requirement(hard=float(rd.get("hard", 0.0)), soft=float(rd.get("soft", 0.0)))
-    return TenantSpec(workload=workload, requirement=requirement)
+def _from_json(cls, doc, **values):
+    """cls from values and from doc's keys that name its other fields.
+
+    Each key is read by its field's type, and an absent one takes cls's
+    default; an absent required one raises KeyError.
+    """
+    if not isinstance(doc, Mapping):
+        raise TypeError(f"must be a JSON object, not {type(doc).__name__}")
+    for name, (read, required) in _table(cls).items():
+        if name not in values and (required or name in doc):
+            try:
+                values[name] = read(doc[name])
+            except TypeError as exc:
+                raise TypeError(f"{name}: {exc}") from None
+    return cls(**values)
+
+
+def _tenants_from_json(docs: Iterable) -> list[TenantSpec]:
+    """Tenant documents, each its workload's fields next to its requirement;
+    a failure names the tenant by its index."""
+    tenants = []
+    for i, doc in enumerate(docs):
+        with _reading(f"tenants[{i}]"):
+            tenants.append(_from_json(TenantSpec, doc, workload=_from_json(TenantWorkload, doc)))
+    return tenants
+
+
+# the JSON values each scalar field type takes; true and false are not numbers
+_JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)), str: ("a string", str)}
+
+
+def _scalar(hint: type, value):
+    """value as a hint, when it is a JSON value of that kind."""
+    kind, types = _JSON_TYPES[hint]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"expected {kind}, got {value!r}")
+    return hint(value)
+
+
+def _reader(hint):
+    """The function that reads a JSON value as a field of type hint.
+
+    A dataclass is read from an object by its own fields, a sequence from an
+    array, a Mapping[int, ...] from an object with integer strings as keys.
+    A hint with no reader raises TypeError, at import since every table is
+    built then.
+    """
+    if hint in _JSON_TYPES:
+        return partial(_scalar, hint)
+    if hint == Sequence[TenantSpec]:
+        return _tenants_from_json
+    if is_dataclass(hint):
+        _table(hint)
+        return partial(_from_json, hint)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType and args[1:] == (NoneType,):
+        read = _reader(args[0])
+        return lambda value: None if value is None else read(value)
+    if origin is abc.Sequence:
+        read = _reader(args[0])
+        return lambda values: [read(value) for value in values]
+    if origin is abc.Mapping and args[0] is int:
+        read = _reader(args[1])
+        return lambda values: {int(key): read(value) for key, value in values.items()}
+    raise TypeError(f"no JSON reader for fields of type {hint}")
+
+
+@cache
+def _table(cls) -> dict:
+    """cls's fields, each with the reader of its type and whether it has no default."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: (_reader(hints[f.name]), f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    }
+
+
+# every reader is built now, so a field type with no reader fails at import
+_table(Scenario)
+_table(TenantSpec)
 
 
 def scenario_to_json(s: Scenario) -> dict:
-    doc: dict = {
-        "capacity": s.capacity,
-        "policy": s.policy,
-        "tenants": [],
-        "total_txns": s.total_txns,
-        "window_length": s.window_length,
-        "ewma_weight": s.ewma_weight,
-        "strategy": {
-            "loss_horizon": s.strategy.loss_horizon,
-            "history_len": s.strategy.history_len,
-        },
-        "replacement": s.replacement,
-        "seed": s.seed,
-        "sample_every": s.sample_every,
-    }
-    if s.layout is not None:
-        doc["layout"] = {
-            "dc_sizes": {str(k): v for k, v in s.layout.dc_sizes.items()},
-            "sc_size": s.layout.sc_size,
-        }
-    for t in s.tenants:
-        w = t.workload
-        doc["tenants"].append(
-            {
-                "tenant_id": w.tenant_id,
-                "universe_size": w.universe_size,
-                "phases": [{"alpha": p.alpha, "start_txn": p.start_txn} for p in w.phases],
-                "active_from": w.active_from,
-                "active_until": w.active_until,
-                "weight": w.weight,
-                "requirement": {"hard": t.requirement.hard, "soft": t.requirement.soft},
-            }
-        )
+    """dataclasses.asdict(s), with each tenant's workload fields flat next to its
+    requirement and a layout's dc_sizes keyed by strings, as JSON keys are."""
+    doc = asdict(s)
+    doc["tenants"] = [
+        {**t["workload"], "phases": list(t["workload"]["phases"]), "requirement": t["requirement"]}
+        for t in doc["tenants"]
+    ]
+    layout = doc.pop("layout")
+    if layout is not None:
+        doc["layout"] = {**layout, "dc_sizes": {str(k): v for k, v in layout["dc_sizes"].items()}}
     return doc
 
 
@@ -739,13 +748,16 @@ def meets_target(
     return True
 
 
+DEFAULT_RESOLUTION = 50  # the capacity search's grid step, in slots
+
+
 def min_slots_for_target(
     policy: str,
     tenants: Sequence[TenantSpec],
     target: float,
     lower: int = 50,
     upper: int = 40_000,
-    resolution: int = 50,
+    resolution: int = DEFAULT_RESOLUTION,
     trials: int = 3,
     seed: int = 0,
     cache: ProbeCache | None = None,
@@ -753,10 +765,12 @@ def min_slots_for_target(
 ) -> int:
     """Smallest capacity (on the resolution grid) meeting the target hit rate.
 
-    Binary search between lower and upper; the upper bound is verified
-    feasible first and an InfeasibleTargetError is raised when it is not.
-    Every probe goes through meets_target with one ProbeCache, the given one
-    or one private to this search.
+    lower is rounded down onto the grid, to at least resolution, and upper
+    up.  lower, the smallest capacity searched, is probed first and returned
+    when it meets the target.  Otherwise upper must meet it, or an
+    InfeasibleTargetError is raised, and a binary search between the two
+    finds the answer.  Every probe goes through meets_target with one
+    ProbeCache, the given one or one private to this search.
     """
     if not 0.0 <= target < 1.0:
         raise ConfigurationError("target", "must be in [0, 1)")
@@ -842,8 +856,8 @@ def write_sweep_csv(results: Iterable[CapacitySweepResult], out: str | IO[str]) 
 def suggest_dc_size(
     hard: float,
     least_skewed_alpha: float,
-    universe: int = 100_000,
-    resolution: int = 50,
+    universe: int = DEFAULT_UNIVERSE,
+    resolution: int = DEFAULT_RESOLUTION,
     **kwargs,
 ) -> int:
     """Recommended per-tenant DC size: slots one tenant at the least skewed

@@ -229,6 +229,90 @@ class TestJsonConfig:
         w = s.tenants[0].workload
         assert w.universe_size == 100_000 and w.weight == 1
         assert s.tenants[0].requirement.soft == 0.0
+        # every absent field takes its dataclass's own default
+        minimal = {"capacity": 10, "policy": "global", "tenants": [{"tenant_id": 1}]}
+        assert scenario_from_json(minimal) == Scenario(
+            capacity=10,
+            policy="global",
+            tenants=[TenantSpec(TenantWorkload(tenant_id=1), Requirement())],
+            strategy=SharingStrategy(),
+        )
+        hybrid = {**minimal, "policy": "hybrid_fair", "capacity": 4}
+        hybrid["layout"] = {"dc_sizes": {"1": 4}}
+        assert scenario_from_json(hybrid).layout == RegionLayout({1: 4})
+        shared = {**minimal, "layout": {"sc_size": 10}}
+        assert scenario_from_json(shared).layout == RegionLayout(sc_size=10)
+
+    def test_a_field_type_without_a_reader_fails_when_its_table_is_built(self):
+        from dataclasses import dataclass
+
+        from tenantcache import harness
+
+        @dataclass
+        class Tagged:
+            tags: frozenset = frozenset()
+
+        with pytest.raises(TypeError, match="no JSON reader"):
+            harness._table(Tagged)
+
+
+unit_floats = st.floats(0.0, 1.0)
+
+
+@st.composite
+def valid_scenarios(draw):
+    ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True))
+    tenants = []
+    for tid in ids:
+        starts = sorted(draw(st.sets(st.integers(1, 10_000), max_size=3)))
+        phases = [WorkloadPhase(draw(st.floats(0.0, 3.0)), start) for start in [0, *starts]]
+        active_from = draw(st.integers(0, 1_000))
+        active_until = draw(st.none() | st.integers(active_from + 1, 20_000))
+        hard, soft = sorted(draw(st.tuples(unit_floats, unit_floats)))
+        workload = TenantWorkload(
+            tenant_id=tid,
+            universe_size=draw(st.integers(1, 10**6)),
+            phases=phases,
+            active_from=active_from,
+            active_until=active_until,
+            weight=draw(st.integers(1, 9)),
+        )
+        tenants.append(TenantSpec(workload, Requirement(hard=hard, soft=soft)))
+    policy = draw(st.sampled_from(POLICIES))
+    if policy.startswith("hybrid"):
+        dc_sizes = {k: draw(st.integers(0, 20)) for k in ids}
+        layout = RegionLayout(dc_sizes, draw(st.integers(1, 20)))
+    elif not draw(st.booleans()):
+        layout = None
+    elif policy == "static":
+        layout = RegionLayout({k: draw(st.integers(1, 20)) for k in ids}, 0)
+    else:
+        layout = RegionLayout({}, draw(st.integers(1, 60)))
+    capacity = draw(st.integers(len(ids), 100)) if layout is None else layout.capacity
+    return Scenario(
+        capacity=capacity,
+        policy=policy,
+        tenants=tenants,
+        layout=layout,
+        total_txns=draw(st.integers(0, 10**6)),
+        window_length=draw(st.integers(1, 1_000)),
+        ewma_weight=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        strategy=SharingStrategy(
+            loss_horizon=draw(st.integers(1, 500)), history_len=draw(st.integers(2, 50))
+        ),
+        replacement=draw(st.sampled_from(["lru", "fcfs"])),
+        seed=draw(st.integers(0, 2**32)),
+        sample_every=draw(st.integers(1, 10_000)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_scenarios())
+def test_json_round_trip(s):
+    doc = scenario_to_json(s)
+    rebuilt = scenario_from_json(json.dumps(doc))
+    assert scenario_to_json(rebuilt) == doc
+    assert rebuilt == s
 
 
 class TestRunScenario:
@@ -670,10 +754,19 @@ class TestCli:
             (lambda d: d.update(policy="hybrid_fair", capacity=100,
                                 layout={"dc_sizes": {"1": 100, "2": 0}, "sc_size": 0}), "layout"),
             (lambda d: d.update(policy="static", capacity=1), "capacity"),
+            (lambda d: d.update(capacity=64.9), "capacity"),
+            (lambda d: d.update(capacity=True), "capacity"),
+            (lambda d: d.update(capacity="64"), "capacity"),
+            (lambda d: d["tenants"][1].update(weight=2.7), "tenants[1]"),
+            (lambda d: d["tenants"][0].update(tenant_id=True), "tenants[0]"),
+            (lambda d: d.update(ewma_weight=True), "ewma_weight"),
+            (lambda d: d.update(ewma_weight="0.5"), "ewma_weight"),
         ],
         ids=["string-capacity", "hard-above-soft", "zero-weight", "array-document",
              "unknown-replacement", "negative-region", "static-unlisted-tenant",
-             "static-zero-dc", "hybrid-zero-dc-no-sc", "static-capacity-below-tenants"],
+             "static-zero-dc", "hybrid-zero-dc-no-sc", "static-capacity-below-tenants",
+             "float-capacity", "bool-capacity", "numeric-string-capacity", "float-weight",
+             "bool-tenant-id", "bool-ewma-weight", "string-ewma-weight"],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, edit, field):
         import os
@@ -798,6 +891,40 @@ class TestCli:
         assert len(probes) == 2
         for s in probes:
             assert (s.strategy.loss_horizon, s.strategy.history_len) == (5, 4)
+
+    def test_search_options_not_given_take_the_library_defaults(self, tmp_path, monkeypatch):
+        import inspect
+
+        import tenantcache.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "capacity_sweep", lambda *a, **kw: calls.append((a, kw)) or [])
+        monkeypatch.setattr(cli, "suggest_dc_size", lambda *a, **kw: calls.append((a, kw)) or 7)
+        sweep = [
+            "sweep", "--config", self.config_path(tmp_path, policy="global", seed=5),
+            "--targets", "0.3,0.5", "--policies", "global,static",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]
+        suggest = ["suggest-dc", "--hard", "0.3", "--alpha", "0.7"]
+        assert cli.main(sweep) == 0
+        assert cli.main([*sweep, "--lower", "8", "--trials", "2"]) == 0
+        assert cli.main(suggest) == 0
+        assert cli.main([*suggest, "--universe", "200", "--resolution", "10", "--upper", "40"]) == 0
+        (sweep_args, bare), (_, given), *suggested = calls
+        assert sweep_args[1:] == ([0.3, 0.5], ["global", "static"])
+        assert sorted(bare) == ["base", "seed"] and bare["seed"] == 5
+        assert given == {**bare, "lower": 8, "trials": 2}
+        assert suggested == [
+            ((0.3, 0.7), {}),
+            ((0.3, 0.7), {"universe": 200, "resolution": 10, "upper": 40}),
+        ]
+        # so the CLI searches with these defaults
+        search = inspect.signature(min_slots_for_target).parameters
+        assert [search[k].default for k in ("lower", "upper", "resolution", "trials")] == [
+            50, 40_000, 50, 3
+        ]
+        dc = inspect.signature(suggest_dc_size).parameters
+        assert (dc["universe"].default, dc["resolution"].default) == (100_000, 50)
 
     @pytest.mark.parametrize(
         "flags,field",
