@@ -5,8 +5,9 @@ permanently to one region: a tenant's dedicated partition ("DC", tenant_id) or
 the shared region SC.  The store's replacement policy is fixed when it is
 built, and every slot carries one stamp from one counter: its last access
 under LRU (a hit restamps it), its insertion under FCFS (only an insert does).
-The store offers lookup, insert, victim choice, evict and swap; the insertion
-algorithm that every policy runs over them is sharing.hybrid_insert.
+The store offers lookup, insert, victim choice, evict, swap and promote, which
+moves a shared-region key into its owner's dedicated region in one step; the
+insertion algorithm that every policy runs over them is sharing.hybrid_insert.
 
 Victims come from one lazily validated index, built by heapifying the occupied
 slots when the first victim query arrives; until then nothing is indexed, so
@@ -94,7 +95,7 @@ class _VictimIndex:
     """Min-heaps of (stamp, slot) over the store's stamps, by region then owner.
 
     An entry is live while its slot is occupied and still carries that stamp.
-    Stamps are never reused and travel with their key on a swap, so a live
+    Stamps are never reused and move only with their key, so a live
     entry also names the slot's current owner.  ``room`` counts the entries
     that still fit under ``limit`` before the next rebuild.
     """
@@ -294,6 +295,42 @@ class SlotStore:
         if self._index is not None:
             self._index.push(i)
             self._index.push(j)
+
+    def promote(self, key: Key, dcr: Region, idx: int | None = None) -> int:
+        """Move key into its owner's DC region dcr and the owner's DC victim out to SC.
+
+        idx is the SC slot key occupies on an SC hit; None places key, which
+        must be new, in the next free SC slot.  The two slots then exchange
+        contents, so the victim keeps its stamp and the key is stamped once: a
+        new tick under LRU or for a new key, its insertion stamp under FCFS.
+        Only the two final positions are indexed.  Returns the DC slot key
+        now holds.  Raises, changing nothing, when dcr holds no slot of key's
+        owner, or when a new key is present already or SC is full.
+        """
+        owner = key[0]
+        if idx is None:
+            free = self._free[SC]
+            if not free:
+                raise RegionFullError(f"region {SC!r} has no empty slot")
+            if key in self.key_index:
+                raise CacheError(f"key {key!r} already present")
+        victim = self.select_victim(dcr, owner)
+        keys, stamps, key_index = self.keys, self.stamps, self.key_index
+        if idx is None:
+            idx = free.pop()
+            self._count(owner, SC, +1)
+            stamp = self._tick()
+        elif self._restamp_on_hit:
+            stamp = self._tick()
+        else:
+            stamp = stamps[idx]
+        # the victim has key's owner, so the per-owner counts stay as they are
+        moved = keys[victim]
+        keys[idx], stamps[idx], key_index[moved] = moved, stamps[victim], idx
+        keys[victim], stamps[victim], key_index[key] = key, stamp, victim
+        self._index.push(idx)
+        self._index.push(victim)
+        return victim
 
     # -- queries -----------------------------------------------------------
 

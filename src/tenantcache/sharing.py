@@ -158,27 +158,32 @@ def hybrid_insert(
     owner with the largest gap, or selfish_select_victim's choice when
     eligible (the selfish donors' answers) is given.  A tenant with no DC
     slot is never promoted.  A layout with any DC slot serves only the
-    tenants it lists; an all-SC layout serves any tenant.
+    tenants it lists; an all-SC layout serves any tenant.  Each promotion is
+    one store.promote step, which indexes only the two slots' final contents.
     """
     tenant = key[0]
     dcr = store.dc_regions.get(tenant)
     if dcr is None and not store.shared_only and tenant not in store.dc_regions:
         raise UnknownTenantError(f"tenant {tenant!r} has no entry in the layout")
 
-    found = store.lookup(key)
-    if found is not None:
-        region, idx = found
-        if region == dcr:
-            return _DC_OUTCOMES[dcr][0]
-        if dcr is not None:
-            store.swap(idx, store.select_victim(dcr, tenant))
-        return SC_HIT
+    if dcr is None or not store.layout.sc_size:
+        # no promotion: a hit is served where it is
+        if store.lookup(key) is not None:
+            return SC_HIT if dcr is None else _DC_OUTCOMES[dcr][0]
+    else:
+        # find the key without restamping it: an SC hit is stamped by promote
+        idx = store.key_index.get(key)
+        if idx is not None:
+            if store.regions[idx] == dcr:
+                store.lookup(key)
+                return _DC_OUTCOMES[dcr][0]
+            store.promote(key, dcr, idx)
+            return SC_HIT
 
     if dcr is not None and store.free_count(dcr):
         store.insert_into_empty(key, dcr)
         return _DC_OUTCOMES[dcr][1]
     if store.free_count(SC):
-        idx = store.insert_into_empty(key, SC)
         outcome = SC_INSERTED
     elif not store.layout.sc_size:
         store.evict(store.select_victim(dcr, tenant))
@@ -196,10 +201,11 @@ def hybrid_insert(
                 donor = selfish_select_victim(gaps, owners, tenant, eligible)
             victim_idx = store.select_victim(SC, donor)
         store.evict(victim_idx)
-        idx = store.insert_into_empty(key, SC)
         outcome = InsertOutcome("replaced", SC, donor)
-    if dcr is not None:
-        store.swap(idx, store.select_victim(dcr, tenant))
+    if dcr is None:
+        store.insert_into_empty(key, SC)
+    else:
+        store.promote(key, dcr)
     return outcome
 
 

@@ -6,6 +6,7 @@ weighted round-robin so that identical seeds reproduce identical streams.
 """
 from __future__ import annotations
 
+import math
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -29,8 +30,8 @@ def zipf_pmf(universe_size: int, alpha: float) -> np.ndarray:
     """
     if universe_size < 1:
         raise WorkloadError("universe_size must be >= 1")
-    if alpha < 0:
-        raise WorkloadError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise WorkloadError("alpha must be finite and >= 0")
     ranks = np.arange(1, universe_size + 1, dtype=np.float64)
     weights = ranks ** -alpha
     return weights / weights.sum()
@@ -55,8 +56,8 @@ class WorkloadPhase:
     start_txn: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise WorkloadError("phase alpha must be >= 0")
+        if not 0 <= self.alpha < math.inf:  # NaN fails both comparisons
+            raise WorkloadError("phase alpha must be finite and >= 0")
         if self.start_txn < 0:
             raise WorkloadError("phase start_txn must be >= 0")
 

@@ -761,12 +761,15 @@ class TestCli:
             (lambda d: d["tenants"][0].update(tenant_id=True), "tenants[0]"),
             (lambda d: d.update(ewma_weight=True), "ewma_weight"),
             (lambda d: d.update(ewma_weight="0.5"), "ewma_weight"),
+            (lambda d: d["tenants"][0]["phases"][0].update(alpha=float("nan")), "tenants[0]"),
+            (lambda d: d["tenants"][1]["phases"][0].update(alpha=float("inf")), "tenants[1]"),
         ],
         ids=["string-capacity", "hard-above-soft", "zero-weight", "array-document",
              "unknown-replacement", "negative-region", "static-unlisted-tenant",
              "static-zero-dc", "hybrid-zero-dc-no-sc", "static-capacity-below-tenants",
              "float-capacity", "bool-capacity", "numeric-string-capacity", "float-weight",
-             "bool-tenant-id", "bool-ewma-weight", "string-ewma-weight"],
+             "bool-tenant-id", "bool-ewma-weight", "string-ewma-weight", "nan-alpha",
+             "infinite-alpha"],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, edit, field):
         import os
@@ -988,9 +991,10 @@ class TestCli:
             (["--hard", "-0.1", "--alpha", "0.7"], "hard"),
             (["--hard", "1.0", "--alpha", "0.7"], "hard"),
             (["--hard", "0.3", "--alpha", "-1"], "alpha"),
+            (["--hard", "0.3", "--alpha", "nan"], "alpha"),
             (["--hard", "0.3", "--alpha", "0.7", "--universe", "0"], "universe"),
         ],
-        ids=["negative-hard", "hard-one", "negative-alpha", "zero-universe"],
+        ids=["negative-hard", "hard-one", "negative-alpha", "nan-alpha", "zero-universe"],
     )
     def test_bad_suggest_dc_arguments_exit_2_without_traceback(self, flags, field):
         import os

@@ -13,7 +13,7 @@ from tenantcache.cache_core import (
     SlotStore,
     dc_region,
 )
-from tenantcache.sharing import global_insert
+from tenantcache.sharing import global_insert, hybrid_insert
 
 TENANTS = (1, 2, 3)
 
@@ -51,11 +51,12 @@ ops = st.one_of(
     st.tuples(st.just("lookup"), tenants, st.integers(0, 9)),
     st.tuples(st.just("evict_victim"), st.booleans(), owners),
     st.tuples(st.just("promote"), tenants, st.integers(0, 9)),
+    st.tuples(st.just("promote_in_one_step"), tenants, st.integers(0, 9), st.booleans()),
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(layouts, replacements, st.lists(ops, max_size=400))
+@given(layouts, replacements, st.lists(ops, min_size=50, max_size=400))
 def test_victims_match_oracle_and_memory_is_bounded(layout, replacement, script):
     store = SlotStore(layout, replacement)
     bound = 2 * store.capacity + 64
@@ -80,6 +81,32 @@ def test_victims_match_oracle_and_memory_is_bounded(layout, replacement, script)
             else:
                 assert store.evict_victim(region, owner) == expected
                 assert store.keys[expected] is None
+        elif kind == "promote_in_one_step":
+            # one of the tenant's SC slots, or a new key into the next free SC slot
+            _, tenant, item, hit = op
+            dcr = dc_region(tenant)
+            if hit:
+                in_sc = [i for i, k in enumerate(store.keys)
+                         if k is not None and k[0] == tenant and store.regions[i] == SC]
+                idx = in_sc[item % len(in_sc)] if in_sc else None
+                key = store.keys[idx] if in_sc else None
+            else:
+                idx = None
+                key = (tenant, item) if store.peek((tenant, item)) is None else None
+            if key is not None and (hit or store.free_count(SC)):
+                expected = oracle_victim(store, dcr, tenant)
+                if expected is None:
+                    before = store.dump()
+                    with pytest.raises(NoCandidateError):
+                        store.promote(key, dcr, idx)
+                    assert store.dump() == before
+                else:
+                    moved = store.keys[expected]
+                    dc_slots, sc_slots = store.owned(tenant)
+                    assert store.promote(key, dcr, idx) == expected
+                    assert store.peek(key) == expected
+                    assert store.regions[store.peek(moved)] == SC
+                    assert store.owned(tenant) == (dc_slots, sc_slots + (idx is None))
         else:  # the hybrid promotion: an SC slot swaps with its owner's DC victim
             _, tenant, item = op
             idx = store.peek((tenant, item))
@@ -122,6 +149,37 @@ def test_fcfs_lookup_leaves_the_stamp():
     assert store.lookup((1, "a")) == (SC, idx)
     assert store.stamps[idx] == stamp
     assert store.select_victim(SC) == idx
+
+
+@pytest.mark.parametrize("replacement", [LRU, FCFS])
+def test_hybrid_promotion_indexes_two_entries(replacement):
+    store = SlotStore(RegionLayout(dc_sizes={1: 2}, sc_size=2), replacement)
+    dcr = dc_region(1)
+    hybrid_insert(store, (1, 0))
+    hybrid_insert(store, (1, 1))
+    store.select_victim(dcr, 1)  # build the index
+    entries = heap_entries(store)
+    assert hybrid_insert(store, (1, 2)).kind == "inserted"  # an SC miss
+    assert heap_entries(store) == entries + 2
+    assert store.regions[store.peek((1, 0))] == SC
+    store.select_victim(dcr, 1)  # drop the stale entry above the DC victim
+    entries = heap_entries(store)
+    assert hybrid_insert(store, (1, 0)).kind == "hit"  # an SC hit
+    assert heap_entries(store) == entries + 2
+    assert store.regions[store.peek((1, 0))] == dcr
+
+
+def test_fcfs_promotion_keeps_the_insertion_stamp():
+    store = SlotStore(RegionLayout(dc_sizes={1: 1}, sc_size=1), FCFS)
+    hybrid_insert(store, (1, "a"))
+    hybrid_insert(store, (1, "b"))  # b is promoted, a moves out to SC
+    idx = store.peek((1, "a"))
+    assert store.regions[idx] == SC
+    stamp = store.stamps[idx]
+    assert hybrid_insert(store, (1, "a")).kind == "hit"
+    idx = store.peek((1, "a"))
+    assert store.regions[idx] == dc_region(1)
+    assert store.stamps[idx] == stamp
 
 
 def test_memory_bounded_when_a_heap_is_never_queried():

@@ -40,6 +40,13 @@ class TestZipfPmf:
         with pytest.raises(WorkloadError):
             zipf_pmf(10, -0.1)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(WorkloadError):
+            zipf_pmf(10, alpha)
+        with pytest.raises(WorkloadError):
+            WorkloadPhase(alpha=alpha)
+
     @given(
         n=st.integers(min_value=1, max_value=2000),
         alpha=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
