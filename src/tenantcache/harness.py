@@ -143,8 +143,11 @@ class Scenario:
                 raise ConfigurationError("layout", f"{self.policy} requires an all-SC layout")
         if self.policy == "static" and layout.sc_size != 0:
             raise ConfigurationError("layout", "static requires sc_size = 0")
-        # every tenant needs a slot it may use: an SC region or a DC slot of its own
         dc_sizes = layout.dc_sizes
+        extra = sorted(set(dc_sizes) - set(ids))
+        if extra:
+            raise ConfigurationError("layout", f"dc_sizes names tenants {extra} not in tenants")
+        # every tenant needs a slot it may use: an SC region or a DC slot of its own
         if self.policy.startswith("hybrid") or any(dc_sizes.values()):
             missing = [i for i in ids if i not in dc_sizes]
             if missing:
@@ -475,77 +478,45 @@ _COLD = np.iinfo(np.int32).max  # stack distance of a first access: a miss at an
 _ROWS = 1_024  # reuses turned into Python ints at a time, so memory stays O(trace) words
 
 
-def _ranks(groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """Each element's index among the elements of its group, in order."""
-    ranks = np.empty(len(groups), dtype=np.int64)
-    for g in range(n_groups):
-        mine = np.flatnonzero(groups == g)
-        ranks[mine] = np.arange(len(mine))
-    return ranks
-
-
-def _stack_distances(codes: np.ndarray, items: np.ndarray, n_tenants: int):
-    """Two LRU stack distances of every access (Mattson et al., IBM Sys. J. 1970).
+def _stack_distances(keys: np.ndarray) -> np.ndarray:
+    """The LRU stack distance of every access in keys (Mattson et al., IBM Sys. J. 1970).
 
     An access's distance is the number of distinct keys accessed since its
-    key's previous access, _COLD for a first access; the key is (tenant code,
-    item).  The global distance counts every tenant's keys; the per-tenant
-    distance counts only the accessing tenant's, over its own substream.
-    Under LRU an access hits a cache of c slots iff its distance is below c,
-    whatever else c is.
+    key's previous access, _COLD for a first access.  Under LRU an access
+    hits a cache of c slots iff its distance is below c.
 
-    One pass, with one Fenwick tree per stream over the positions whose key
-    has been accessed again since (stale ones): the distinct keys accessed
-    between an access and its key's previous one at p are the positions in
-    between less the stale ones among them.  Every earlier reuse made one
-    earlier position stale, so the stale ones in between number the earlier
-    reuses less the stale positions up to p, which the tree counts.
+    One pass with a Fenwick tree over the positions whose key has been
+    accessed again since, the stale ones (Bennett & Kruskal, IBM J. R&D
+    1975): the distinct keys accessed between an access and its key's
+    previous one at p are the positions in between less the stale ones among
+    them.  Every earlier reuse made one earlier position stale, so the stale
+    ones in between number the earlier reuses less the stale positions up to
+    p, which the tree counts.
     """
-    n = len(items)
-    keys = codes.astype(np.int64) * (int(items.max(initial=0)) + 1) + items
+    n = len(keys)
     order = np.argsort(keys, kind="stable")
     repeat = keys[order[1:]] == keys[order[:-1]]
     prev = np.full(n, -1, dtype=np.int64)
     prev[order[1:][repeat]] = order[:-1][repeat]
     reused = np.flatnonzero(prev >= 0)
     before = prev[reused]
-    reused_codes = codes[reused]
-    local = _ranks(codes, n_tenants)  # each access's index in its tenant's substream
-    global_base = reused - before - 1 - np.arange(len(reused))
-    tenant_base = local[reused] - local[before] - 1 - _ranks(reused_codes, n_tenants)
-
-    def stale_through_then_mark(tree: list, x: int) -> int:
-        """Stale positions up to 1-based x; then mark x stale."""
-        count, i = 0, x
-        while i:
-            count += tree[i]
-            i &= i - 1
-        size = len(tree)
-        while x < size:
-            tree[x] += 1
-            x += x & -x
-        return count
-
-    global_tree = [0] * (n + 1)
-    tenant_trees = [[0] * (int(size) + 1) for size in np.bincount(codes, minlength=n_tenants)]
-    global_d = np.full(n, _COLD, dtype=np.int32)
-    tenant_d = np.full(n, _COLD, dtype=np.int32)
+    between = reused - before - 1 - np.arange(len(reused))
+    tree = [0] * (n + 1)  # 1-based
+    distances = np.full(n, _COLD, dtype=np.int32)
     for lo in range(0, len(reused), _ROWS):
         part = slice(lo, lo + _ROWS)
-        global_out, tenant_out = [], []
-        rows = zip(
-            global_base[part].tolist(),
-            (before[part] + 1).tolist(),
-            tenant_base[part].tolist(),
-            (local[before[part]] + 1).tolist(),
-            reused_codes[part].tolist(),
-        )
-        for g, x, t, y, c in rows:
-            global_out.append(g + stale_through_then_mark(global_tree, x))
-            tenant_out.append(t + stale_through_then_mark(tenant_trees[c], y))
-        global_d[reused[part]] = global_out
-        tenant_d[reused[part]] = tenant_out
-    return global_d, tenant_d
+        out = []
+        for d, x in zip(between[part].tolist(), (before[part] + 1).tolist()):
+            i = x  # add the stale positions up to x, then mark x stale
+            while i:
+                d += tree[i]
+                i &= i - 1
+            while x <= n:
+                tree[x] += 1
+                x += x & -x
+            out.append(d)
+        distances[reused[part]] = out
+    return distances
 
 
 class ProbeCache:
@@ -554,24 +525,25 @@ class ProbeCache:
     It holds one generated trace per seed and the final-quarter means of each
     distinct (policy, capacity, length, seed) probe already run, so a probe
     repeated for another target or by the binary search runs no simulation.
-    For LRU global and static probes it also holds two LRU stack distances of
-    each event of a seed's trace, from one pass over it: the global distance
-    and the tenant's distance within its own substream.  They give the hit
-    bits of every capacity at once, so those probes run no simulation at all
-    (see lru_means).  The distances are recomputed only when a longer trace
-    is generated.  A cache serves the probes of one tenant set and one base
-    scenario only.  It compares and hashes by identity.
+    For LRU global and static probes a seed's trace entry also holds two LRU
+    stack distances of each of its events: the global one, from one pass
+    over the whole trace, and the tenant's, from one pass over each tenant's
+    own substream.  They give the hit bits of every capacity at once, so
+    those probes run no simulation at all (see lru_means).  They are
+    computed on the first probe that needs them and go with the trace entry,
+    so a longer trace, generated afresh, computes them afresh.  A cache
+    serves the probes of one tenant set and one base scenario only.  It
+    compares and hashes by identity.
     """
 
-    __slots__ = ("traces", "distances", "means")
+    __slots__ = ("traces", "means")
 
     def __init__(self):
-        self.traces: dict = {}  # seed -> (length requested, tenant ids, items)
-        # seed -> (length requested, tenant ids, codes, global, per-tenant distances)
-        self.distances: dict = {}
+        # seed -> [length requested, tenant ids, items, stack distances or None]
+        self.traces: dict = {}
         self.means: dict = {}  # (policy, capacity, total_txns, seed) -> means
 
-    def _held(self, workloads: Sequence[TenantWorkload], total_txns: int, seed: int) -> tuple:
+    def _held(self, workloads: Sequence[TenantWorkload], total_txns: int, seed: int) -> list:
         """seed's trace entry, generated afresh when shorter than total_txns."""
         cached = self.traces.get(seed)
         if cached is None or cached[0] < total_txns:
@@ -580,7 +552,9 @@ class ProbeCache:
                 tenant_ids.append(ev.tenant_id)
                 items.append(ev.item)
             # items kept as 8-byte integers; a memoryview over them yields plain ints
-            cached = self.traces[seed] = (total_txns, tenant_ids, np.array(items, dtype=np.int64))
+            cached = self.traces[seed] = [
+                total_txns, tenant_ids, np.array(items, dtype=np.int64), None
+            ]
         return cached
 
     def trace(
@@ -595,7 +569,7 @@ class ProbeCache:
         early is generated once.  Nothing is generated until the first event
         is asked for.
         """
-        _, tenant_ids, items = self._held(workloads, total_txns, seed)
+        _, tenant_ids, items, _ = self._held(workloads, total_txns, seed)
         yield from zip(range(total_txns), tenant_ids, memoryview(items))
 
     def stack_distances(
@@ -607,16 +581,20 @@ class ProbeCache:
         the trace has the prefix of its distances, so the arrays of the
         longest trace held serve every shorter probe.
         """
-        length, tenant_ids, items = self._held(workloads, total_txns, seed)
-        cached = self.distances.get(seed)
-        if cached is None or cached[0] != length:
+        entry = self._held(workloads, total_txns, seed)
+        if entry[3] is None:
+            _, tenant_ids, items, _ = entry
             ids = sorted(w.tenant_id for w in workloads)
             index = {k: c for c, k in enumerate(ids)}
             codes = np.array([index[k] for k in tenant_ids], dtype=np.int32)
-            cached = self.distances[seed] = (
-                length, ids, codes, *_stack_distances(codes, items, len(ids))
-            )
-        return cached[1:]
+            keys = codes.astype(np.int64) * (int(items.max(initial=0)) + 1) + items
+            global_d = _stack_distances(keys)
+            tenant_d = np.empty_like(global_d)
+            for c in range(len(ids)):
+                mine = codes == c
+                tenant_d[mine] = _stack_distances(items[mine])
+            entry[3] = (ids, codes, global_d, tenant_d)
+        return entry[3]
 
     def lru_hits(self, s: Scenario) -> tuple:
         """(tenant ids, codes, hit bits) of an LRU global or static scenario s
@@ -704,7 +682,9 @@ def meets_target(
     layout, length, seed and sampling; everything else, replacement, tracker
     and sharing strategy included, is base's.  Only the final quarter's
     samples are built.  With a cache, each seed's trace is generated once and
-    each distinct probe runs once across the calls that share it.
+    each distinct probe runs once across the calls that share it.  A
+    capacity whose derived layout leaves some tenant no slot, a static split
+    over more tenants than slots, meets no target and runs nothing.
 
     An LRU global or static probe is not simulated: its means come from the
     cache's stack distances (ProbeCache.lru_means), bit for bit those of
@@ -714,6 +694,8 @@ def meets_target(
     """
     total_txns = max(min_txns, txns_per_slot * capacity)
     layout = derive_layout(policy, capacity, [t.workload.tenant_id for t in tenants])
+    if not layout.sc_size and not all(layout.dc_sizes.values()):
+        return False
     if base is None:
         base = Scenario(capacity=capacity, policy=policy, tenants=tenants)
     if cache is None:

@@ -76,6 +76,8 @@ class TenantWorkload:
             raise WorkloadError("universe_size must be >= 1")
         if self.weight < 1:
             raise WorkloadError("weight must be >= 1")
+        if self.active_from < 0:
+            raise WorkloadError("active_from must be >= 0")
         if self.active_until is not None and not self.active_from < self.active_until:
             raise WorkloadError("active_from must be < active_until")
         if not self.phases:

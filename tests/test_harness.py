@@ -737,6 +737,29 @@ class TestCli:
         ])
         assert code == 3
 
+    def test_static_sweep_starts_below_the_tenant_count(self, tmp_path):
+        from tenantcache.cli import main
+
+        # a static split of 1 slot over 2 tenants starves one: that probe fails
+        cfg = self.config_path(tmp_path)
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--config", cfg, "--targets", "0.3", "--policies", "global,static",
+            "--out", str(out),
+            "--lower", "1", "--upper", "64", "--resolution", "1", "--trials", "1",
+        ])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["global", "static"]
+        assert int(rows[1][2]) >= 2
+        # an upper bound that starves a tenant too is infeasible
+        code = main([
+            "sweep", "--config", cfg, "--targets", "0.3", "--policies", "static",
+            "--out", str(out),
+            "--lower", "1", "--upper", "1", "--resolution", "1", "--trials", "1",
+        ])
+        assert code == 3
+
     @pytest.mark.parametrize(
         "edit,field",
         [
@@ -763,13 +786,17 @@ class TestCli:
             (lambda d: d.update(ewma_weight="0.5"), "ewma_weight"),
             (lambda d: d["tenants"][0]["phases"][0].update(alpha=float("nan")), "tenants[0]"),
             (lambda d: d["tenants"][1]["phases"][0].update(alpha=float("inf")), "tenants[1]"),
+            (lambda d: d.update(policy="static", capacity=300,
+                                layout={"dc_sizes": {"1": 100, "2": 100, "3": 100},
+                                        "sc_size": 0}), "layout"),
+            (lambda d: d["tenants"][0].update(active_from=-10, active_until=-5), "tenants[0]"),
         ],
         ids=["string-capacity", "hard-above-soft", "zero-weight", "array-document",
              "unknown-replacement", "negative-region", "static-unlisted-tenant",
              "static-zero-dc", "hybrid-zero-dc-no-sc", "static-capacity-below-tenants",
              "float-capacity", "bool-capacity", "numeric-string-capacity", "float-weight",
              "bool-tenant-id", "bool-ewma-weight", "string-ewma-weight", "nan-alpha",
-             "infinite-alpha"],
+             "infinite-alpha", "dc-sizes-unknown-tenant", "negative-active-from"],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, edit, field):
         import os

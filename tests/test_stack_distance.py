@@ -3,13 +3,15 @@
 Under LRU an access hits a cache of c slots iff fewer than c distinct keys
 were accessed since its key's previous access (Mattson et al., 1970), so one
 pass over a seed's trace gives the outcome of every capacity.  These tests
-hold that backend to the simulation it replaces: the same hit bits, access
-by access, and the same final-quarter means, exactly.
+hold the distance pass to its definition, and that backend to the
+simulation it replaces: the same hit bits, access by access, and the same
+final-quarter means, exactly.
 """
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,34 @@ def tenant(tid, universe=120, alpha=1.0, soft=0.3, **kw):
         ),
         requirement=Requirement(hard=0.0, soft=soft),
     )
+
+
+# -- the distance pass against its definition -----------------------------------
+
+
+def distances_by_definition(keys):
+    """Distinct keys since each key's previous access, or _COLD on a first one."""
+    last, out = {}, []
+    for i, key in enumerate(keys):
+        out.append(len(set(keys[last[key] + 1 : i])) if key in last else harness._COLD)
+        last[key] = i
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 12) | st.integers(0, 2**40), max_size=300))
+def test_distances_equal_their_definition(keys):
+    got = harness._stack_distances(np.array(keys, dtype=np.int64))
+    assert got.tolist() == distances_by_definition(keys)
+
+
+def test_distances_across_chunks():
+    # more than _ROWS reuses, so the pass crosses a chunk boundary
+    rng = np.random.default_rng(7)
+    keys = rng.zipf(1.3, size=3 * harness._ROWS) % 200
+    got = harness._stack_distances(keys)
+    assert (got != harness._COLD).sum() > harness._ROWS
+    assert got.tolist() == distances_by_definition(keys.tolist())
 
 
 # -- the oracle: random traces against the simulation ---------------------------

@@ -11,6 +11,7 @@ from tenantcache.cache_core import (
     NoCandidateError,
     RegionLayout,
     SlotStore,
+    _VictimIndex,
     dc_region,
 )
 from tenantcache.sharing import global_insert, hybrid_insert
@@ -195,6 +196,27 @@ def test_memory_bounded_when_a_heap_is_never_queried():
             store.insert_into_empty(key, SC)
         store.lookup((2, n % 4))
         assert heap_entries(store) <= 2 * store.capacity + 64
+
+
+@pytest.mark.parametrize("replacement", [LRU, FCFS])
+def test_compaction_under_hybrid_promotions(monkeypatch, replacement):
+    # SC hits are promoted while SC never fills, so nothing queries the SC heaps:
+    # only compaction drops the stale entries each promotion leaves there
+    rebuilds = []
+    rebuild = _VictimIndex.rebuild
+    monkeypatch.setattr(_VictimIndex, "rebuild", lambda self: rebuilds.append(1) or rebuild(self))
+    store = SlotStore(RegionLayout(dc_sizes={1: 2, 2: 2}, sc_size=6), replacement)
+    bound = 2 * store.capacity + 64
+    for n in range(2_000):
+        hybrid_insert(store, (1 + n % 2, n // 2 % 4))
+        assert store.free_count(SC)
+        assert heap_entries(store) <= bound
+    assert len(rebuilds) > 1
+    for region in (SC, dc_region(1), dc_region(2)):
+        for owner in (None, 1, 2):
+            expected = oracle_victim(store, region, owner)
+            if expected is not None:
+                assert store.select_victim(region, owner) == expected
 
 
 @pytest.mark.parametrize("query", ["select_victim", "evict_victim"])
