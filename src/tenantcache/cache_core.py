@@ -13,10 +13,14 @@ Victims come from one lazily validated index, built by heapifying the occupied
 slots when the first victim query arrives; until then nothing is indexed, so
 filling an empty store and a run that never evicts cost no heap work.  The
 index keeps one heap of (stamp, index) per (region, owner); an owner-free
-query takes the least live top over the region's owner heaps.  An update
-pushes the slot's new entry and leaves the old one to be dropped when it
-surfaces.  Once pushes would take the index past 2 * capacity + 64 entries it
-is rebuilt from the occupied slots, so memory stays O(capacity) whatever the
+query takes the least live top over the region's owner heaps.  A slot that
+takes new content (insert, swap, promote) is pushed under its new stamp, and
+the old entry is dropped when it surfaces.  An LRU hit only writes the slot's
+new stamp: the slot's entry keeps the older stamp, and is re-keyed in place
+to the current one when it reaches a heap top, so a slot that is hit many
+times between two victim queries costs one heap step, not one push per hit.
+Once pushes would take the index past 2 * capacity + 64 entries it is
+rebuilt from the occupied slots, so memory stays O(capacity) whatever the
 trace length, at amortised O(1) cost per push.  A victim query does not
 consume its answer: the slot stays indexed, and only when the caller
 re-stamps, moves or evicts it does the next query see another slot.
@@ -94,13 +98,17 @@ class RegionLayout:
 class _VictimIndex:
     """Min-heaps of (stamp, slot) over the store's stamps, by region then owner.
 
-    An entry is live while its slot is occupied and still carries that stamp.
-    Stamps are never reused and move only with their key, so a live
-    entry also names the slot's current owner.  ``room`` counts the entries
-    that still fit under ``limit`` before the next rebuild.
+    ``indexed[slot]`` is the stamp the slot's current content was pushed
+    under.  An entry is live while its slot is occupied and ``indexed`` still
+    holds the entry's stamp; a later push for the slot makes it stale.  Stamps
+    are never reused and move only with their key, so a live entry also names
+    the slot's current owner.  Under LRU a hit raises the slot's stamp above
+    the indexed one, so a live entry may be older than its slot; it is
+    re-keyed when it reaches a heap top.  ``room`` counts the entries that
+    still fit under ``limit`` before the next rebuild.
     """
 
-    __slots__ = ("keys", "regions", "stamps", "limit", "heaps", "room")
+    __slots__ = ("keys", "regions", "stamps", "indexed", "limit", "heaps", "room")
 
     def __init__(self, store: "SlotStore"):
         # the store's arrays, not the store: no reference cycle keeps it alive
@@ -122,27 +130,41 @@ class _VictimIndex:
             for heap in by_owner.values():
                 heapq.heapify(heap)
         self.heaps = heaps
+        self.indexed = stamps[:]
         self.room = self.limit - live
 
     def push(self, idx: int) -> None:
-        """Index slot idx under its current stamp, owner and region."""
+        """Index slot idx's new content under its current stamp, owner and region."""
         if not self.room:
             self.rebuild()  # the rebuild indexes idx as it is now
             return
         self.room -= 1
-        by_owner = self.heaps.setdefault(self.regions[idx], {})
-        heapq.heappush(by_owner.setdefault(self.keys[idx][0], []), (self.stamps[idx], idx))
+        stamp = self.indexed[idx] = self.stamps[idx]
+        by_owner = self.heaps.get(self.regions[idx])
+        if by_owner is None:
+            by_owner = self.heaps[self.regions[idx]] = {}
+        owner = self.keys[idx][0]
+        heap = by_owner.get(owner)
+        if heap is None:
+            by_owner[owner] = [(stamp, idx)]
+        else:
+            heapq.heappush(heap, (stamp, idx))
 
     def _top(self, heap):
-        """The heap's least live entry, after dropping stale ones above it; or None."""
-        stamps, keys = self.stamps, self.keys
+        """The heap's least live entry, after dropping stale ones above it and
+        re-keying a restamped one; or None."""
+        stamps, keys, indexed = self.stamps, self.keys, self.indexed
         while heap:
             entry = heap[0]
-            idx = entry[1]
-            if stamps[idx] == entry[0] and keys[idx] is not None:
+            stamp, idx = entry
+            if keys[idx] is None or indexed[idx] != stamp:
+                heapq.heappop(heap)
+                self.room += 1
+            elif stamps[idx] == stamp:
                 return entry
-            heapq.heappop(heap)
-            self.room += 1
+            else:  # hit since it was indexed: move it down to its current stamp
+                stamp = indexed[idx] = stamps[idx]
+                heapq.heapreplace(heap, (stamp, idx))
         return None
 
     def victim(self, region: Region, owner) -> int:
@@ -174,7 +196,7 @@ class SlotStore:
         self.stamps = [0] * self.capacity
         self.regions: list = [None] * self.capacity
         self.key_index: dict = {}
-        self._free: dict = {}
+        self.free_slots: dict = {}  # region -> stack of its empty slot indices
         self._index: _VictimIndex | None = None  # built on the first victim query
         self._dc_count: dict = {}
         self._sc_count: dict = {}
@@ -192,17 +214,15 @@ class SlotStore:
             for i in range(idx, idx + size):
                 self.regions[i] = region
             # stack: pop() hands out the lowest index first
-            self._free[region] = list(range(idx + size - 1, idx - 1, -1))
+            self.free_slots[region] = list(range(idx + size - 1, idx - 1, -1))
             idx += size
         for i in range(idx, self.capacity):
             self.regions[i] = SC
-        self._free[SC] = list(range(self.capacity - 1, idx - 1, -1))
+        self.free_slots[SC] = list(range(self.capacity - 1, idx - 1, -1))
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _tick(self) -> int:
-        self._seq += 1
-        return self._seq
+    # the hot paths (lookup, insert_into_empty, evict, promote) tick the
+    # stamp counter and adjust the per-owner counts inline
 
     def _count(self, owner, region, delta: int) -> None:
         counts = self._sc_count if region == SC else self._dc_count
@@ -211,14 +231,17 @@ class SlotStore:
     # -- core operations ---------------------------------------------------
 
     def lookup(self, key: Key):
-        """Return (region, slot index) on hit, restamping under LRU; None on miss."""
+        """Return (region, slot index) on hit, restamping under LRU; None on miss.
+
+        A restamp only writes the slot's stamp; the victim index re-keys the
+        slot when its older entry next reaches a heap top.
+        """
         idx = self.key_index.get(key)
         if idx is None:
             return None
         if self._restamp_on_hit:
-            self.stamps[idx] = self._tick()
-            if self._index is not None:
-                self._index.push(idx)
+            self._seq += 1
+            self.stamps[idx] = self._seq
         return self.regions[idx], idx
 
     def peek(self, key: Key):
@@ -226,11 +249,11 @@ class SlotStore:
         return self.key_index.get(key)
 
     def free_count(self, region: Region) -> int:
-        return len(self._free.get(region, ()))
+        return len(self.free_slots.get(region, ()))
 
     def insert_into_empty(self, key: Key, region: Region) -> int:
         """Place key in an empty slot of region; owner comes from the key."""
-        free = self._free.get(region)
+        free = self.free_slots.get(region)
         if free is None:
             raise UnknownTenantError(f"no such region: {region!r}")
         if not free:
@@ -239,9 +262,12 @@ class SlotStore:
             raise CacheError(f"key {key!r} already present")
         idx = free.pop()
         self.keys[idx] = key
-        self.stamps[idx] = self._tick()
+        self._seq += 1
+        self.stamps[idx] = self._seq
         self.key_index[key] = idx
-        self._count(key[0], region, +1)
+        owner = key[0]
+        counts = self._sc_count if region == SC else self._dc_count
+        counts[owner] = counts.get(owner, 0) + 1
         if self._index is not None:
             self._index.push(idx)
         return idx
@@ -272,9 +298,10 @@ class SlotStore:
             raise CacheError(f"slot {idx} already empty")
         region = self.regions[idx]
         del self.key_index[key]
-        self._count(key[0], region, -1)
+        counts = self._sc_count if region == SC else self._dc_count
+        counts[key[0]] -= 1
         self.keys[idx] = None
-        self._free[region].append(idx)
+        self.free_slots[region].append(idx)
 
     def swap(self, i: int, j: int) -> None:
         """Exchange the contents of two occupied slots, metadata included."""
@@ -301,15 +328,16 @@ class SlotStore:
 
         idx is the SC slot key occupies on an SC hit; None places key, which
         must be new, in the next free SC slot.  The two slots then exchange
-        contents, so the victim keeps its stamp and the key is stamped once: a
-        new tick under LRU or for a new key, its insertion stamp under FCFS.
-        Only the two final positions are indexed.  Returns the DC slot key
-        now holds.  Raises, changing nothing, when dcr holds no slot of key's
-        owner, or when a new key is present already or SC is full.
+        contents, so both keep their stamps: on an SC hit the key keeps the
+        stamp it holds, which the caller's lookup has just renewed under LRU
+        and which is its insertion stamp under FCFS; a new key is stamped with
+        a new tick.  Only the two final positions are indexed.  Returns the DC
+        slot key now holds.  Raises, changing nothing, when dcr holds no slot
+        of key's owner, or when a new key is present already or SC is full.
         """
         owner = key[0]
         if idx is None:
-            free = self._free[SC]
+            free = self.free_slots[SC]
             if not free:
                 raise RegionFullError(f"region {SC!r} has no empty slot")
             if key in self.key_index:
@@ -318,10 +346,10 @@ class SlotStore:
         keys, stamps, key_index = self.keys, self.stamps, self.key_index
         if idx is None:
             idx = free.pop()
-            self._count(owner, SC, +1)
-            stamp = self._tick()
-        elif self._restamp_on_hit:
-            stamp = self._tick()
+            counts = self._sc_count
+            counts[owner] = counts.get(owner, 0) + 1
+            self._seq += 1
+            stamp = self._seq
         else:
             stamp = stamps[idx]
         # the victim has key's owner, so the per-owner counts stay as they are

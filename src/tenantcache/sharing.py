@@ -158,32 +158,31 @@ def hybrid_insert(
     owner with the largest gap, or selfish_select_victim's choice when
     eligible (the selfish donors' answers) is given.  A tenant with no DC
     slot is never promoted.  A layout with any DC slot serves only the
-    tenants it lists; an all-SC layout serves any tenant.  Each promotion is
-    one store.promote step, which indexes only the two slots' final contents.
+    tenants it lists; an all-SC layout serves any tenant.  The key is read
+    once, by store.lookup, whose LRU restamp an SC hit's promotion keeps.
+    Each promotion is one store.promote step, which indexes only the two
+    slots' final contents.
     """
     tenant = key[0]
     dcr = store.dc_regions.get(tenant)
     if dcr is None and not store.shared_only and tenant not in store.dc_regions:
         raise UnknownTenantError(f"tenant {tenant!r} has no entry in the layout")
 
-    if dcr is None or not store.layout.sc_size:
-        # no promotion: a hit is served where it is
-        if store.lookup(key) is not None:
-            return SC_HIT if dcr is None else _DC_OUTCOMES[dcr][0]
-    else:
-        # find the key without restamping it: an SC hit is stamped by promote
-        idx = store.key_index.get(key)
-        if idx is not None:
-            if store.regions[idx] == dcr:
-                store.lookup(key)
-                return _DC_OUTCOMES[dcr][0]
-            store.promote(key, dcr, idx)
+    hit = store.lookup(key)  # restamps under LRU; an SC hit keeps that stamp
+    if hit is not None:
+        if dcr is None:
             return SC_HIT
+        region, idx = hit
+        if region == dcr:
+            return _DC_OUTCOMES[dcr][0]
+        store.promote(key, dcr, idx)
+        return SC_HIT
 
-    if dcr is not None and store.free_count(dcr):
+    free = store.free_slots
+    if dcr is not None and free[dcr]:
         store.insert_into_empty(key, dcr)
         return _DC_OUTCOMES[dcr][1]
-    if store.free_count(SC):
+    if free[SC]:
         outcome = SC_INSERTED
     elif not store.layout.sc_size:
         store.evict(store.select_victim(dcr, tenant))

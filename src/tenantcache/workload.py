@@ -10,12 +10,20 @@ import math
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 DEFAULT_UNIVERSE = 100_000
 
+# Largest universe_size a TenantWorkload accepts.  A stream holds a dense
+# float64 CDF of universe_size entries per distinct (universe_size, alpha), so
+# this bound caps one at 128 MiB; a larger universe is refused, not left to
+# exhaust memory.
+MAX_UNIVERSE = 2**24
+
+# uniforms drawn from a tenant's RNG at a time, and most txns built in one chunk
 _BATCH = 8192
 
 
@@ -32,9 +40,18 @@ def zipf_pmf(universe_size: int, alpha: float) -> np.ndarray:
         raise WorkloadError("universe_size must be >= 1")
     if not 0 <= alpha < math.inf:
         raise WorkloadError("alpha must be finite and >= 0")
-    ranks = np.arange(1, universe_size + 1, dtype=np.float64)
-    weights = ranks ** -alpha
-    return weights / weights.sum()
+    weights = np.arange(1, universe_size + 1, dtype=np.float64)
+    weights **= -alpha
+    weights /= weights.sum()
+    return weights
+
+
+def _zipf_cdf(universe_size: int, alpha: float) -> np.ndarray:
+    """Cumulative zipf_pmf, built in the pmf's own array, with its last entry 1.0."""
+    cdf = zipf_pmf(universe_size, alpha)
+    np.cumsum(cdf, out=cdf)
+    cdf[-1] = 1.0  # guard against rounding shortfall
+    return cdf
 
 
 def sample_item(pmf: np.ndarray, rng: np.random.Generator) -> int:
@@ -72,8 +89,8 @@ class TenantWorkload:
     weight: int = 1
 
     def __post_init__(self):
-        if self.universe_size < 1:
-            raise WorkloadError("universe_size must be >= 1")
+        if not 1 <= self.universe_size <= MAX_UNIVERSE:
+            raise WorkloadError(f"universe_size must be in [1, {MAX_UNIVERSE}]")
         if self.weight < 1:
             raise WorkloadError("weight must be >= 1")
         if self.active_from < 0:
@@ -121,45 +138,35 @@ def _tenant_entropy(tenant_id) -> int:
 
 
 class _TenantSampler:
-    """Per-tenant item sampler with its own RNG stream.
+    """One tenant's item draws, from its own RNG stream.
 
-    Uniform draws are buffered in batches and mapped through the CDF of the
-    phase in force; a phase switch re-maps the unconsumed tail so that the
-    underlying uniform stream (and hence determinism) is unaffected.
+    Uniforms come from the RNG in batches of _BATCH and are handed out in
+    order, each call mapping its share through the CDF it is given.  A
+    tenant's i-th draw is thus the i-th uniform of its stream however the
+    draws are grouped into calls, so streams are prefix-consistent and a
+    seed reproduces them.
     """
 
     def __init__(self, workload: TenantWorkload, master_seed: int):
-        self.workload = workload
         seq = np.random.SeedSequence(
             (master_seed & 0xFFFFFFFFFFFFFFFF, _tenant_entropy(workload.tenant_id))
         )
         self._rng = np.random.default_rng(seq)
-        self._alpha: float | None = None
-        self._cdf: np.ndarray | None = None
         self._uniforms = np.empty(0)
-        self._items = np.empty(0, dtype=np.int64)
         self._pos = 0
 
-    def _set_phase(self, alpha: float) -> None:
-        self._alpha = alpha
-        cdf = np.cumsum(zipf_pmf(self.workload.universe_size, alpha))
-        cdf[-1] = 1.0  # guard against rounding shortfall
-        self._cdf = cdf
-        if self._pos < len(self._uniforms):
-            tail = self._uniforms[self._pos:]
-            self._items[self._pos:] = np.searchsorted(cdf, tail, side="right")
-
-    def draw(self, txn: int) -> int:
-        alpha = self.workload.alpha_at(txn)
-        if alpha != self._alpha:
-            self._set_phase(alpha)
-        if self._pos >= len(self._uniforms):
-            self._uniforms = self._rng.random(_BATCH)
-            self._items = np.searchsorted(self._cdf, self._uniforms, side="right")
-            self._pos = 0
-        item = int(self._items[self._pos])
-        self._pos += 1
-        return item
+    def take(self, count: int, cdf: np.ndarray) -> np.ndarray:
+        """The next count (>= 1) draws as ranks under cdf."""
+        parts = []
+        while count:
+            if self._pos == len(self._uniforms):
+                self._uniforms = self._rng.random(_BATCH)
+                self._pos = 0
+            part = self._uniforms[self._pos:self._pos + count]
+            self._pos += len(part)
+            count -= len(part)
+            parts.append(part)
+        return np.searchsorted(cdf, np.concatenate(parts), side="right")
 
 
 def activation_timeline(
@@ -201,7 +208,16 @@ def generate_stream(
     active set (ordered by tenant id).  The active set follows
     activation_timeline: idle stretches are skipped while emitted txn indices
     stay consecutive, and the stream ends early once no tenant is left to
-    arrive.
+    arrive.  Each draw maps through the CDF of the tenant's phase in force at
+    the draw's schedule txn (txn plus the timeline's skew).
+
+    Events are built in chunks of at most _BATCH txns, cut also where some
+    active tenant's phase starts, so each tenant has one CDF per chunk: the
+    round-robin turns are indices into the active set's repeated cycle, and
+    each tenant's draws for the chunk are one take() from its sampler.  The
+    samplers share one CDF per distinct (universe_size, alpha).  Generation
+    is lazy, one chunk ahead of the consumer, and a shorter stream of the
+    same workloads and seed is a prefix of a longer one.
     """
     workloads = list(workloads)
     if total_txns < 0:
@@ -214,22 +230,53 @@ def generate_stream(
             raise WorkloadError(f"duplicate tenant_id {w.tenant_id}")
         by_id[w.tenant_id] = w
     samplers = {i: _TenantSampler(w, seed) for i, w in by_id.items()}
+    cdfs: dict = {}  # (universe_size, alpha) -> CDF
+
+    def cdf_at(w: TenantWorkload, sched: int) -> np.ndarray:
+        key = (w.universe_size, w.alpha_at(sched))
+        cdf = cdfs.get(key)
+        if cdf is None:
+            cdf = cdfs[key] = _zipf_cdf(*key)
+        return cdf
 
     timeline = activation_timeline(workloads, total_txns)
     ends = [txn for txn, _, _ in timeline[1:]] + [total_txns]
     cur = None
-    remaining = 0
+    remaining = 0  # turns cur has left in its current rotation
     for (start, skew, active), end in zip(timeline, ends):
         if not active:
             continue  # an idle stretch (no txns) or the end of the stream
         if cur not in active:
             remaining = 0
-        for txn in range(start, end):
-            if remaining <= 0:
-                cur = _next_after(active, cur)
-                remaining = by_id[cur].weight
-            remaining -= 1
-            yield AccessEvent(txn, cur, samplers[cur].draw(txn + skew))
+        # one rotation as codes (indices into active); code c's turns are at
+        # positions bounds[c] .. bounds[c + 1] - 1
+        weights = [by_id[t].weight for t in active]
+        cycle = np.repeat(np.arange(len(active)), weights)
+        bounds = list(accumulate(weights, initial=0))
+        if remaining:
+            pos = bounds[active.index(cur) + 1] - remaining
+        else:
+            pos = bounds[active.index(_next_after(active, cur))]
+        cuts = set(range(start, end, _BATCH)) | {end}
+        for t in active:
+            cuts.update(p.start_txn - skew for p in by_id[t].phases)
+        cuts = sorted(c for c in cuts if start <= c <= end)
+        for lo, hi in zip(cuts, cuts[1:]):
+            codes = cycle[(pos + np.arange(hi - lo)) % len(cycle)]
+            pos += hi - lo
+            items = np.empty(hi - lo, dtype=np.int64)
+            for code, t in enumerate(active):
+                mine = codes == code
+                count = int(np.count_nonzero(mine))
+                if count:
+                    items[mine] = samplers[t].take(count, cdf_at(by_id[t], lo + skew))
+            tenants = map(active.__getitem__, codes.tolist())
+            yield from map(AccessEvent, range(lo, hi), tenants, items.tolist())
+        # an active stretch spans at least one txn, so some turn was taken
+        last = (pos - 1) % len(cycle)
+        code = int(cycle[last])
+        cur = active[code]
+        remaining = bounds[code + 1] - last - 1
 
 
 def _next_after(active: Sequence[int], cur: int | None) -> int:

@@ -790,13 +790,15 @@ class TestCli:
                                 layout={"dc_sizes": {"1": 100, "2": 100, "3": 100},
                                         "sc_size": 0}), "layout"),
             (lambda d: d["tenants"][0].update(active_from=-10, active_until=-5), "tenants[0]"),
+            (lambda d: d["tenants"][1].update(universe_size=2_000_000_000), "tenants[1]"),
         ],
         ids=["string-capacity", "hard-above-soft", "zero-weight", "array-document",
              "unknown-replacement", "negative-region", "static-unlisted-tenant",
              "static-zero-dc", "hybrid-zero-dc-no-sc", "static-capacity-below-tenants",
              "float-capacity", "bool-capacity", "numeric-string-capacity", "float-weight",
              "bool-tenant-id", "bool-ewma-weight", "string-ewma-weight", "nan-alpha",
-             "infinite-alpha", "dc-sizes-unknown-tenant", "negative-active-from"],
+             "infinite-alpha", "dc-sizes-unknown-tenant", "negative-active-from",
+             "huge-universe"],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, edit, field):
         import os
@@ -1020,8 +1022,10 @@ class TestCli:
             (["--hard", "0.3", "--alpha", "-1"], "alpha"),
             (["--hard", "0.3", "--alpha", "nan"], "alpha"),
             (["--hard", "0.3", "--alpha", "0.7", "--universe", "0"], "universe"),
+            (["--hard", "0.3", "--alpha", "0.7", "--universe", "2000000000"], "universe"),
         ],
-        ids=["negative-hard", "hard-one", "negative-alpha", "nan-alpha", "zero-universe"],
+        ids=["negative-hard", "hard-one", "negative-alpha", "nan-alpha", "zero-universe",
+             "huge-universe"],
     )
     def test_bad_suggest_dc_arguments_exit_2_without_traceback(self, flags, field):
         import os

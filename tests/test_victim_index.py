@@ -132,6 +132,75 @@ def test_victims_match_oracle_and_memory_is_bounded(layout, replacement, script)
         assert heap_entries(store) <= bound
 
 
+# LRU hits outnumber everything else, and half of them hit the slot a victim
+# query would name, so its entry reaches a heap top older than its slot
+lru_ops = st.one_of(
+    st.tuples(st.just("insert"), tenants, st.integers(0, 9), st.booleans()),
+    *[st.tuples(st.just("hit"), tenants, st.integers(0, 9))] * 3,
+    *[st.tuples(st.just("hit_victim"), st.booleans(), owners)] * 3,
+    st.tuples(st.just("query"), st.booleans(), owners),
+    st.tuples(st.just("evict_victim"), st.booleans(), owners),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layouts, st.lists(lru_ops, min_size=50, max_size=400))
+def test_lru_hits_are_rekeyed_to_exact_victims(layout, script):
+    store = SlotStore(layout, LRU)
+    bound = 2 * store.capacity + 64
+    for op in script:
+        kind = op[0]
+        entries = heap_entries(store)
+        if kind == "insert":
+            _, tenant, item, use_sc = op
+            region = SC if use_sc else dc_region(tenant)
+            key = (tenant, item)
+            if store.peek(key) is None and store.free_count(region):
+                store.insert_into_empty(key, region)
+        elif kind == "hit":
+            _, tenant, item = op
+            store.lookup((tenant, item))
+            assert heap_entries(store) == entries
+        else:
+            _, use_sc, owner = op
+            region = SC if use_sc else dc_region(owner or 1)
+            expected = oracle_victim(store, region, owner)
+            if kind == "hit_victim":
+                if expected is not None:
+                    store.lookup(store.keys[expected])
+                assert heap_entries(store) == entries
+            elif expected is None:
+                with pytest.raises(NoCandidateError):
+                    store.select_victim(region, owner)
+            else:
+                assert store.select_victim(region, owner) == expected
+                if kind == "evict_victim":
+                    store.evict(expected)
+        assert heap_entries(store) <= bound
+    if store._index is not None:
+        for region in [SC] + [dc_region(t) for t in TENANTS]:
+            for owner in (None,) + TENANTS:
+                expected = oracle_victim(store, region, owner)
+                if expected is not None:
+                    assert store.select_victim(region, owner) == expected
+
+
+def test_lru_lookup_leaves_the_index_alone():
+    store = SlotStore(RegionLayout.global_layout(4))
+    slots = [store.insert_into_empty((1, item), SC) for item in range(4)]
+    assert store.select_victim(SC) == slots[0]  # build the index
+    entries = heap_entries(store)
+    for _ in range(3):
+        stamp = store.stamps[slots[0]]
+        assert store.lookup((1, 0)) == (SC, slots[0])
+        assert store.stamps[slots[0]] > stamp
+        assert heap_entries(store) == entries
+    # the hit slot's entry is re-keyed in place when it reaches the top
+    assert store.select_victim(SC) == slots[1]
+    assert heap_entries(store) == entries
+    assert store._index.indexed[slots[0]] == store.stamps[slots[0]]
+
+
 def test_filling_builds_no_index():
     store = SlotStore(RegionLayout.global_layout(4))
     for item in range(4):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tenantcache.workload import (
+    MAX_UNIVERSE,
     AccessEvent,
     TenantWorkload,
     WorkloadError,
@@ -296,6 +297,12 @@ class TestValidation:
     def test_bad_universe(self):
         with pytest.raises(WorkloadError):
             TenantWorkload(tenant_id=1, universe_size=0)
+
+    def test_universe_bound(self):
+        # the bound caps the dense CDF a stream builds; building a workload allocates none
+        assert TenantWorkload(tenant_id=1, universe_size=MAX_UNIVERSE).universe_size == MAX_UNIVERSE
+        with pytest.raises(WorkloadError, match="universe_size"):
+            TenantWorkload(tenant_id=1, universe_size=MAX_UNIVERSE + 1)
 
     def test_bad_weight(self):
         with pytest.raises(WorkloadError):
