@@ -62,7 +62,6 @@ from .workload import (
     activation_timeline,
     generate_stream,
     read_trace,
-    sample_item,
     write_trace,
     zipf_pmf,
 )

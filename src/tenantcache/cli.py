@@ -53,6 +53,24 @@ def _parse_targets(spec: str) -> list[float]:
     return targets
 
 
+def _check_out(out: str, directory: bool = False) -> None:
+    """Raise a ConfigurationError naming out unless out can take the output.
+
+    A CSV file goes into an existing directory; compare's directory of CSVs
+    is made with any missing parents, so its nearest existing ancestor must
+    be a directory.  This runs before any simulation and writes nothing, so a
+    run that fails later leaves no output behind.
+    """
+    path = os.path.abspath(out)
+    if not directory and os.path.isdir(path):
+        raise ConfigurationError("out", f"{out} is a directory")
+    home = path if directory else os.path.dirname(path)
+    while directory and not os.path.exists(home):
+        home = os.path.dirname(home)
+    if not os.path.isdir(home):
+        raise ConfigurationError("out", f"{home} is not an existing directory")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tenantcache",
@@ -96,6 +114,8 @@ def main(argv=None) -> int:
     args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
     try:
+        if args.get("out") is not None:  # run's is optional; suggest-dc has none
+            _check_out(args["out"], directory=command == "compare")
         if command == "run":
             scenario = scenario_from_json(args["config"])
             if args["seed"] is not None:

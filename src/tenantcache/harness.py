@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_right
 from collections import abc, deque
 from contextlib import contextmanager
@@ -458,16 +459,20 @@ def write_records_csv(records: Iterable[SampleRecord], out: str | IO[str]) -> No
 def compare_policies(
     base: Scenario, policies: Sequence[str]
 ) -> dict[str, list[SampleRecord]]:
-    """Replay one generated trace through each policy so curves are workload-identical."""
+    """Replay one generated trace through each policy so curves are workload-identical.
+
+    The trace is generated once and held as a capacity search holds its
+    probes' traces, in a ProbeCache: tenant ids and 8-byte items, not events.
+    """
     base.validate()
-    events = list(
-        generate_stream([t.workload for t in base.tenants], base.total_txns, base.seed)
-    )
+    workloads = [t.workload for t in base.tenants]
+    cache = ProbeCache()
     results: dict[str, list[SampleRecord]] = {}
     for policy in policies:
         layout = derive_layout(policy, base.capacity, base.tenant_ids(), base.layout)
         scenario = replace(base, policy=policy, layout=layout)
-        results[policy] = run_scenario(scenario, trace=events)
+        trace = cache.trace(workloads, base.total_txns, base.seed)
+        results[policy] = run_scenario(scenario, trace=trace)
     return results
 
 
@@ -520,7 +525,8 @@ def _stack_distances(keys: np.ndarray) -> np.ndarray:
 
 
 class ProbeCache:
-    """What the probes of one capacity search or sweep share.
+    """What the probes of one capacity search or sweep share, and the one
+    trace that compare_policies replays through each policy.
 
     It holds one generated trace per seed and the final-quarter means of each
     distinct (policy, capacity, length, seed) probe already run, so a probe
@@ -547,13 +553,14 @@ class ProbeCache:
         """seed's trace entry, generated afresh when shorter than total_txns."""
         cached = self.traces.get(seed)
         if cached is None or cached[0] < total_txns:
-            tenant_ids, items = [], []
+            tenant_ids, items = [], array("q")
             for ev in generate_stream(workloads, total_txns, seed):
                 tenant_ids.append(ev.tenant_id)
                 items.append(ev.item)
-            # items kept as 8-byte integers; a memoryview over them yields plain ints
+            # items kept as 8-byte integers, never as int objects; a memoryview
+            # over them yields plain ints
             cached = self.traces[seed] = [
-                total_txns, tenant_ids, np.array(items, dtype=np.int64), None
+                total_txns, tenant_ids, np.frombuffer(items, dtype=np.int64), None
             ]
         return cached
 
@@ -618,8 +625,9 @@ class ProbeCache:
 
         trace is s.seed's held trace, and s is validated as run_scenario
         validates it.  The hit bits of lru_hits fill each tenant's windows
-        and EWMA as HitRateTracker does, and each tenant's EWMA is averaged
-        over the sample txns at which activation_timeline marks it active.
+        and EWMA as HitRateTracker does, and each tenant's EWMA at the sample
+        txns at which activation_timeline marks it active is averaged by the
+        helper _mean_ewma uses, in the same order, so the sums are the same.
         """
         s.validate()
         ids, codes, hits = self.lru_hits(s)
@@ -639,26 +647,28 @@ class ProbeCache:
             closed = np.searchsorted(mine, sample_txns, side="right") // window
             at_samples[k] = [curve[w] for w in closed.tolist()]
         timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
-        changes = {txn: active for txn, _, active in timeline}
-        starts = sorted(changes)
-        sums: dict = {}
-        counts: dict = {}
-        for i, txn in enumerate(sample_txns.tolist()):
-            for k in changes[starts[bisect_right(starts, txn) - 1]]:
-                sums[k] = sums.get(k, 0.0) + at_samples[k][i]
-                counts[k] = counts.get(k, 0) + 1
-        return {k: sums[k] / counts[k] for k in sums}
+        # an idle stretch's two entries share a txn, and bisect_right picks the later
+        starts = [txn for txn, _, _ in timeline]
+        return _mean_by_tenant(
+            (k, at_samples[k][i])
+            for i, txn in enumerate(sample_txns.tolist())
+            for k in timeline[bisect_right(starts, txn) - 1][2]
+        )
+
+
+def _mean_by_tenant(pairs: Iterable[tuple]) -> dict:
+    """Each tenant's mean rate over (tenant, rate) pairs, summed in their order."""
+    sums: dict = {}
+    counts: dict = {}
+    for k, rate in pairs:
+        sums[k] = sums.get(k, 0.0) + rate
+        counts[k] = counts.get(k, 0) + 1
+    return {k: sums[k] / counts[k] for k in sums}
 
 
 def _mean_ewma(records: Iterable[SampleRecord]) -> dict:
     """Each tenant's mean EWMA hit rate over the records that sample it."""
-    sums: dict = {}
-    counts: dict = {}
-    for rec in records:
-        for k, t in rec.tenants.items():
-            sums[k] = sums.get(k, 0.0) + t.ewma_hit_rate
-            counts[k] = counts.get(k, 0) + 1
-    return {k: sums[k] / counts[k] for k in sums}
+    return _mean_by_tenant((k, t.ewma_hit_rate) for rec in records for k, t in rec.tenants.items())
 
 
 def meets_target(

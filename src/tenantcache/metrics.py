@@ -1,7 +1,7 @@
 """Per-tenant hit-rate accounting: windowed rates, EWMA smoothing, requirement gaps."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 DEFAULT_WINDOW = 100
@@ -43,10 +43,10 @@ class HitRateTracker:
 
     window_length: int = DEFAULT_WINDOW
     ewma_weight: float = DEFAULT_EWMA_WEIGHT
-    window_hits: int = 0
-    window_accesses: int = 0
-    ewma: float | None = None
-    last_window_rate: float | None = None
+    window_hits: int = field(default=0, init=False)
+    window_accesses: int = field(default=0, init=False)
+    ewma: float | None = field(default=None, init=False)
+    last_window_rate: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.window_length < 1:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
@@ -52,12 +53,6 @@ def _zipf_cdf(universe_size: int, alpha: float) -> np.ndarray:
     np.cumsum(cdf, out=cdf)
     cdf[-1] = 1.0  # guard against rounding shortfall
     return cdf
-
-
-def sample_item(pmf: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one rank from pmf by inverse-CDF sampling."""
-    cdf = np.cumsum(pmf)
-    return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
 @dataclass(frozen=True)
@@ -124,11 +119,6 @@ class AccessEvent(NamedTuple):
     txn: int
     tenant_id: int
     item: int
-
-    @property
-    def key(self) -> tuple[int, int]:
-        """Tenant-namespaced cache key."""
-        return (self.tenant_id, self.item)
 
 
 def _tenant_entropy(tenant_id) -> int:
@@ -212,12 +202,13 @@ def generate_stream(
     the draw's schedule txn (txn plus the timeline's skew).
 
     Events are built in chunks of at most _BATCH txns, cut also where some
-    active tenant's phase starts, so each tenant has one CDF per chunk: the
-    round-robin turns are indices into the active set's repeated cycle, and
-    each tenant's draws for the chunk are one take() from its sampler.  The
-    samplers share one CDF per distinct (universe_size, alpha).  Generation
-    is lazy, one chunk ahead of the consumer, and a shorter stream of the
-    same workloads and seed is a prefix of a longer one.
+    active tenant's phase starts, so each tenant has one CDF per chunk.  A
+    turn's tenant is found by arithmetic: its position in the rotation,
+    searched in the active set's cumulative weights, so memory does not grow
+    with the weights.  Each tenant's draws for a chunk are one take() from
+    its sampler, and the samplers share one CDF per distinct (universe_size,
+    alpha).  Generation is lazy, one chunk ahead of the consumer, and a
+    shorter stream of the same workloads and seed is a prefix of a longer one.
     """
     workloads = list(workloads)
     if total_txns < 0:
@@ -248,21 +239,21 @@ def generate_stream(
             continue  # an idle stretch (no txns) or the end of the stream
         if cur not in active:
             remaining = 0
-        # one rotation as codes (indices into active); code c's turns are at
-        # positions bounds[c] .. bounds[c + 1] - 1
-        weights = [by_id[t].weight for t in active]
-        cycle = np.repeat(np.arange(len(active)), weights)
-        bounds = list(accumulate(weights, initial=0))
+        # one rotation is period turns; code c (the tenant active[c]) takes
+        # turns bounds[c] .. bounds[c + 1] - 1 of it
+        bounds = list(accumulate((by_id[t].weight for t in active), initial=0))
+        period = bounds[-1]
         if remaining:
             pos = bounds[active.index(cur) + 1] - remaining
-        else:
-            pos = bounds[active.index(_next_after(active, cur))]
+        else:  # the next id after cur, cyclically; the smallest before any turn
+            pos = bounds[0 if cur is None else bisect_right(active, cur) % len(active)]
         cuts = set(range(start, end, _BATCH)) | {end}
         for t in active:
             cuts.update(p.start_txn - skew for p in by_id[t].phases)
         cuts = sorted(c for c in cuts if start <= c <= end)
         for lo, hi in zip(cuts, cuts[1:]):
-            codes = cycle[(pos + np.arange(hi - lo)) % len(cycle)]
+            turns = (pos + np.arange(hi - lo)) % period
+            codes = np.searchsorted(bounds, turns, side="right") - 1
             pos += hi - lo
             items = np.empty(hi - lo, dtype=np.int64)
             for code, t in enumerate(active):
@@ -273,20 +264,10 @@ def generate_stream(
             tenants = map(active.__getitem__, codes.tolist())
             yield from map(AccessEvent, range(lo, hi), tenants, items.tolist())
         # an active stretch spans at least one txn, so some turn was taken
-        last = (pos - 1) % len(cycle)
-        code = int(cycle[last])
+        last = (pos - 1) % period
+        code = bisect_right(bounds, last) - 1
         cur = active[code]
         remaining = bounds[code + 1] - last - 1
-
-
-def _next_after(active: Sequence[int], cur: int | None) -> int:
-    """Next tenant after cur in cyclic id order; smallest id when cur is unset."""
-    if cur is None:
-        return active[0]
-    for i in active:
-        if i > cur:
-            return i
-    return active[0]
 
 
 @contextmanager

@@ -148,7 +148,7 @@ tenant_specs = st.tuples(
     st.lists(st.tuples(st.sampled_from(ALPHAS), st.integers(1, 12_000)), max_size=3),
     st.sampled_from((0, 0, 40, 9_000)) | st.integers(0, 20_000),  # arrival
     st.none() | st.integers(1, 20_000),  # time until departure
-    st.integers(1, 5),  # weight
+    st.integers(1, 5) | st.just(10**9),  # weight
 )
 lengths = st.one_of(
     st.integers(0, 300),
@@ -189,6 +189,9 @@ def tenants_of(specs):
 # a departure mid-rotation: the next turn goes to the next id after it
 @example([(7, 0.9, [], 0, None, 2), (7, 0.9, [], 0, 5, 5), (7, 0.9, [], 0, None, 3)],
          300, 3)
+# a weight far above any length, whose tenant keeps the turn until it departs
+@example([(7, 0.9, [], 0, None, 1), (300, 0.6, [], 0, 3_000, 10**9), (1, 0.0, [], 0, None, 2)],
+         _BATCH + 1, 4)
 def test_chunked_stream_equals_per_event_stream(specs, length, seed):
     ws = tenants_of(specs)
     assert list(workload.generate_stream(ws, length, seed)) == list(

@@ -499,6 +499,27 @@ class TestComparePolicies:
         again = compare_policies(base, ["maxmin_fair"])
         assert results["maxmin_fair"] == again["maxmin_fair"]
 
+    def test_each_policy_matches_its_own_run(self):
+        # tenant 2 departs, nobody is active from 1,500 to 2,500 (schedule
+        # time), and with no arrival after 5,000 the stream ends at txn 4,000
+        base = small_scenario(
+            policy="hybrid_fair",
+            tenants=[
+                tenant(1, active_until=1_500),
+                tenant(2, active_until=600, weight=2),
+                tenant(3, active_from=2_500, active_until=5_000),
+            ],
+            layout=RegionLayout(dc_sizes={1: 8, 2: 8, 3: 8}, sc_size=40),
+            total_txns=6_000,
+            sample_every=250,
+        )
+        results = compare_policies(base, ["global", "maxmin_selfish", "hybrid_fair"])
+        assert results["hybrid_fair"] == run_scenario(base)
+        for policy in ("global", "maxmin_selfish"):
+            assert results[policy] == run_scenario(replace(base, policy=policy, layout=None))
+        assert [r.txn for r in results["global"]][-1] == 3_999
+        assert {k for r in results["global"] for k in r.tenants} == {1, 2, 3}
+
 
 class TestCapacitySearch:
     def test_target_zero_returns_lower_bound(self):
@@ -713,6 +734,78 @@ class TestCli:
         assert code == 0
         assert sorted(p.name for p in outdir.iterdir()) == ["global.csv", "static.csv"]
 
+    def test_huge_weight_runs_in_bounded_memory(self, tmp_path):
+        import os
+        import resource
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import tenantcache
+
+        # a rotation of a billion turns is never built: the run fits in 2 GB of address space
+        cfg = self.config_path(tmp_path, tenants=[tenant(1, weight=10**9), tenant(2)])
+        src = str(Path(tenantcache.__file__).resolve().parent.parent)
+        limit = 2_000_000 * 1024
+        proc = subprocess.run(
+            [sys.executable, "-m", "tenantcache.cli", "run", "--config", cfg],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",")[:2] for line in proc.stdout.splitlines()[1:]]
+        assert rows[-2:] == [["3999", "1"], ["3999", "2"]]
+
+    @pytest.mark.parametrize(
+        "command,out",
+        [
+            ("run", "missing/out.csv"),
+            ("run", "."),
+            ("sweep", "missing/sweep.csv"),
+            ("compare", "a-file/cmp"),
+            ("compare", "a-file"),
+        ],
+        ids=["run-missing-dir", "run-into-a-directory", "sweep-missing-dir",
+             "compare-under-a-file", "compare-into-a-file"],
+    )
+    def test_unwritable_out_exits_2_before_simulating(
+        self, tmp_path, monkeypatch, capsys, command, out
+    ):
+        import tenantcache.cli as cli
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation ran")
+
+        for name in ("run_scenario", "compare_policies", "capacity_sweep"):
+            monkeypatch.setattr(cli, name, no_simulation)
+        (tmp_path / "a-file").write_text("kept\n")
+        args = {
+            "run": [],
+            "compare": ["--policies", "global"],
+            "sweep": ["--targets", "0.3", "--policies", "global"],
+        }[command]
+        code = cli.main([
+            command, "--config", self.config_path(tmp_path, policy="global"),
+            *args, "--out", str(tmp_path / out),
+        ])
+        assert code == 2
+        assert "configuration error: out:" in capsys.readouterr().err
+        assert (tmp_path / "a-file").read_text() == "kept\n"
+        assert not (tmp_path / "missing").exists()
+
+    def test_compare_makes_missing_parents_of_out(self, tmp_path):
+        from tenantcache.cli import main
+
+        outdir = tmp_path / "new" / "cmp"
+        code = main([
+            "compare", "--config", self.config_path(tmp_path, policy="global"),
+            "--policies", "global", "--out", str(outdir),
+        ])
+        assert code == 0
+        assert [p.name for p in outdir.iterdir()] == ["global.csv"]
+
     def test_bad_config_exit_code(self, tmp_path):
         from tenantcache.cli import main
 
@@ -736,6 +829,7 @@ class TestCli:
             "--lower", "8", "--upper", "64", "--resolution", "8", "--trials", "1",
         ])
         assert code == 3
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_static_sweep_starts_below_the_tenant_count(self, tmp_path):
         from tenantcache.cli import main

@@ -15,7 +15,6 @@ from tenantcache.workload import (
     activation_timeline,
     generate_stream,
     read_trace,
-    sample_item,
     write_trace,
     zipf_pmf,
 )
@@ -57,27 +56,6 @@ class TestZipfPmf:
         pmf = zipf_pmf(n, alpha)
         assert abs(pmf.sum() - 1.0) < 1e-9
         assert np.all(np.diff(pmf) <= 1e-15)
-
-
-class TestSampleItem:
-    def test_single_outcome(self):
-        rng = np.random.default_rng(123)
-        assert sample_item(np.array([1.0]), rng) == 0
-
-    def test_empirical_frequency(self):
-        pmf = np.array([2 / 3, 1 / 3])
-        rng = np.random.default_rng(7)
-        draws = [sample_item(pmf, rng) for _ in range(60_000)]
-        freq0 = draws.count(0) / len(draws)
-        assert abs(freq0 - 2 / 3) < 0.01
-
-    def test_same_seed_same_sequence(self):
-        pmf = zipf_pmf(50, 0.9)
-        rng1 = np.random.default_rng(42)
-        rng2 = np.random.default_rng(42)
-        s1 = [sample_item(pmf, rng1) for _ in range(1000)]
-        s2 = [sample_item(pmf, rng2) for _ in range(1000)]
-        assert s1 == s2
 
 
 def two_tenants(**kw2):
