@@ -12,13 +12,16 @@ insertion algorithm that every policy runs over them is sharing.hybrid_insert.
 Victims come from one lazily validated index, built by heapifying the occupied
 slots when the first victim query arrives; until then nothing is indexed, so
 filling an empty store and a run that never evicts cost no heap work.  The
-index keeps one heap of (stamp, index) per (region, owner); an owner-free
-query takes the least live top over the region's owner heaps.  A slot that
-takes new content (insert, swap, promote) is pushed under its new stamp, and
-the old entry is dropped when it surfaces.  An LRU hit only writes the slot's
-new stamp: the slot's entry keeps the older stamp, and is re-keyed in place
-to the current one when it reaches a heap top, so a slot that is hit many
-times between two victim queries costs one heap step, not one push per hit.
+index keeps one heap per (region, owner) whose entries are single ints,
+stamp << shift | index, ordered as (stamp, index); an owner-free query takes
+the least live top over the region's owner heaps.  A slot that takes new
+content (insert, swap) is pushed under its new stamp, and the old entry is
+dropped when it surfaces.  A promotion replaces its DC victim's entry, the
+top of that heap, in place, so it pushes only the SC slot's.  An LRU hit
+only writes the slot's new stamp: the slot's entry keeps the older stamp,
+and is re-keyed in place to the current one when it reaches a heap top, so
+a slot that is hit many times between two victim queries costs one heap
+step, not one push per hit.
 Once pushes would take the index past 2 * capacity + 64 entries it is
 rebuilt from the occupied slots, so memory stays O(capacity) whatever the
 trace length, at amortised O(1) cost per push.  A victim query does not
@@ -96,35 +99,42 @@ class RegionLayout:
 
 
 class _VictimIndex:
-    """Min-heaps of (stamp, slot) over the store's stamps, by region then owner.
+    """Min-heaps of stamp << shift | slot over the store's stamps, by region then owner.
 
+    shift is capacity.bit_length(), so an int entry orders as its (stamp,
+    slot) pair would, and decodes as entry >> shift, entry & mask.
     ``indexed[slot]`` is the stamp the slot's current content was pushed
     under.  An entry is live while its slot is occupied and ``indexed`` still
     holds the entry's stamp; a later push for the slot makes it stale.  Stamps
     are never reused and move only with their key, so a live entry also names
     the slot's current owner.  Under LRU a hit raises the slot's stamp above
     the indexed one, so a live entry may be older than its slot; it is
-    re-keyed when it reaches a heap top.  ``room`` counts the entries that
-    still fit under ``limit`` before the next rebuild.
+    re-keyed when it reaches a heap top.  A promotion re-keys its DC victim's
+    entry, which the query has just put on top, in place (replace_top).
+    ``room`` counts the entries that still fit under ``limit`` before the
+    next rebuild.
     """
 
-    __slots__ = ("keys", "regions", "stamps", "indexed", "limit", "heaps", "room")
+    __slots__ = ("keys", "regions", "stamps", "indexed", "limit", "heaps", "room",
+                 "shift", "mask")
 
     def __init__(self, store: "SlotStore"):
         # the store's arrays, not the store: no reference cycle keeps it alive
         self.keys, self.regions = store.keys, store.regions
         self.stamps = store.stamps
         self.limit = 2 * store.capacity + 64
+        self.shift = store.capacity.bit_length()
+        self.mask = (1 << self.shift) - 1
         self.rebuild()
 
     def rebuild(self) -> None:
-        regions, stamps = self.regions, self.stamps
+        regions, stamps, shift = self.regions, self.stamps, self.shift
         heaps: dict = {}
         live = 0
         for idx, key in enumerate(self.keys):
             if key is not None:
                 by_owner = heaps.setdefault(regions[idx], {})
-                by_owner.setdefault(key[0], []).append((stamps[idx], idx))
+                by_owner.setdefault(key[0], []).append(stamps[idx] << shift | idx)
                 live += 1
         for by_owner in heaps.values():
             for heap in by_owner.values():
@@ -146,17 +156,28 @@ class _VictimIndex:
         owner = self.keys[idx][0]
         heap = by_owner.get(owner)
         if heap is None:
-            by_owner[owner] = [(stamp, idx)]
+            by_owner[owner] = [stamp << self.shift | idx]
         else:
-            heapq.heappush(heap, (stamp, idx))
+            heapq.heappush(heap, stamp << self.shift | idx)
+
+    def replace_top(self, region: Region, owner, idx: int) -> None:
+        """Re-key slot idx, the top of its (region, owner) heap, to its current stamp.
+
+        For a slot whose new content has the old one's region and owner, as
+        a promotion's DC victim does: no entry is added and none left stale.
+        """
+        stamp = self.indexed[idx] = self.stamps[idx]
+        heapq.heapreplace(self.heaps[region][owner], stamp << self.shift | idx)
 
     def _top(self, heap):
         """The heap's least live entry, after dropping stale ones above it and
         re-keying a restamped one; or None."""
         stamps, keys, indexed = self.stamps, self.keys, self.indexed
+        shift, mask = self.shift, self.mask
         while heap:
             entry = heap[0]
-            stamp, idx = entry
+            idx = entry & mask
+            stamp = entry >> shift
             if keys[idx] is None or indexed[idx] != stamp:
                 heapq.heappop(heap)
                 self.room += 1
@@ -164,14 +185,20 @@ class _VictimIndex:
                 return entry
             else:  # hit since it was indexed: move it down to its current stamp
                 stamp = indexed[idx] = stamps[idx]
-                heapq.heapreplace(heap, (stamp, idx))
+                heapq.heapreplace(heap, stamp << shift | idx)
         return None
 
     def victim(self, region: Region, owner) -> int:
         """Slot with the least (stamp, index) in region, owned by owner unless None."""
         by_owner = self.heaps.get(region, {})
         if owner is not None:
-            best = self._top(by_owner.get(owner))
+            heap = by_owner.get(owner)
+            if heap:  # the top itself when it is live and current
+                idx = heap[0] & self.mask
+                if (self.keys[idx] is not None
+                        and self.indexed[idx] == self.stamps[idx] == heap[0] >> self.shift):
+                    return idx
+            best = self._top(heap)
         else:
             best = None
             for heap in by_owner.values():
@@ -180,7 +207,7 @@ class _VictimIndex:
                     best = entry
         if best is None:
             raise NoCandidateError(f"no occupied slot in {region!r} for owner {owner!r}")
-        return best[1]
+        return best & self.mask
 
 
 class SlotStore:
@@ -331,7 +358,8 @@ class SlotStore:
         contents, so both keep their stamps: on an SC hit the key keeps the
         stamp it holds, which the caller's lookup has just renewed under LRU
         and which is its insertion stamp under FCFS; a new key is stamped with
-        a new tick.  Only the two final positions are indexed.  Returns the DC
+        a new tick.  The DC slot's entry is re-keyed in place and only the SC
+        slot is pushed, so a promotion adds one index entry.  Returns the DC
         slot key now holds.  Raises, changing nothing, when dcr holds no slot
         of key's owner, or when a new key is present already or SC is full.
         """
@@ -356,8 +384,9 @@ class SlotStore:
         moved = keys[victim]
         keys[idx], stamps[idx], key_index[moved] = moved, stamps[victim], idx
         keys[victim], stamps[victim], key_index[key] = key, stamp, victim
+        # the victim's entry tops its heap, and the slot stays in that heap
+        self._index.replace_top(dcr, owner, victim)
         self._index.push(idx)
-        self._index.push(victim)
         return victim
 
     # -- queries -----------------------------------------------------------

@@ -33,6 +33,7 @@ from .sharing import (
 )
 from .workload import (
     DEFAULT_UNIVERSE,
+    MAX_WEIGHT_SUM,
     TenantWorkload,
     WorkloadPhase,
     activation_timeline,
@@ -124,6 +125,9 @@ class Scenario:
         ids = self.tenant_ids()
         if len(set(ids)) != len(ids):
             raise ConfigurationError("tenants", "tenant ids must be unique")
+        # the sum over all tenants bounds every active set's rotation
+        if sum(t.workload.weight for t in self.tenants) >= MAX_WEIGHT_SUM:
+            raise ConfigurationError("tenants", "weights must sum to less than 2**63")
         if self.total_txns < 0:
             raise ConfigurationError("total_txns", "must be >= 0")
         if self.sample_every < 1:
@@ -340,7 +344,9 @@ def run_scenario(
 
     A lookup hit before any mutation counts as a hit; everything else is a
     miss.  A given trace holds (txn, tenant_id, item) triples, AccessEvents
-    or plain tuples; without one the scenario's stream is generated.  One
+    or plain tuples, in increasing txn order (gaps allowed: a skipped txn's
+    activation change or sample does not happen); without one the
+    scenario's stream is generated.  One
     SampleRecord is emitted every sample_every transactions from txn
     sample_from on, over the tenants active at that txn per
     activation_timeline (the generator's account of arrivals and
@@ -389,32 +395,58 @@ def run_scenario(
     # the module globals so that wrappers apply; without gaps SC donors go by age
     if policy in ("global", "static"):
         insert = global_insert if policy == "global" else static_insert
-        insert_args: tuple = ()
+        donor_gaps = None
     else:
         insert = maxmin_insert if policy.startswith("maxmin") else hybrid_insert
-        insert_args = (gaps, eligible if selfish else None)
+        donor_gaps = gaps
+    answers = eligible if selfish else None
 
     records: list[SampleRecord] = []
     sample_every = s.sample_every
 
-    for txn, tenant, item in trace:
-        if txn in changes:
-            now = changes[txn]
-            for k in active - now:
-                gaps[k] = INF
-                eligible[k] = True
-            for k in now - active:
-                refresh(k)
-            active = now
+    def next_sample(t: int) -> int:
+        """The first sampled txn at or after t."""
+        t = max(t, sample_from)
+        return (t + sample_every) // sample_every * sample_every - 1
 
-        outcome = insert(store, (tenant, item), *insert_args)
+    # the loop acts at two kinds of txn: an activation change, before that
+    # txn's access, and a sample, after it.  due is the next txn to act at, so
+    # an event makes one comparison; the schedule advances past txns the trace
+    # skips and acts only on exact ones.  A sample at txn t is taken when the
+    # event after t arrives, or after the last event.
+    change_txns = sorted(changes) + [INF]
+    next_change = 0
+    taken = None  # the txn of a sample waiting for its access to finish
+    due = min(change_txns[0], next_sample(sample_from))
+
+    for txn, tenant, item in trace:
+        if txn >= due:
+            if taken is not None:
+                records.append(_sample(taken, store, trackers, reqs, gaps, active))
+                taken = None
+            while change_txns[next_change] <= txn:
+                if change_txns[next_change] == txn:
+                    now = changes[txn]
+                    for k in active - now:
+                        gaps[k] = INF
+                        eligible[k] = True
+                    for k in now - active:
+                        refresh(k)
+                    active = now
+                next_change += 1
+            due = next_sample(txn)
+            if due == txn:
+                taken, due = txn, txn + 1
+            due = min(due, change_txns[next_change])
+
+        outcome = insert(store, (tenant, item), donor_gaps, answers)
         tracker = trackers[tenant]
         if tracker.record_access(outcome.kind == "hit") is not None:
             histories[tenant].append((sum(store.owned(tenant)), tracker.hit_rate))
             refresh(tenant)
 
-        if (txn + 1) % sample_every == 0 and txn >= sample_from:
-            records.append(_sample(txn, store, trackers, reqs, gaps, active))
+    if taken is not None:
+        records.append(_sample(taken, store, trackers, reqs, gaps, active))
     return records
 
 

@@ -141,6 +141,17 @@ class _DcOutcomes(dict):
 _DC_OUTCOMES = _DcOutcomes()
 
 
+class _ScReplaced(dict):
+    """Donor -> the replaced outcome of an SC slot taken from it, built on first use."""
+
+    def __missing__(self, donor):
+        outcome = self[donor] = InsertOutcome("replaced", SC, donor)
+        return outcome
+
+
+_SC_REPLACED = _ScReplaced()
+
+
 def hybrid_insert(
     store: SlotStore,
     key: tuple,
@@ -160,8 +171,8 @@ def hybrid_insert(
     slot is never promoted.  A layout with any DC slot serves only the
     tenants it lists; an all-SC layout serves any tenant.  The key is read
     once, by store.lookup, whose LRU restamp an SC hit's promotion keeps.
-    Each promotion is one store.promote step, which indexes only the two
-    slots' final contents.
+    Each promotion is one store.promote step, which re-keys the DC victim's
+    index entry in place and pushes one for the SC slot.
     """
     tenant = key[0]
     dcr = store.dc_regions.get(tenant)
@@ -200,7 +211,7 @@ def hybrid_insert(
                 donor = selfish_select_victim(gaps, owners, tenant, eligible)
             victim_idx = store.select_victim(SC, donor)
         store.evict(victim_idx)
-        outcome = InsertOutcome("replaced", SC, donor)
+        outcome = _SC_REPLACED[donor]
     if dcr is None:
         store.insert_into_empty(key, SC)
     else:

@@ -24,6 +24,10 @@ DEFAULT_UNIVERSE = 100_000
 # exhaust memory.
 MAX_UNIVERSE = 2**24
 
+# the round-robin numbers its turns in unsigned 64-bit arrays: a rotation's
+# weights, bounded by the sum over all tenants, must stay below this
+MAX_WEIGHT_SUM = 2**63
+
 # uniforms drawn from a tenant's RNG at a time, and most txns built in one chunk
 _BATCH = 8192
 
@@ -220,6 +224,8 @@ def generate_stream(
         if w.tenant_id in by_id:
             raise WorkloadError(f"duplicate tenant_id {w.tenant_id}")
         by_id[w.tenant_id] = w
+    if sum(w.weight for w in workloads) >= MAX_WEIGHT_SUM:
+        raise WorkloadError("tenant weights must sum to less than 2**63")
     samplers = {i: _TenantSampler(w, seed) for i, w in by_id.items()}
     cdfs: dict = {}  # (universe_size, alpha) -> CDF
 
@@ -251,10 +257,14 @@ def generate_stream(
         for t in active:
             cuts.update(p.start_txn - skew for p in by_id[t].phases)
         cuts = sorted(c for c in cuts if start <= c <= end)
+        # pos stays below period < 2**63, so pos plus a chunk's offsets fits uint64
+        edges = np.array(bounds, dtype=np.uint64)
         for lo, hi in zip(cuts, cuts[1:]):
-            turns = (pos + np.arange(hi - lo)) % period
-            codes = np.searchsorted(bounds, turns, side="right") - 1
-            pos += hi - lo
+            turns = np.arange(hi - lo, dtype=np.uint64)
+            turns += pos
+            turns %= period
+            codes = np.searchsorted(edges, turns, side="right") - 1
+            pos = (pos + hi - lo) % period
             items = np.empty(hi - lo, dtype=np.int64)
             for code, t in enumerate(active):
                 mine = codes == code

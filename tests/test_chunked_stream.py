@@ -192,6 +192,9 @@ def tenants_of(specs):
 # a weight far above any length, whose tenant keeps the turn until it departs
 @example([(7, 0.9, [], 0, None, 1), (300, 0.6, [], 0, 3_000, 10**9), (1, 0.0, [], 0, None, 2)],
          _BATCH + 1, 4)
+# weights summing to just under 2**63, a rotation resumed at its far end
+@example([(7, 0.9, [], 5, None, 2**63 - 3), (7, 0.9, [], 0, 5, 1), (7, 0.9, [], 5, None, 1)],
+         300, 5)
 def test_chunked_stream_equals_per_event_stream(specs, length, seed):
     ws = tenants_of(specs)
     assert list(workload.generate_stream(ws, length, seed)) == list(

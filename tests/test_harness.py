@@ -885,6 +885,9 @@ class TestCli:
                                         "sc_size": 0}), "layout"),
             (lambda d: d["tenants"][0].update(active_from=-10, active_until=-5), "tenants[0]"),
             (lambda d: d["tenants"][1].update(universe_size=2_000_000_000), "tenants[1]"),
+            (lambda d: d["tenants"][1].update(weight=2**70), "tenants"),
+            (lambda d: d.update(tenants=[{**t, "weight": 2**62} for t in d["tenants"]]),
+             "tenants"),
         ],
         ids=["string-capacity", "hard-above-soft", "zero-weight", "array-document",
              "unknown-replacement", "negative-region", "static-unlisted-tenant",
@@ -892,7 +895,7 @@ class TestCli:
              "float-capacity", "bool-capacity", "numeric-string-capacity", "float-weight",
              "bool-tenant-id", "bool-ewma-weight", "string-ewma-weight", "nan-alpha",
              "infinite-alpha", "dc-sizes-unknown-tenant", "negative-active-from",
-             "huge-universe"],
+             "huge-universe", "huge-weight", "weights-summing-past-int64"],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, edit, field):
         import os

@@ -222,7 +222,8 @@ def test_fcfs_lookup_leaves_the_stamp():
 
 
 @pytest.mark.parametrize("replacement", [LRU, FCFS])
-def test_hybrid_promotion_indexes_two_entries(replacement):
+def test_hybrid_promotion_indexes_one_entry(replacement):
+    # the DC victim's entry is replaced in place; only the SC slot is pushed
     store = SlotStore(RegionLayout(dc_sizes={1: 2}, sc_size=2), replacement)
     dcr = dc_region(1)
     hybrid_insert(store, (1, 0))
@@ -230,13 +231,63 @@ def test_hybrid_promotion_indexes_two_entries(replacement):
     store.select_victim(dcr, 1)  # build the index
     entries = heap_entries(store)
     assert hybrid_insert(store, (1, 2)).kind == "inserted"  # an SC miss
-    assert heap_entries(store) == entries + 2
+    assert heap_entries(store) == entries + 1
     assert store.regions[store.peek((1, 0))] == SC
-    store.select_victim(dcr, 1)  # drop the stale entry above the DC victim
-    entries = heap_entries(store)
+    assert len(store._index.heaps[dcr][1]) == 2
     assert hybrid_insert(store, (1, 0)).kind == "hit"  # an SC hit
     assert heap_entries(store) == entries + 2
     assert store.regions[store.peek((1, 0))] == dcr
+    assert len(store._index.heaps[dcr][1]) == 2
+
+
+hybrid_layouts = st.builds(
+    lambda dcs, sc: RegionLayout(dc_sizes=dict(zip(TENANTS, dcs)), sc_size=sc),
+    st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any),
+    st.integers(1, 4),
+)
+hybrid_ops = st.one_of(
+    *[st.tuples(st.just("access"), tenants, st.integers(0, 7))] * 4,
+    st.tuples(st.just("query"), st.booleans(), owners),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hybrid_layouts,
+    replacements,
+    st.none() | st.fixed_dictionaries({t: st.floats(-1, 1) for t in TENANTS}),
+    st.lists(hybrid_ops, min_size=20, max_size=300),
+)
+def test_hybrid_dc_heaps_hold_one_entry_per_slot(layout, replacement, gaps, script):
+    store = SlotStore(layout, replacement)
+    dc_slots = {
+        t: [i for i in range(store.capacity) if store.regions[i] == dc_region(t)]
+        for t in TENANTS
+    }
+    for op in script:
+        if op[0] == "access":
+            hybrid_insert(store, op[1:], gaps)
+        else:
+            _, use_sc, owner = op
+            region = SC if use_sc else dc_region(owner or 1)
+            expected = oracle_victim(store, region, owner)
+            if expected is None:
+                with pytest.raises(NoCandidateError):
+                    store.select_victim(region, owner)
+            else:
+                assert store.select_victim(region, owner) == expected
+        if store._index is not None:
+            for t, slots in dc_slots.items():
+                occupied = sum(store.keys[i] is not None for i in slots)
+                by_owner = store._index.heaps.get(dc_region(t), {})
+                assert set(by_owner) <= {t}
+                assert len(by_owner.get(t, ())) == occupied
+    if store._index is not None:
+        for region in [SC] + [dc_region(t) for t in TENANTS]:
+            for owner in (None,) + TENANTS:
+                expected = oracle_victim(store, region, owner)
+                if expected is not None:
+                    assert store.select_victim(region, owner) == expected
 
 
 def test_fcfs_promotion_keeps_the_insertion_stamp():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tenantcache.workload import (
     MAX_UNIVERSE,
+    MAX_WEIGHT_SUM,
     AccessEvent,
     TenantWorkload,
     WorkloadError,
@@ -281,6 +282,15 @@ class TestValidation:
         assert TenantWorkload(tenant_id=1, universe_size=MAX_UNIVERSE).universe_size == MAX_UNIVERSE
         with pytest.raises(WorkloadError, match="universe_size"):
             TenantWorkload(tenant_id=1, universe_size=MAX_UNIVERSE + 1)
+
+    def test_weight_sum_bound(self):
+        # the round-robin numbers its turns in unsigned 64-bit arrays
+        ws = [TenantWorkload(tenant_id=1, weight=MAX_WEIGHT_SUM - 2), TenantWorkload(tenant_id=2)]
+        assert len(list(generate_stream(ws, 10))) == 10
+        for weights in ((2**70,), (2**62, 2**62)):
+            ws = [TenantWorkload(tenant_id=i + 1, weight=w) for i, w in enumerate(weights)]
+            with pytest.raises(WorkloadError, match="weights"):
+                next(generate_stream(ws, 10))
 
     def test_bad_weight(self):
         with pytest.raises(WorkloadError):
