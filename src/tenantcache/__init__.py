@@ -49,6 +49,7 @@ from .sharing import (
     hybrid_insert,
     maxmin_insert,
     predict_hit_rate,
+    rank_donors,
     select_victim_tenant,
     selfish_eligible,
     selfish_select_victim,

@@ -226,7 +226,7 @@ class SlotStore:
         self.free_slots: dict = {}  # region -> stack of its empty slot indices
         self._index: _VictimIndex | None = None  # built on the first victim query
         self._dc_count: dict = {}
-        self._sc_count: dict = {}
+        self.sc_count: dict = {}  # owner -> its SC slots; read-only outside the store
         self._seq = 0
         # tenant -> its DC region, None for a listed tenant without DC slots;
         # a layout with no DC slot at all serves any tenant from SC alone
@@ -252,7 +252,7 @@ class SlotStore:
     # stamp counter and adjust the per-owner counts inline
 
     def _count(self, owner, region, delta: int) -> None:
-        counts = self._sc_count if region == SC else self._dc_count
+        counts = self.sc_count if region == SC else self._dc_count
         counts[owner] = counts.get(owner, 0) + delta
 
     # -- core operations ---------------------------------------------------
@@ -293,7 +293,7 @@ class SlotStore:
         self.stamps[idx] = self._seq
         self.key_index[key] = idx
         owner = key[0]
-        counts = self._sc_count if region == SC else self._dc_count
+        counts = self.sc_count if region == SC else self._dc_count
         counts[owner] = counts.get(owner, 0) + 1
         if self._index is not None:
             self._index.push(idx)
@@ -325,7 +325,7 @@ class SlotStore:
             raise CacheError(f"slot {idx} already empty")
         region = self.regions[idx]
         del self.key_index[key]
-        counts = self._sc_count if region == SC else self._dc_count
+        counts = self.sc_count if region == SC else self._dc_count
         counts[key[0]] -= 1
         self.keys[idx] = None
         self.free_slots[region].append(idx)
@@ -374,7 +374,7 @@ class SlotStore:
         keys, stamps, key_index = self.keys, self.stamps, self.key_index
         if idx is None:
             idx = free.pop()
-            counts = self._sc_count
+            counts = self.sc_count
             counts[owner] = counts.get(owner, 0) + 1
             self._seq += 1
             stamp = self._seq
@@ -393,11 +393,11 @@ class SlotStore:
 
     def owned(self, tenant) -> tuple[int, int]:
         """(dc_slots, sc_slots) currently occupied by tenant."""
-        return self._dc_count.get(tenant, 0), self._sc_count.get(tenant, 0)
+        return self._dc_count.get(tenant, 0), self.sc_count.get(tenant, 0)
 
     def sc_owners(self) -> list:
         """Tenants currently owning at least one SC slot."""
-        return [t for t, n in self._sc_count.items() if n > 0]
+        return [t for t, n in self.sc_count.items() if n > 0]
 
     def occupied_count(self) -> int:
         return len(self.key_index)

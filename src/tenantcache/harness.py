@@ -28,6 +28,7 @@ from .sharing import (
     global_insert,
     hybrid_insert,
     maxmin_insert,
+    rank_donors,
     selfish_eligible,
     static_insert,
 )
@@ -344,16 +345,17 @@ def run_scenario(
 
     A lookup hit before any mutation counts as a hit; everything else is a
     miss.  A given trace holds (txn, tenant_id, item) triples, AccessEvents
-    or plain tuples, in increasing txn order (gaps allowed: a skipped txn's
-    activation change or sample does not happen); without one the
-    scenario's stream is generated.  One
-    SampleRecord is emitted every sample_every transactions from txn
-    sample_from on, over the tenants active at that txn per
+    or plain tuples, in increasing txn order; without one the scenario's
+    stream is generated.  Gaps are allowed: every activation change at or
+    before an event's txn is applied before its access, and a skipped txn is
+    not sampled.  One SampleRecord is emitted every sample_every transactions
+    from txn sample_from on, over the tenants active at that txn per
     activation_timeline (the generator's account of arrivals and
     departures).  Sampling only reads the run, so sample_from decides which
     records are built, never their values.  Selfish or fair sharing follows
-    the policy name.  The run is fully deterministic given the scenario (seed
-    included).
+    the policy name; donors are ranked again whenever a gap, a selfish
+    answer or the active set changes.  The run is fully deterministic given
+    the scenario (seed included).
     """
     s.validate()
     layout = s.resolved_layout()
@@ -392,14 +394,15 @@ def run_scenario(
         trace = generate_stream(workloads, s.total_txns, s.seed)
 
     # one algorithm under the policy family's name, resolved once per run from
-    # the module globals so that wrappers apply; without gaps SC donors go by age
-    if policy in ("global", "static"):
-        insert = global_insert if policy == "global" else static_insert
-        donor_gaps = None
-    else:
+    # the module globals so that wrappers apply; without a ranking SC donors
+    # go by age
+    ranked = policy not in ("global", "static")
+    if ranked:
         insert = maxmin_insert if policy.startswith("maxmin") else hybrid_insert
-        donor_gaps = gaps
+    else:
+        insert = global_insert if policy == "global" else static_insert
     answers = eligible if selfish else None
+    ranking = rank_donors(gaps, answers) if ranked else None
 
     records: list[SampleRecord] = []
     sample_every = s.sample_every
@@ -409,11 +412,12 @@ def run_scenario(
         t = max(t, sample_from)
         return (t + sample_every) // sample_every * sample_every - 1
 
-    # the loop acts at two kinds of txn: an activation change, before that
-    # txn's access, and a sample, after it.  due is the next txn to act at, so
-    # an event makes one comparison; the schedule advances past txns the trace
-    # skips and acts only on exact ones.  A sample at txn t is taken when the
-    # event after t arrives, or after the last event.
+    # the loop acts at two kinds of txn: activation changes, before an
+    # access, and a sample, after it.  due is the next txn to act at, so an
+    # event makes one comparison.  Every change at or before an event's txn
+    # is applied, so one the trace skips takes effect at the next event; a
+    # sample is taken only at a txn the trace holds, when the event after it
+    # arrives, or after the last event.
     change_txns = sorted(changes) + [INF]
     next_change = 0
     taken = None  # the txn of a sample waiting for its access to finish
@@ -425,25 +429,28 @@ def run_scenario(
                 records.append(_sample(taken, store, trackers, reqs, gaps, active))
                 taken = None
             while change_txns[next_change] <= txn:
-                if change_txns[next_change] == txn:
-                    now = changes[txn]
-                    for k in active - now:
-                        gaps[k] = INF
-                        eligible[k] = True
-                    for k in now - active:
-                        refresh(k)
-                    active = now
+                now = changes[change_txns[next_change]]
+                for k in active - now:
+                    gaps[k] = INF
+                    eligible[k] = True
+                for k in now - active:
+                    refresh(k)
+                active = now
                 next_change += 1
+                if ranked:
+                    ranking = rank_donors(gaps, answers)
             due = next_sample(txn)
             if due == txn:
                 taken, due = txn, txn + 1
             due = min(due, change_txns[next_change])
 
-        outcome = insert(store, (tenant, item), donor_gaps, answers)
+        outcome = insert(store, (tenant, item), ranking)
         tracker = trackers[tenant]
         if tracker.record_access(outcome.kind == "hit") is not None:
             histories[tenant].append((sum(store.owned(tenant)), tracker.hit_rate))
             refresh(tenant)
+            if ranked:
+                ranking = rank_donors(gaps, answers)
 
     if taken is not None:
         records.append(_sample(taken, store, trackers, reqs, gaps, active))

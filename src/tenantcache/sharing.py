@@ -9,6 +9,11 @@ gaps), or the tenant with the largest gap between its measured hit rate and
 its soft requirement (max-min fair sharing).  Selfish sharing additionally
 lets a tenant refuse to donate when a linear-regression forecast says losing
 slots would push it below its requirement.
+
+Gaps change only when a window closes or the active set changes, so the
+donor rule is split in two: rank_donors orders the tenants when their gaps
+change, and pick_donor walks that order on each SC replacement for the
+first tenant that owns an SC slot.
 """
 from __future__ import annotations
 
@@ -35,17 +40,55 @@ class SharingStrategy:
             raise ValueError("history_len must be >= 2")
 
 
+class DonorRanking(NamedTuple):
+    """Tenants in donor order, and under selfish sharing the volunteers."""
+
+    order: tuple  # by (-gap, tenant id): largest gap first, ties by smallest id
+    volunteers: frozenset | None = None  # None under fair sharing
+
+
+def rank_donors(gaps: Mapping, eligible: Mapping | None = None) -> DonorRanking:
+    """Order the tenants of gaps by largest gap, ties by smallest id.
+
+    With eligible (the selfish donors' answers) also name the volunteers:
+    the departed tenants (gap +inf) and those with a positive gap that
+    agreed to donate, eligible.get(k, True).  pick_donor walks the result.
+    """
+    order = tuple(sorted(gaps, key=lambda k: (-gaps[k], k)))
+    if eligible is None:
+        return DonorRanking(order)
+    volunteers = frozenset(
+        k for k, g in gaps.items() if g == INF or (g > 0 and eligible.get(k, True))
+    )
+    return DonorRanking(order, volunteers)
+
+
+def pick_donor(ranking: DonorRanking, owns: Mapping, requester=None) -> object:
+    """The donor among the ranked tenants k that own something (owns.get(k) > 0).
+
+    Fair sharing takes the first such owner in rank order.  Selfish sharing
+    takes the first that is the requester or a volunteer, and when there is
+    none, the first owner, so that insertion always makes progress.  Builds
+    no list and sorts nothing.  Raises NoCandidateError when no ranked
+    tenant owns anything.
+    """
+    order, volunteers = ranking
+    first = None
+    for k in order:
+        if owns.get(k):
+            if volunteers is None or k == requester or k in volunteers:
+                return k
+            if first is None:
+                first = k
+    if first is None:
+        raise NoCandidateError("no victim candidates")
+    return first
+
+
 def select_victim_tenant(gaps: Mapping, candidates: Iterable) -> object:
     """Candidate with the largest gap; ties broken by smallest tenant id."""
-    best = None
-    best_gap = None
-    for k in sorted(candidates):
-        g = gaps[k]
-        if best_gap is None or g > best_gap:
-            best, best_gap = k, g
-    if best is None:
-        raise NoCandidateError("no victim candidates")
-    return best
+    ranked = {k: gaps[k] for k in sorted(candidates)}
+    return pick_donor(rank_donors(ranked), dict.fromkeys(ranked, 1))
 
 
 def predict_hit_rate(history: Iterable[tuple], slots: float) -> float:
@@ -100,15 +143,8 @@ def selfish_select_victim(
     any departed owner (gap +inf).  If the pool is empty the selection falls
     back to plain max-gap over all owners so insertion always makes progress.
     """
-    owners = list(owners)
-    pool = [
-        k
-        for k in owners
-        if k == requester or gaps[k] == INF or (gaps[k] > 0 and eligible.get(k, True))
-    ]
-    if pool:
-        return select_victim_tenant(gaps, pool)
-    return select_victim_tenant(gaps, owners)
+    ranked = {k: gaps[k] for k in sorted(owners)}
+    return pick_donor(rank_donors(ranked, eligible), dict.fromkeys(ranked, 1), requester)
 
 
 class InsertOutcome(NamedTuple):
@@ -155,8 +191,7 @@ _SC_REPLACED = _ScReplaced()
 def hybrid_insert(
     store: SlotStore,
     key: tuple,
-    gaps: Mapping | None = None,
-    eligible: Mapping | None = None,
+    ranking: DonorRanking | None = None,
 ) -> InsertOutcome:
     """Insert key's access into store; the store's layout picks the case.
 
@@ -165,14 +200,14 @@ def hybrid_insert(
     comes first.  Otherwise, with an SC, the item takes an SC slot (an empty
     one, else a donor's oldest) and is promoted; with no SC it replaces the
     tenant's own oldest DC slot, which is static caching.  The donor is the
-    owner of the oldest SC slot when gaps is None (global caching), else the
-    owner with the largest gap, or selfish_select_victim's choice when
-    eligible (the selfish donors' answers) is given.  A tenant with no DC
-    slot is never promoted.  A layout with any DC slot serves only the
-    tenants it lists; an all-SC layout serves any tenant.  The key is read
-    once, by store.lookup, whose LRU restamp an SC hit's promotion keeps.
-    Each promotion is one store.promote step, which re-keys the DC victim's
-    index entry in place and pushes one for the SC slot.
+    owner of the oldest SC slot when ranking is None (global caching), else
+    pick_donor's walk of ranking (rank_donors' order of the gaps, and under
+    selfish sharing the volunteers) over the store's SC counts.  A tenant
+    with no DC slot is never promoted.  A layout with any DC slot serves only
+    the tenants it lists; an all-SC layout serves any tenant.  The key is
+    read once, by store.lookup, whose LRU restamp an SC hit's promotion
+    keeps.  Each promotion is one store.promote step, which re-keys the DC
+    victim's index entry in place and pushes one for the SC slot.
     """
     tenant = key[0]
     dcr = store.dc_regions.get(tenant)
@@ -200,15 +235,11 @@ def hybrid_insert(
         store.insert_into_empty(key, dcr)
         return _DC_OUTCOMES[dcr][2]
     else:
-        if gaps is None:
+        if ranking is None:
             victim_idx = store.select_victim(SC)
             donor = store.keys[victim_idx][0]
         else:
-            owners = store.sc_owners()
-            if eligible is None:
-                donor = select_victim_tenant(gaps, owners)
-            else:
-                donor = selfish_select_victim(gaps, owners, tenant, eligible)
+            donor = pick_donor(ranking, store.sc_count, tenant)
             victim_idx = store.select_victim(SC, donor)
         store.evict(victim_idx)
         outcome = _SC_REPLACED[donor]

@@ -12,6 +12,7 @@ import pytest
 
 from tenantcache.cache_core import RegionLayout, SlotStore
 from tenantcache.harness import (
+    ProbeCache,
     Scenario,
     TenantSpec,
     capacity_sweep,
@@ -28,6 +29,7 @@ from tenantcache.sharing import (
     global_insert,
     hybrid_insert,
     maxmin_insert,
+    rank_donors,
     select_victim_tenant,
     selfish_select_victim,
     static_insert,
@@ -80,27 +82,29 @@ class TestOracleEquivalences:
                 (rng.choice(tenant_ids), rng.randrange(1_000)) for _ in range(3_000)
             ]
             gaps = {k: rng.uniform(-0.5, 0.5) for k in tenant_ids}
+            ranking = rank_donors(gaps)
 
             # (a) one tenant: max-min sharing is plain LRU
             solo = [(1, item) for t, item in trace if t == 1]
             mm = SlotStore(RegionLayout.global_layout(capacity))
             gl = SlotStore(RegionLayout.global_layout(capacity))
-            ok &= [maxmin_insert(mm, k, {1: gaps[1]}).kind for k in solo] == [
+            solo_ranking = rank_donors({1: gaps[1]})
+            ok &= [maxmin_insert(mm, k, solo_ranking).kind for k in solo] == [
                 global_insert(gl, k).kind for k in solo
             ]
 
             # (b) no dedicated slots: hybrid is max-min
             hy = SlotStore(RegionLayout({k: 0 for k in tenant_ids}, capacity))
             mm = SlotStore(RegionLayout.global_layout(capacity))
-            ok &= [hybrid_insert(hy, k, gaps).kind for k in trace] == [
-                maxmin_insert(mm, k, gaps).kind for k in trace
+            ok &= [hybrid_insert(hy, k, ranking).kind for k in trace] == [
+                maxmin_insert(mm, k, ranking).kind for k in trace
             ]
 
             # (c) no shared region: hybrid is static partitioning
             layout = RegionLayout.static_layout(capacity, tenant_ids)
             hy = SlotStore(layout)
             st = SlotStore(layout)
-            ok &= [hybrid_insert(hy, k, gaps).kind for k in trace] == [
+            ok &= [hybrid_insert(hy, k, ranking).kind for k in trace] == [
                 static_insert(st, k).kind for k in trace
             ]
 
@@ -232,6 +236,9 @@ class TestHybridHardRequirements:
             RegionLayout({1: 1_000, 2: 1_000}, 3_000),
             RegionLayout({1: 2_000, 2: 2_000}, 1_000),
         ]
+        # each seed's trace is generated once and replayed by all five runs
+        workloads = [t.workload for t in tenants]
+        traces = ProbeCache()
         ok = True
         for layout in layouts:
             for policy in ("hybrid_fair", "hybrid_selfish"):
@@ -245,7 +252,8 @@ class TestHybridHardRequirements:
                         sample_every=2_000,
                         seed=seed,
                     )
-                    for r in run_scenario(s):
+                    trace = traces.trace(workloads, total, seed)
+                    for r in run_scenario(s, trace=trace):
                         if r.txn >= warmup:
                             ok &= not any(
                                 t.hard_violation for t in r.tenants.values()
@@ -259,7 +267,8 @@ class TestHybridHardRequirements:
                 sample_every=2_000,
                 seed=seed,
             )
-            means = steady_means(run_scenario(s), total)
+            trace = traces.trace(workloads, total, seed)
+            means = steady_means(run_scenario(s, trace=trace), total)
             ok &= means[2] < 0.30
         report(5, "hybrid meets hard requirements where global caching fails", ok)
 

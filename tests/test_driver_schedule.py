@@ -1,8 +1,13 @@
 """run_scenario's one-comparison schedule against the per-event loop it replaced.
 
 reference_run_scenario below is run_scenario as it stood when every event
-probed the activation changes and the sampling grid, copied verbatim.  For
-any increasing trace, gaps included, run_scenario must give the same records.
+probed the activation changes and the sampling grid, copied verbatim; its
+inserts take that loop's (gaps, eligible) arguments and rank the donors on
+every call.  For any increasing trace that skips no activation change,
+gaps included, run_scenario must give the same records.  The reference
+acts only on a change at exactly an event's txn, so a trace that skips an
+arrival leaves that tenant without a gap; run_scenario applies every change
+at or before an event's txn, and such traces are checked on their own.
 """
 from __future__ import annotations
 
@@ -15,14 +20,8 @@ from hypothesis import strategies as st
 from tenantcache.cache_core import RegionLayout, SlotStore
 from tenantcache.harness import POLICIES, SampleRecord, Scenario, TenantSpec, _sample, run_scenario
 from tenantcache.metrics import HitRateTracker, Requirement
-from tenantcache.sharing import (
-    INF,
-    global_insert,
-    hybrid_insert,
-    maxmin_insert,
-    selfish_eligible,
-    static_insert,
-)
+from tenantcache import sharing
+from tenantcache.sharing import INF, rank_donors, selfish_eligible
 from tenantcache.workload import (
     TenantWorkload,
     WorkloadPhase,
@@ -31,6 +30,19 @@ from tenantcache.workload import (
 )
 
 # -- the reference: the per-event driver loop, verbatim ----------------------
+
+
+def _gaps_signature(insert):
+    """insert called as the reference loop calls it, with gaps and the selfish answers."""
+
+    def call(store, key, gaps=None, eligible=None):
+        return insert(store, key, None if gaps is None else rank_donors(gaps, eligible))
+
+    return call
+
+
+global_insert = static_insert = _gaps_signature(sharing.global_insert)
+maxmin_insert = hybrid_insert = _gaps_signature(sharing.hybrid_insert)
 
 
 def reference_run_scenario(
@@ -160,15 +172,42 @@ def scenario(policy, activity, total_txns, sample_every, seed):
 
 
 def outcome(run, s, trace, sample_from):
-    """run's records, or the type and message of what it raised.
-
-    A trace that skips an arrival's txn leaves that tenant without a gap, so
-    a policy that reads gaps fails on it; it must fail the same way.
-    """
+    """run's records, or the type and message of what it raised."""
     try:
         return run(s, trace=trace, sample_from=sample_from)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def sample_start(sample_from, sample_every, total_txns):
+    if sample_from == "grid":
+        return 5 * sample_every - 1
+    if sample_from == "off":
+        return 5 * sample_every + sample_every // 2
+    if sample_from == "past":
+        return total_txns + sample_every
+    return sample_from
+
+
+def skipped_changes(s, events) -> list:
+    """The activation-change txns that the trace skips before its last event."""
+    txns = {ev[0] for ev in events}
+    last = max(txns, default=-1)
+    timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
+    return [txn for txn, _, _ in timeline if txn < last and txn not in txns]
+
+
+def check_skipped_changes_take_effect(s, events, sample_from):
+    """Records on the trace's own sampled txns, each over the active set at its txn."""
+    records = run_scenario(s, trace=iter(events), sample_from=sample_from)
+    every = s.sample_every
+    assert [r.txn for r in records] == [
+        txn for txn, _, _ in events if (txn + 1) % every == 0 and txn >= sample_from
+    ]
+    timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
+    for r in records:
+        active = [ids for txn, _, ids in timeline if txn <= r.txn][-1]
+        assert sorted(r.tenants) == list(active)
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,21 +226,48 @@ def outcome(run, s, trace, sample_from):
 @example("maxmin_selfish", [(0, 200), (50, 260), (100, 240)], 600, 7, "off", None, 1)
 # an increasing trace with gaps, sampled from past its end
 @example("global", [(0, None), (90, 300)], 400, 3, "past", [True, False, False], 2)
+# odd txns dropped, so tenant 2's arrival at txn 7 is skipped (the reference
+# leaves it without a gap and raises KeyError(2) at a donor choice)
+@example("maxmin_fair", [(0, None), (7, None)], 300, 10, "grid", [True, False], 0)
 def test_schedule_matches_the_per_event_loop(
     policy, activity, total_txns, sample_every, sample_from, gaps, seed
 ):
     s = scenario(policy, activity, total_txns, sample_every, seed)
-    if sample_from == "grid":
-        sample_from = 5 * sample_every - 1
-    elif sample_from == "off":
-        sample_from = 5 * sample_every + sample_every // 2
-    elif sample_from == "past":
-        sample_from = total_txns + sample_every
+    sample_from = sample_start(sample_from, sample_every, total_txns)
     workloads = [t.workload for t in s.tenants]
     events = [tuple(ev) for ev in generate_stream(workloads, total_txns, seed)]
     if gaps is not None:  # keep the events whose txn the pattern marks
         events = [ev for ev in events if gaps[ev[0] % len(gaps)]]
+    if skipped_changes(s, events):
+        check_skipped_changes_take_effect(s, events, sample_from)
+        return
     expected = outcome(reference_run_scenario, s, iter(events), sample_from)
     assert outcome(run_scenario, s, iter(events), sample_from) == expected
     if gaps is None:
         assert outcome(run_scenario, s, None, sample_from) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    policy=st.sampled_from(POLICIES),
+    activity=st.lists(spans, min_size=2, max_size=3),
+    total_txns=st.integers(100, 700),
+    sample_every=st.integers(1, 50),
+    sample_from=st.sampled_from(("grid", "off")) | st.integers(0, 300),
+    gaps=st.lists(st.booleans(), min_size=1, max_size=40),
+    seed=st.integers(0, 3),
+)
+def test_skipped_activation_changes_take_effect(
+    policy, activity, total_txns, sample_every, sample_from, gaps, seed
+):
+    """A trace without any change txn after 0: arrivals and departures still happen."""
+    s = scenario(policy, activity, total_txns, sample_every, seed)
+    sample_from = sample_start(sample_from, sample_every, total_txns)
+    workloads = [t.workload for t in s.tenants]
+    changes = {txn for txn, _, _ in activation_timeline(workloads, total_txns) if txn}
+    events = [
+        tuple(ev)
+        for ev in generate_stream(workloads, total_txns, seed)
+        if ev[0] not in changes and gaps[ev[0] % len(gaps)]
+    ]
+    check_skipped_changes_take_effect(s, events, sample_from)

@@ -42,6 +42,13 @@ COMPARE_DIGESTS = {
 
 CHURN_DIGEST = "a54ca9488f1e3a73ee17ee636bd76a8076819e06b919020af1f40d2990297423"
 
+# many_owner_scenario per policy: up to 8 SC owners to choose a donor among
+MANY_OWNER_DIGESTS = {
+    "maxmin_fair": "e59abf8c099571d6fe8f4688d4779211f594f0a5183cc6ae2bac2f276908fba2",
+    "maxmin_selfish": "12da6f7c65acdfa3ec7f13e2548e478f22193d726dc07f70dd29b93b52b72af6",
+    "hybrid_selfish": "c574037f55bbc156edee68753ce8be04b205f2f62063e76dc2d4627217739fc8",
+}
+
 # generate_stream output (write_trace format) and its event count
 STREAM_DIGESTS = {
     "idle_stretch": ("967b9469054bb6b79d4c9937976ce25fbb1abf2ef2439c71a225d7fc77e5b946", 2_000),
@@ -130,6 +137,43 @@ def churn_scenario() -> Scenario:
     )
 
 
+# perfbench churn-8t's skews and weights, tenants 1-8
+MANY_ALPHAS = (1.0, 0.9, 0.8, 0.7, 0.6, 0.9, 0.8, 0.7)
+MANY_WEIGHTS = (1, 2, 3, 1, 2, 3, 1, 2)
+
+
+def many_owner_scenario(policy: str) -> Scenario:
+    """perfbench's churn-8t shape, scaled down: of 8 tenants, 3 and 5 leave,
+    7 and 8 arrive late, and each shifts its skew twice."""
+    n = 9_000
+    spans = {
+        3: {"active_until": n // 2},
+        5: {"active_until": 3 * n // 4},
+        7: {"active_from": n // 4},
+        8: {"active_from": n // 4},
+    }
+    tenants = []
+    for tid, (alpha, weight) in enumerate(zip(MANY_ALPHAS, MANY_WEIGHTS), start=1):
+        low = max(0.5, round(alpha - 0.3, 6))
+        phases = (WorkloadPhase(alpha), WorkloadPhase(low, n // 3), WorkloadPhase(alpha, 2 * n // 3))
+        tenants.append(
+            spec(tid, 500, alpha, 0.4, hard=0.2, weight=weight, phases=phases, **spans.get(tid, {}))
+        )
+    layout = None
+    if policy.startswith("hybrid"):
+        layout = RegionLayout(dc_sizes={tid: 10 for tid in range(1, 9)}, sc_size=160)
+    return Scenario(
+        capacity=240,
+        policy=policy,
+        tenants=tenants,
+        layout=layout,
+        total_txns=n,
+        window_length=50,
+        seed=4,
+        sample_every=250,
+    )
+
+
 def stream_digest(name: str) -> tuple[str, int]:
     buf = io.StringIO()
     write_trace(generate_stream(*STREAMS[name]), buf)
@@ -151,6 +195,11 @@ def test_selfish_churn_output_unchanged():
     assert digest(run_scenario(churn_scenario())) == CHURN_DIGEST
 
 
+@pytest.mark.parametrize("policy", sorted(MANY_OWNER_DIGESTS))
+def test_many_owner_churn_unchanged(policy):
+    assert digest(run_scenario(many_owner_scenario(policy))) == MANY_OWNER_DIGESTS[policy]
+
+
 @pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
 def test_stream_unchanged(name):
     assert stream_digest(name) == STREAM_DIGESTS[name]
@@ -159,4 +208,5 @@ def test_stream_unchanged(name):
 if __name__ == "__main__":
     print({r: compare_digests(r) for r in sorted(COMPARE_DIGESTS)})
     print(repr(digest(run_scenario(churn_scenario()))))
+    print({p: digest(run_scenario(many_owner_scenario(p))) for p in sorted(MANY_OWNER_DIGESTS)})
     print({name: stream_digest(name) for name in sorted(STREAMS)})

@@ -25,7 +25,7 @@ from tenantcache.cache_core import (
     UnknownTenantError,
     dc_region,
 )
-from tenantcache.sharing import INF, select_victim_tenant, selfish_select_victim
+from tenantcache.sharing import INF, rank_donors, select_victim_tenant, selfish_select_victim
 
 # -- the reference: the four insert functions, verbatim ----------------------
 
@@ -215,7 +215,7 @@ def test_one_algorithm_matches_the_four_it_replaced(case):
     old_store = SlotStore(layout, replacement)
     new_store = SlotStore(layout, replacement)
     old, new = REFERENCE[policy], UNIFIED[policy]
-    args = () if policy in ("global", "static") else (gaps, eligible)
+    ranked = policy not in ("global", "static")
     for tenant, item, regap in steps:
         if regap is not None:
             k, gap, answer = regap
@@ -223,8 +223,11 @@ def test_one_algorithm_matches_the_four_it_replaced(case):
             if eligible is not None:
                 eligible[k] = answer
         key = (tenant, item)
-        want = old(old_store, key, *args)
-        got = new(new_store, key, *args)
+        if ranked:
+            want = old(old_store, key, gaps, eligible)
+            got = new(new_store, key, rank_donors(gaps, eligible))
+        else:
+            want, got = old(old_store, key), new(new_store, key)
         assert (got.kind, got.region, got.victim_tenant) == (
             want.kind,
             want.region,

@@ -18,6 +18,7 @@ from tenantcache.sharing import (
     hybrid_insert,
     maxmin_insert,
     predict_hit_rate,
+    rank_donors,
     select_victim_tenant,
     selfish_eligible,
     selfish_select_victim,
@@ -49,21 +50,21 @@ class TestSelectVictimTenant:
 class TestMaxMinInsert:
     def test_hit_path_no_ownership_change(self):
         store = SlotStore(RegionLayout.global_layout(2))
-        maxmin_insert(store, (1, "a"), {1: 0.0})
-        out = maxmin_insert(store, (1, "a"), {1: 0.0})
+        maxmin_insert(store, (1, "a"), rank_donors({1: 0.0}))
+        out = maxmin_insert(store, (1, "a"), rank_donors({1: 0.0}))
         assert out.kind == "hit"
         assert store.owned(1) == (0, 1)
 
     def test_empty_slot_insertion_without_eviction(self):
         store = SlotStore(RegionLayout.global_layout(2))
-        out = maxmin_insert(store, (1, "a"), {1: 0.0, 2: 0.0})
+        out = maxmin_insert(store, (1, "a"), rank_donors({1: 0.0, 2: 0.0}))
         assert out.kind == "inserted"
 
     def test_max_gap_tenant_donates_lru_slot(self):
         store = SlotStore(RegionLayout.global_layout(4))
         for key in [(1, "a"), (1, "b"), (2, "x"), (2, "y")]:
-            maxmin_insert(store, key, {1: 0.0, 2: 0.0})
-        out = maxmin_insert(store, (2, "z"), {1: 0.2, 2: -0.1})
+            maxmin_insert(store, key, rank_donors({1: 0.0, 2: 0.0}))
+        out = maxmin_insert(store, (2, "z"), rank_donors({1: 0.2, 2: -0.1}))
         assert out.kind == "replaced"
         assert out.victim_tenant == 1
         assert store.peek((1, "a")) is None  # t1's LRU slot went to t2
@@ -76,17 +77,25 @@ class TestMaxMinInsert:
         mm = SlotStore(RegionLayout.global_layout(16))
         gl = SlotStore(RegionLayout.global_layout(16))
         gaps = {1: -0.5}
-        seq_mm = [maxmin_insert(mm, k, gaps).kind for k in trace]
+        seq_mm = [maxmin_insert(mm, k, rank_donors(gaps)).kind for k in trace]
         seq_gl = [global_insert(gl, k).kind for k in trace]
         assert seq_mm == seq_gl
 
     def test_departed_tenant_slots_reclaimed_first(self):
         store = SlotStore(RegionLayout.global_layout(4))
         for key in [(1, "a"), (1, "b"), (2, "x"), (2, "y")]:
-            maxmin_insert(store, key, {1: 0.0, 2: 0.0})
+            maxmin_insert(store, key, rank_donors({1: 0.0, 2: 0.0}))
         # tenant 1 departed: gap +inf beats any live gap
-        out = maxmin_insert(store, (2, "z"), {1: INF, 2: 0.9})
+        out = maxmin_insert(store, (2, "z"), rank_donors({1: INF, 2: 0.9}))
         assert out.victim_tenant == 1
+
+    def test_no_ranked_owner_raises(self):
+        store = SlotStore(RegionLayout.global_layout(2))
+        for key in [(1, "a"), (1, "b")]:
+            maxmin_insert(store, key, rank_donors({1: 0.0}))
+        with pytest.raises(NoCandidateError):
+            maxmin_insert(store, (2, "z"), rank_donors({2: 0.0}))
+        assert store.owned(1) == (0, 2)  # nothing was evicted
 
 
 class TestPredictHitRate:
@@ -168,15 +177,15 @@ def hybrid_store():
 def warm_hybrid(store, gaps):
     # t1: a,b,c ; t2: x,y,z -> DC1=c, DC2=z, SC=[a,b,x,y]
     for key in [(1, "a"), (1, "b"), (1, "c")]:
-        hybrid_insert(store, key, gaps)
+        hybrid_insert(store, key, rank_donors(gaps))
     for key in [(2, "x"), (2, "y"), (2, "z")]:
-        hybrid_insert(store, key, gaps)
+        hybrid_insert(store, key, rank_donors(gaps))
 
 
 class TestHybridInsert:
     def test_dc_not_full_lands_in_dc(self):
         store = hybrid_store()
-        out = hybrid_insert(store, (1, "a"), {1: 0.0, 2: 0.0})
+        out = hybrid_insert(store, (1, "a"), rank_donors({1: 0.0, 2: 0.0}))
         assert out.kind == "inserted" and out.region == dc_region(1)
         assert store.owned(1) == (1, 0)
         assert store.free_count(SC) == 4
@@ -184,8 +193,8 @@ class TestHybridInsert:
     def test_miss_with_dc_full_fills_sc_then_promotes(self):
         store = hybrid_store()
         gaps = {1: 0.0, 2: 0.0}
-        hybrid_insert(store, (1, "a"), gaps)
-        out = hybrid_insert(store, (1, "b"), gaps)
+        hybrid_insert(store, (1, "a"), rank_donors(gaps))
+        out = hybrid_insert(store, (1, "b"), rank_donors(gaps))
         assert out.kind == "inserted" and out.region == SC
         # the new item was promoted into DC1; the displaced item sits in SC
         assert store.regions[store.peek((1, "b"))] == dc_region(1)
@@ -195,7 +204,7 @@ class TestHybridInsert:
         store = hybrid_store()
         gaps = {1: 0.0, 2: 0.0}
         warm_hybrid(store, gaps)
-        out = hybrid_insert(store, (1, "b"), gaps)  # b resides in SC
+        out = hybrid_insert(store, (1, "b"), rank_donors(gaps))  # b resides in SC
         assert out.kind == "hit"
         assert store.regions[store.peek((1, "b"))] == dc_region(1)
         assert store.regions[store.peek((1, "c"))] == SC
@@ -205,7 +214,7 @@ class TestHybridInsert:
         store = hybrid_store()
         gaps = {1: 0.2, 2: -0.1}
         warm_hybrid(store, gaps)
-        out = hybrid_insert(store, (2, "w"), gaps)
+        out = hybrid_insert(store, (2, "w"), rank_donors(gaps))
         assert out.kind == "replaced" and out.victim_tenant == 1
         assert store.peek((1, "a")) is None  # t1's oldest SC item evicted
         assert store.regions[store.peek((2, "w"))] == dc_region(2)
@@ -215,13 +224,13 @@ class TestHybridInsert:
     def test_dc_hit_returns_immediately(self):
         store = hybrid_store()
         gaps = {1: 0.0, 2: 0.0}
-        hybrid_insert(store, (1, "a"), gaps)
-        out = hybrid_insert(store, (1, "a"), gaps)
+        hybrid_insert(store, (1, "a"), rank_donors(gaps))
+        out = hybrid_insert(store, (1, "a"), rank_donors(gaps))
         assert out.kind == "hit" and out.region == dc_region(1)
 
     def test_unknown_tenant(self):
         with pytest.raises(UnknownTenantError):
-            hybrid_insert(hybrid_store(), (7, "a"), {})
+            hybrid_insert(hybrid_store(), (7, "a"), rank_donors({}))
 
     def test_hot_item_always_ends_in_dc(self):
         rng = random.Random(5)
@@ -230,7 +239,7 @@ class TestHybridInsert:
         for _ in range(500):
             tenant = rng.choice([1, 2])
             key = (tenant, rng.randrange(12))
-            hybrid_insert(store, key, gaps)
+            hybrid_insert(store, key, rank_donors(gaps))
             assert store.regions[store.peek(key)] == dc_region(tenant)
 
     def test_dc_isolation_holds_under_pressure(self):
@@ -239,7 +248,7 @@ class TestHybridInsert:
         gaps = {1: -0.1, 2: 0.1}
         for _ in range(500):
             tenant = rng.choice([1, 2])
-            hybrid_insert(store, (tenant, rng.randrange(15)), gaps)
+            hybrid_insert(store, (tenant, rng.randrange(15)), rank_donors(gaps))
             for idx in range(store.capacity):
                 region = store.regions[idx]
                 if region != SC and store.keys[idx] is not None:
@@ -251,8 +260,8 @@ class TestHybridInsert:
         gaps = {1: 0.1, 2: -0.2}
         hyb = SlotStore(RegionLayout(dc_sizes={1: 0, 2: 0}, sc_size=12))
         mm = SlotStore(RegionLayout.global_layout(12))
-        seq_h = [hybrid_insert(hyb, k, gaps).kind for k in trace]
-        seq_m = [maxmin_insert(mm, k, gaps).kind for k in trace]
+        seq_h = [hybrid_insert(hyb, k, rank_donors(gaps)).kind for k in trace]
+        seq_m = [maxmin_insert(mm, k, rank_donors(gaps)).kind for k in trace]
         assert seq_h == seq_m
 
     def test_zero_sc_degenerates_to_static(self):
@@ -261,6 +270,6 @@ class TestHybridInsert:
         gaps = {1: 0.1, 2: -0.2}
         hyb = SlotStore(RegionLayout(dc_sizes={1: 4, 2: 4}, sc_size=0))
         st = SlotStore(RegionLayout(dc_sizes={1: 4, 2: 4}, sc_size=0))
-        seq_h = [hybrid_insert(hyb, k, gaps).kind for k in trace]
+        seq_h = [hybrid_insert(hyb, k, rank_donors(gaps)).kind for k in trace]
         seq_s = [static_insert(st, k).kind for k in trace]
         assert seq_h == seq_s

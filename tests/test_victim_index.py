@@ -14,7 +14,7 @@ from tenantcache.cache_core import (
     _VictimIndex,
     dc_region,
 )
-from tenantcache.sharing import global_insert, hybrid_insert
+from tenantcache.sharing import global_insert, hybrid_insert, rank_donors
 
 TENANTS = (1, 2, 3)
 
@@ -260,13 +260,14 @@ hybrid_ops = st.one_of(
 )
 def test_hybrid_dc_heaps_hold_one_entry_per_slot(layout, replacement, gaps, script):
     store = SlotStore(layout, replacement)
+    ranking = None if gaps is None else rank_donors(gaps)
     dc_slots = {
         t: [i for i in range(store.capacity) if store.regions[i] == dc_region(t)]
         for t in TENANTS
     }
     for op in script:
         if op[0] == "access":
-            hybrid_insert(store, op[1:], gaps)
+            hybrid_insert(store, op[1:], ranking)
         else:
             _, use_sc, owner = op
             region = SC if use_sc else dc_region(owner or 1)
