@@ -5,8 +5,10 @@ permanently to one region: a tenant's dedicated partition ("DC", tenant_id) or
 the shared region SC.  The store's replacement policy is fixed when it is
 built, and every slot carries one stamp from one counter: its last access
 under LRU (a hit restamps it), its insertion under FCFS (only an insert does).
-The store offers lookup, insert, victim choice, evict, swap and promote, which
-moves a shared-region key into its owner's dedicated region in one step; the
+The store offers lookup, insertion into an empty slot, victim choice,
+replacement of a full region's victim by a new key in one step (replace), and
+promotion of a shared-region key into its owner's dedicated region in one step
+(promote, which can also take a full SC's victim slot for a new key); the
 insertion algorithm that every policy runs over them is sharing.hybrid_insert.
 
 Victims come from one lazily validated index, built by heapifying the occupied
@@ -14,19 +16,23 @@ slots when the first victim query arrives; until then nothing is indexed, so
 filling an empty store and a run that never evicts cost no heap work.  The
 index keeps one heap per (region, owner) whose entries are single ints,
 stamp << shift | index, ordered as (stamp, index); an owner-free query takes
-the least live top over the region's owner heaps.  A slot that takes new
-content (insert, swap) is pushed under its new stamp, and the old entry is
-dropped when it surfaces.  A promotion replaces its DC victim's entry, the
-top of that heap, in place, so it pushes only the SC slot's.  An LRU hit
-only writes the slot's new stamp: the slot's entry keeps the older stamp,
-and is re-keyed in place to the current one when it reaches a heap top, so
-a slot that is hit many times between two victim queries costs one heap
-step, not one push per hit.
+the least live top over the region's owner heaps.  A slot filled from empty,
+or refilled by swap or by an SC hit's promotion, is pushed under its new
+stamp, and its old entry, if any, is dropped when it surfaces.  A full
+region's replacement hands its victim's entry, which the victim query has
+just put on top of its heap, to the new content: re-keyed in place when the
+owner stays, else popped and pushed once on the new owner's heap, so it adds
+no entry and leaves none stale.  A promotion hands on its DC victim's entry
+the same way, and its SC victim's when it evicts one.  An LRU hit only writes
+the slot's new stamp: the slot's entry keeps the older stamp, and is re-keyed
+in place to the current one when it reaches a heap top, so a slot that is hit
+many times between two victim queries costs one heap step, not one push per
+hit.
 Once pushes would take the index past 2 * capacity + 64 entries it is
 rebuilt from the occupied slots, so memory stays O(capacity) whatever the
 trace length, at amortised O(1) cost per push.  A victim query does not
 consume its answer: the slot stays indexed, and only when the caller
-re-stamps, moves or evicts it does the next query see another slot.
+re-stamps, moves, replaces or evicts it does the next query see another slot.
 """
 from __future__ import annotations
 
@@ -109,8 +115,9 @@ class _VictimIndex:
     are never reused and move only with their key, so a live entry also names
     the slot's current owner.  Under LRU a hit raises the slot's stamp above
     the indexed one, so a live entry may be older than its slot; it is
-    re-keyed when it reaches a heap top.  A promotion re-keys its DC victim's
-    entry, which the query has just put on top, in place (replace_top).
+    re-keyed when it reaches a heap top.  A replacement or promotion hands its
+    victim's entry, which the query has just put on top, to the slot's new
+    content (replace_top).
     ``room`` counts the entries that still fit under ``limit`` before the
     next rebuild.
     """
@@ -160,14 +167,31 @@ class _VictimIndex:
         else:
             heapq.heappush(heap, stamp << self.shift | idx)
 
-    def replace_top(self, region: Region, owner, idx: int) -> None:
-        """Re-key slot idx, the top of its (region, owner) heap, to its current stamp.
+    def replace_top(self, region: Region, owner, idx: int, stamp: int, new_owner) -> None:
+        """Index slot idx's new content, of new_owner, under stamp in place of idx's
+        old entry, which must top its (region, owner) heap.
 
-        For a slot whose new content has the old one's region and owner, as
-        a promotion's DC victim does: no entry is added and none left stale.
+        Content of the same owner re-keys the top (one heapreplace); another
+        owner's pops it and pushes one entry on new_owner's heap.  Either way
+        the index holds as many entries as before and none for the old
+        content.  Raises CacheError, changing nothing, when the top is not
+        idx's, as it is just after a victim query named idx.
         """
-        stamp = self.indexed[idx] = self.stamps[idx]
-        heapq.heapreplace(self.heaps[region][owner], stamp << self.shift | idx)
+        by_owner = self.heaps[region]  # an occupied slot has a live entry here
+        heap = by_owner[owner]
+        if heap[0] & self.mask != idx:
+            raise CacheError(f"slot {idx} is not the victim a query has just named")
+        self.indexed[idx] = stamp
+        entry = stamp << self.shift | idx
+        if new_owner == owner:
+            heapq.heapreplace(heap, entry)
+            return
+        heapq.heappop(heap)
+        heap = by_owner.get(new_owner)
+        if heap is None:
+            by_owner[new_owner] = [entry]
+        else:
+            heapq.heappush(heap, entry)
 
     def _top(self, heap):
         """The heap's least live entry, after dropping stale ones above it and
@@ -248,8 +272,8 @@ class SlotStore:
         self.free_slots[SC] = list(range(self.capacity - 1, idx - 1, -1))
 
     # -- bookkeeping -------------------------------------------------------
-    # the hot paths (lookup, insert_into_empty, evict, promote) tick the
-    # stamp counter and adjust the per-owner counts inline
+    # the hot paths (lookup, insert_into_empty, evict, replace, promote) tick
+    # the stamp counter and adjust the per-owner counts inline
 
     def _count(self, owner, region, delta: int) -> None:
         counts = self.sc_count if region == SC else self._dc_count
@@ -306,8 +330,8 @@ class SlotStore:
         the stamp being the last access (LRU) or the insertion (FCFS), as
         fixed when the store was built.  The query changes nothing
         observable, so asking twice gives the same slot until the caller
-        re-stamps, moves or evicts it.  Raises NoCandidateError when no slot
-        qualifies.
+        re-stamps, moves, replaces or evicts it.  Raises NoCandidateError when
+        no slot qualifies.
         """
         if self._index is None:
             self._index = _VictimIndex(self)
@@ -350,43 +374,90 @@ class SlotStore:
             self._index.push(i)
             self._index.push(j)
 
-    def promote(self, key: Key, dcr: Region, idx: int | None = None) -> int:
+    def replace(self, idx: int, key: Key) -> None:
+        """Evict slot idx's content and put key, which must be new, in its place.
+
+        One step for a full region's miss: idx is the victim a query has just
+        named, whose entry tops its (region, owner) heap.  key is stamped with
+        a new tick and takes over that entry (replace_top), so no free list is
+        touched and no stale entry is left.  Raises CacheError, changing
+        nothing, when the slot is empty, key is present already, or idx's
+        entry is not on top.
+        """
+        keys, key_index = self.keys, self.key_index
+        old = keys[idx]
+        if old is None:
+            raise CacheError(f"slot {idx} already empty")
+        if key in key_index:
+            raise CacheError(f"key {key!r} already present")
+        if self._index is None:
+            raise CacheError(f"slot {idx} is not the victim a query has just named")
+        region, owner, old_owner = self.regions[idx], key[0], old[0]
+        stamp = self._seq + 1
+        self._index.replace_top(region, old_owner, idx, stamp, owner)
+        self._seq = stamp
+        self.stamps[idx] = stamp
+        keys[idx] = key
+        del key_index[old]
+        key_index[key] = idx
+        if owner != old_owner:
+            counts = self.sc_count if region == SC else self._dc_count
+            counts[old_owner] -= 1
+            counts[owner] = counts.get(owner, 0) + 1
+
+    def promote(self, key: Key, dcr: Region, idx: int | None = None, evict: bool = False) -> int:
         """Move key into its owner's DC region dcr and the owner's DC victim out to SC.
 
         idx is the SC slot key occupies on an SC hit; None places key, which
-        must be new, in the next free SC slot.  The two slots then exchange
-        contents, so both keep their stamps: on an SC hit the key keeps the
-        stamp it holds, which the caller's lookup has just renewed under LRU
-        and which is its insertion stamp under FCFS; a new key is stamped with
-        a new tick.  The DC slot's entry is re-keyed in place and only the SC
-        slot is pushed, so a promotion adds one index entry.  Returns the DC
+        must be new, in the next free SC slot; with evict, idx is the SC slot
+        a victim query has just named, and key, which must be new, takes it
+        after its content is evicted.  The two slots then exchange contents,
+        so both keep their stamps: on an SC hit the key keeps the stamp it
+        holds, which the caller's lookup has just renewed under LRU and which
+        is its insertion stamp under FCFS; a new key is stamped with a new
+        tick.  The DC slot's entry is re-keyed in place.  A free SC slot is
+        pushed, so that promotion adds one index entry; an evicted one takes
+        over its old content's entry, so that one adds none.  Returns the DC
         slot key now holds.  Raises, changing nothing, when dcr holds no slot
-        of key's owner, or when a new key is present already or SC is full.
+        of key's owner, when a new key is present already, when SC is full
+        (no evict) or when slot idx is not an occupied SC slot whose entry
+        tops its heap (evict).
         """
         owner = key[0]
-        if idx is None:
-            free = self.free_slots[SC]
-            if not free:
-                raise RegionFullError(f"region {SC!r} has no empty slot")
-            if key in self.key_index:
-                raise CacheError(f"key {key!r} already present")
-        victim = self.select_victim(dcr, owner)
         keys, stamps, key_index = self.keys, self.stamps, self.key_index
-        if idx is None:
-            idx = free.pop()
+        hit = idx is not None and not evict
+        if not hit:
+            if idx is None and not self.free_slots[SC]:
+                raise RegionFullError(f"region {SC!r} has no empty slot")
+            if key in key_index:
+                raise CacheError(f"key {key!r} already present")
+            if evict and (keys[idx] is None or self.regions[idx] != SC):
+                raise CacheError(f"slot {idx} is not an occupied {SC} slot")
+        victim = self.select_victim(dcr, owner)
+        index = self._index
+        if hit:
+            stamp = stamps[idx]
+        else:
             counts = self.sc_count
+            if evict:
+                old = keys[idx]
+                # the DC victim's content takes over the SC slot's entry
+                index.replace_top(SC, old[0], idx, stamps[victim], owner)
+                del key_index[old]
+                counts[old[0]] -= 1
+            else:
+                idx = self.free_slots[SC].pop()
             counts[owner] = counts.get(owner, 0) + 1
             self._seq += 1
             stamp = self._seq
-        else:
-            stamp = stamps[idx]
-        # the victim has key's owner, so the per-owner counts stay as they are
+        # the victim has key's owner, so the per-owner DC counts stay as they are
         moved = keys[victim]
         keys[idx], stamps[idx], key_index[moved] = moved, stamps[victim], idx
         keys[victim], stamps[victim], key_index[key] = key, stamp, victim
         # the victim's entry tops its heap, and the slot stays in that heap
-        self._index.replace_top(dcr, owner, victim)
-        self._index.push(idx)
+        index.replace_top(dcr, owner, victim, stamp, owner)
+        if not evict:
+            index.push(idx)
         return victim
 
     # -- queries -----------------------------------------------------------

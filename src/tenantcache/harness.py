@@ -13,7 +13,14 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence, get_args, get_orig
 
 import numpy as np
 
-from .cache_core import LRU, REPLACEMENTS, CacheError, RegionLayout, SlotStore
+from .cache_core import (
+    LRU,
+    REPLACEMENTS,
+    CacheError,
+    RegionLayout,
+    SlotStore,
+    UnknownTenantError,
+)
 from .metrics import (
     DEFAULT_EWMA_WEIGHT,
     DEFAULT_WINDOW,
@@ -354,8 +361,9 @@ def run_scenario(
     departures).  Sampling only reads the run, so sample_from decides which
     records are built, never their values.  Selfish or fair sharing follows
     the policy name; donors are ranked again whenever a gap, a selfish
-    answer or the active set changes.  The run is fully deterministic given
-    the scenario (seed included).
+    answer or the active set changes.  An event of a tenant the scenario
+    does not list raises UnknownTenantError under every policy.  The run is
+    fully deterministic given the scenario (seed included).
     """
     s.validate()
     layout = s.resolved_layout()
@@ -445,7 +453,10 @@ def run_scenario(
             due = min(due, change_txns[next_change])
 
         outcome = insert(store, (tenant, item), ranking)
-        tracker = trackers[tenant]
+        try:
+            tracker = trackers[tenant]
+        except KeyError:  # an all-SC store serves any tenant, so the error is raised here
+            raise UnknownTenantError(f"tenant {tenant!r} is not in the scenario") from None
         if tracker.record_access(outcome.kind == "hit") is not None:
             histories[tenant].append((sum(store.owned(tenant)), tracker.hit_rate))
             refresh(tenant)

@@ -207,7 +207,9 @@ def hybrid_insert(
     the tenants it lists; an all-SC layout serves any tenant.  The key is
     read once, by store.lookup, whose LRU restamp an SC hit's promotion
     keeps.  Each promotion is one store.promote step, which re-keys the DC
-    victim's index entry in place and pushes one for the SC slot.
+    victim's index entry in place.  A miss on a full region is one store
+    step too: store.replace, or store.promote with evict, writes the item
+    into the victim's slot, which takes over the victim's index entry.
     """
     tenant = key[0]
     dcr = store.dc_regions.get(tenant)
@@ -229,25 +231,25 @@ def hybrid_insert(
         store.insert_into_empty(key, dcr)
         return _DC_OUTCOMES[dcr][1]
     if free[SC]:
-        outcome = SC_INSERTED
-    elif not store.layout.sc_size:
-        store.evict(store.select_victim(dcr, tenant))
-        store.insert_into_empty(key, dcr)
-        return _DC_OUTCOMES[dcr][2]
-    else:
-        if ranking is None:
-            victim_idx = store.select_victim(SC)
-            donor = store.keys[victim_idx][0]
+        if dcr is None:
+            store.insert_into_empty(key, SC)
         else:
-            donor = pick_donor(ranking, store.sc_count, tenant)
-            victim_idx = store.select_victim(SC, donor)
-        store.evict(victim_idx)
-        outcome = _SC_REPLACED[donor]
-    if dcr is None:
-        store.insert_into_empty(key, SC)
+            store.promote(key, dcr)
+        return SC_INSERTED
+    if not store.layout.sc_size:
+        store.replace(store.select_victim(dcr, tenant), key)
+        return _DC_OUTCOMES[dcr][2]
+    if ranking is None:
+        victim_idx = store.select_victim(SC)
+        donor = store.keys[victim_idx][0]
     else:
-        store.promote(key, dcr)
-    return outcome
+        donor = pick_donor(ranking, store.sc_count, tenant)
+        victim_idx = store.select_victim(SC, donor)
+    if dcr is None:
+        store.replace(victim_idx, key)
+    else:
+        store.promote(key, dcr, victim_idx, evict=True)
+    return _SC_REPLACED[donor]
 
 
 # the policy families' names for the one algorithm: run_scenario resolves its

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenantcache.cache_core import RegionLayout
+from tenantcache.cache_core import RegionLayout, UnknownTenantError
 from tenantcache.harness import (
     CSV_HEADER,
     POLICIES,
@@ -392,6 +392,14 @@ class TestRunScenario:
             bufs.append(out.getvalue())
         assert bufs[0] == bufs[1]
 
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_unknown_tenant_in_a_given_trace_is_named(self, policy):
+        # all-SC stores serve any tenant, so the driver must name the stranger too
+        hybrid = RegionLayout(dc_sizes={1: 8, 2: 8}, sc_size=48)
+        s = small_scenario(policy=policy, layout=derive_layout(policy, 64, [1, 2], hybrid))
+        with pytest.raises(UnknownTenantError, match="99"):
+            run_scenario(s, trace=[(0, 1, 5), (1, 99, 3)])
 
     @pytest.mark.parametrize("policy", ["global", "maxmin_fair"])
     def test_insert_looked_up_on_module_at_run_start(self, monkeypatch, policy):

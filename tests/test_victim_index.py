@@ -53,6 +53,7 @@ ops = st.one_of(
     st.tuples(st.just("evict_victim"), st.booleans(), owners),
     st.tuples(st.just("promote"), tenants, st.integers(0, 9)),
     st.tuples(st.just("promote_in_one_step"), tenants, st.integers(0, 9), st.booleans()),
+    st.tuples(st.just("replace"), tenants, st.integers(0, 9), st.booleans(), owners),
 )
 
 
@@ -82,6 +83,22 @@ def test_victims_match_oracle_and_memory_is_bounded(layout, replacement, script)
             else:
                 assert store.evict_victim(region, owner) == expected
                 assert store.keys[expected] is None
+        elif kind == "replace":
+            # a new key of tenant over a victim of its DC, or of any owner in SC
+            _, tenant, item, use_sc, owner = op
+            region = SC if use_sc else dc_region(tenant)
+            owner = owner if use_sc else tenant
+            key = (tenant, item)
+            expected = oracle_victim(store, region, owner)
+            if store.peek(key) is None and expected is not None:
+                old = store.keys[expected]
+                owned = {t: list(store.owned(t)) for t in TENANTS}
+                owned[old[0]][use_sc] -= 1
+                owned[tenant][use_sc] += 1
+                assert store.select_victim(region, owner) == expected
+                store.replace(expected, key)
+                assert store.peek(key) == expected and store.peek(old) is None
+                assert {t: list(store.owned(t)) for t in TENANTS} == owned
         elif kind == "promote_in_one_step":
             # one of the tenant's SC slots, or a new key into the next free SC slot
             _, tenant, item, hit = op
@@ -289,6 +306,174 @@ def test_hybrid_dc_heaps_hold_one_entry_per_slot(layout, replacement, gaps, scri
                 expected = oracle_victim(store, region, owner)
                 if expected is not None:
                     assert store.select_victim(region, owner) == expected
+
+
+# -- a full region's replacement in one step, against the two steps it fuses --
+
+
+def unfused_replace(store, idx, key):
+    """replace as evict + insert_into_empty: the freed slot is the next one handed out."""
+    region = store.regions[idx]
+    store.evict(idx)
+    assert store.insert_into_empty(key, region) == idx
+
+
+def unfused_promote_over(store, key, dcr, idx):
+    """promote(key, dcr, idx, evict=True) as evict + promote into the freed SC slot."""
+    store.evict(idx)
+    return store.promote(key, dcr)
+
+
+def top_entry(store, idx):
+    """The entry idx's content is indexed under, as a victim query has just left it on top."""
+    index = store._index
+    return index.indexed[idx] << index.shift | idx
+
+
+def assert_guards_hold(store, tenant, pick):
+    """Each guard of replace and promote(evict=True) raises and leaves the store as it was."""
+    before = store.dump()
+    new = (tenant, 99)
+    occupied = [i for i, k in enumerate(store.keys) if k is not None]
+    empty = [i for i, k in enumerate(store.keys) if k is None]
+    calls = []
+    if empty:
+        idx = empty[pick % len(empty)]
+        calls.append((store.replace, (idx, new), "empty"))
+        calls.append((store.promote, (new, dc_region(tenant), idx, True), "not an occupied SC"))
+    if occupied:
+        idx = occupied[pick % len(occupied)]
+        present = store.keys[occupied[(pick + 1) % len(occupied)]]
+        calls.append((store.replace, (idx, present), "already present"))
+        if store.regions[idx] == SC:
+            calls.append((store.promote, (present, dc_region(tenant), idx, True), "present"))
+        else:
+            calls.append((store.promote, (new, dc_region(tenant), idx, True), "not an occupied SC"))
+        region, owner = store.regions[idx], store.keys[idx][0]
+        if store._index is None or store.select_victim(region, owner) != idx:
+            calls.append((store.replace, (idx, new), "not the victim"))
+    for step, args, message in calls:
+        with pytest.raises(CacheError, match=message):
+            step(*args)
+        assert store.dump() == before
+
+
+store_layouts = st.one_of(
+    st.lists(st.integers(1, 3), min_size=3, max_size=3).map(  # static
+        lambda dcs: RegionLayout(dc_sizes=dict(zip(TENANTS, dcs)))
+    ),
+    st.integers(1, 6).map(RegionLayout.global_layout),  # SC only
+    hybrid_layouts,
+    hybrid_layouts,  # drawn twice: hybrid has both kinds of full-region step
+)
+fused_ops = st.one_of(
+    st.tuples(st.just("insert"), tenants, st.integers(0, 9), st.booleans()),
+    st.tuples(st.just("lookup"), tenants, st.integers(0, 9)),
+    st.tuples(st.just("promote_hit"), tenants, st.integers(0, 9)),
+    *[st.tuples(st.just("replace"), tenants, st.integers(0, 9), st.booleans(), owners)] * 3,
+    *[st.tuples(st.just("promote_over"), tenants, st.integers(0, 9), owners)] * 3,
+    st.tuples(st.just("guards"), tenants, st.integers(0, 11)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(store_layouts, replacements, st.lists(fused_ops, min_size=30, max_size=300))
+def test_one_step_replacement_matches_evict_then_insert(layout, replacement, script):
+    fused, unfused = SlotStore(layout, replacement), SlotStore(layout, replacement)
+    bound = 2 * fused.capacity + 64
+    for op in script:
+        kind, tenant, item = op[:3]
+        key = (tenant, item)
+        new = fused.peek(key) is None
+        dcr = dc_region(tenant)
+        if kind == "insert":
+            region = SC if op[3] else dcr
+            if new and fused.free_count(region):
+                for store in (fused, unfused):
+                    store.insert_into_empty(key, region)
+        elif kind == "lookup":
+            for store in (fused, unfused):
+                store.lookup(key)
+        elif kind == "promote_hit":
+            idx = fused.peek(key)
+            if (idx is not None and fused.regions[idx] == SC
+                    and oracle_victim(fused, dcr, tenant) is not None):
+                assert fused.promote(key, dcr, idx) == unfused.promote(key, dcr, idx)
+        elif kind == "replace":
+            # a new key of tenant over a victim of its DC, or of any owner in SC
+            _, _, _, use_sc, owner = op
+            region = SC if use_sc else dcr
+            owner = owner if use_sc else tenant
+            expected = oracle_victim(fused, region, owner)
+            if new and expected is not None:
+                assert [s.select_victim(region, owner) for s in (fused, unfused)] == [expected] * 2
+                entries = heap_entries(fused)
+                old_owner, old_entry = fused.keys[expected][0], top_entry(fused, expected)
+                fused.replace(expected, key)
+                unfused_replace(unfused, expected, key)
+                assert heap_entries(fused) == entries
+                assert old_entry not in fused._index.heaps[region][old_owner]
+        elif kind == "promote_over":
+            owner = op[3]
+            expected = oracle_victim(fused, SC, owner)
+            if new and expected is not None and oracle_victim(fused, dcr, tenant) is not None:
+                assert [s.select_victim(SC, owner) for s in (fused, unfused)] == [expected] * 2
+                entries = heap_entries(fused)
+                old_owner, old_entry = fused.keys[expected][0], top_entry(fused, expected)
+                victim = fused.promote(key, dcr, expected, evict=True)
+                assert victim == unfused_promote_over(unfused, key, dcr, expected)
+                assert heap_entries(fused) == entries
+                assert old_entry not in fused._index.heaps[SC][old_owner]
+        else:
+            assert_guards_hold(fused, tenant, item)
+        assert fused.dump() == unfused.dump()
+        assert [fused.owned(t) for t in TENANTS] == [unfused.owned(t) for t in TENANTS]
+        if fused._index is not None:
+            for region in [SC] + [dc_region(t) for t in TENANTS]:
+                for owner in (None,) + TENANTS:
+                    expected = oracle_victim(fused, region, owner)
+                    if expected is not None:
+                        assert fused.select_victim(region, owner) == expected
+        assert heap_entries(fused) <= bound
+
+
+def test_promotion_over_a_slot_a_query_did_not_name_changes_nothing():
+    store = SlotStore(RegionLayout(dc_sizes={1: 1}, sc_size=2))
+    for item in range(3):
+        hybrid_insert(store, (1, item))
+    victim = store.select_victim(SC, 1)
+    other = next(i for i in range(store.capacity) if store.regions[i] == SC and i != victim)
+    before = store.dump()
+    with pytest.raises(CacheError, match="not the victim"):
+        store.promote((1, 9), dc_region(1), other, evict=True)
+    assert store.dump() == before
+    assert store.select_victim(SC, 1) == victim
+
+
+@pytest.mark.parametrize("replacement", [LRU, FCFS])
+@pytest.mark.parametrize(
+    "layout, keys, key",
+    [
+        (RegionLayout(dc_sizes={1: 2}), [(1, 0), (1, 1)], (1, 2)),  # static
+        (RegionLayout.global_layout(2), [(1, 0), (1, 1)], (1, 2)),  # SC, donor is requester
+        (RegionLayout.global_layout(2), [(1, 0), (2, 0)], (2, 1)),  # SC, another donor
+        (RegionLayout(dc_sizes={1: 1}, sc_size=1), [(1, 0), (1, 1)], (1, 2)),  # hybrid
+        (RegionLayout(dc_sizes={1: 0, 2: 1}, sc_size=1), [(2, 0), (1, 0)], (2, 1)),  # another
+    ],
+)
+def test_full_region_replacement_indexes_no_entry(replacement, layout, keys, key):
+    # the victim's entry is re-keyed in place, or moved to its new owner's heap
+    store = SlotStore(layout, replacement)
+    for k in keys:
+        hybrid_insert(store, k)
+    region = SC if layout.sc_size else dc_region(key[0])
+    victim = store.select_victim(region)
+    old_key, old_entry = store.keys[victim], top_entry(store, victim)
+    entries = heap_entries(store)
+    assert hybrid_insert(store, key).kind == "replaced"
+    assert heap_entries(store) == entries
+    assert old_entry not in store._index.heaps[region][old_key[0]]
+    assert store.peek(old_key) is None
 
 
 def test_fcfs_promotion_keeps_the_insertion_stamp():
