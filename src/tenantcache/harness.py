@@ -32,6 +32,8 @@ from .metrics import (
 from .sharing import (
     INF,
     SharingStrategy,
+    SlotCounts,
+    counted_insert,
     global_insert,
     hybrid_insert,
     maxmin_insert,
@@ -366,8 +368,29 @@ def run_scenario(
     fully deterministic given the scenario (seed included).
     """
     s.validate()
-    layout = s.resolved_layout()
-    store = SlotStore(layout, s.replacement)
+    store = SlotStore(s.resolved_layout(), s.replacement)
+    policy = s.policy
+    # one algorithm under the policy family's name, resolved once per run from
+    # the module globals so that wrappers apply
+    if policy in ("global", "static"):
+        insert = global_insert if policy == "global" else static_insert
+    else:
+        insert = maxmin_insert if policy.startswith("maxmin") else hybrid_insert
+    if trace is None:
+        trace = generate_stream([t.workload for t in s.tenants], s.total_txns, s.seed)
+    return _drive(s, store, insert, trace, sample_from)
+
+
+def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int) -> list:
+    """run_scenario's loop over a validated scenario s: insert(store, (tenant,
+    item), ranking) for each (txn, tenant, item) of trace, and the trackers,
+    gaps, donor rankings and samples around it.
+
+    store is the cache state: a SlotStore, or anything else whose
+    owned(tenant) gives (dc_slots, sc_slots).  insert returns an outcome of
+    kind "hit" or another.  Without a donor ranking (global, static) SC
+    donors go by age.
+    """
     policy = s.policy
     strategy = s.strategy
     selfish = policy.endswith("selfish")
@@ -398,17 +421,7 @@ def run_scenario(
     # entries share a txn, and the later one wins
     changes = {txn: set(ids) for txn, _, ids in activation_timeline(workloads, s.total_txns)}
 
-    if trace is None:
-        trace = generate_stream(workloads, s.total_txns, s.seed)
-
-    # one algorithm under the policy family's name, resolved once per run from
-    # the module globals so that wrappers apply; without a ranking SC donors
-    # go by age
     ranked = policy not in ("global", "static")
-    if ranked:
-        insert = maxmin_insert if policy.startswith("maxmin") else hybrid_insert
-    else:
-        insert = global_insert if policy == "global" else static_insert
     answers = eligible if selfish else None
     ranking = rank_donors(gaps, answers) if ranked else None
 
@@ -581,15 +594,18 @@ class ProbeCache:
     It holds one generated trace per seed and the final-quarter means of each
     distinct (policy, capacity, length, seed) probe already run, so a probe
     repeated for another target or by the binary search runs no simulation.
-    For LRU global and static probes a seed's trace entry also holds two LRU
-    stack distances of each of its events: the global one, from one pass
-    over the whole trace, and the tenant's, from one pass over each tenant's
-    own substream.  They give the hit bits of every capacity at once, so
-    those probes run no simulation at all (see lru_means).  They are
-    computed on the first probe that needs them and go with the trace entry,
-    so a longer trace, generated afresh, computes them afresh.  A cache
-    serves the probes of one tenant set and one base scenario only.  It
-    compares and hashes by identity.
+    For LRU probes a seed's trace entry also holds two LRU stack distances
+    of each of its events: the global one, from one pass over the whole
+    trace, and the tenant's, from one pass over each tenant's own substream.
+    They give the hit bits of every global and static capacity at once, so
+    those probes run no simulation at all (see lru_means), and a max-min or
+    hybrid probe replays per-tenant slot counts over the tenant distances
+    in place of a store (see lru_records).  They are computed on the first
+    probe that needs them and go with the trace entry, so a longer trace,
+    generated afresh, computes them afresh; a capacity search holds each
+    seed's trace at its longest probe's length before its first probe.  A
+    cache serves the probes of one tenant set and one base scenario only.
+    It compares and hashes by identity.
     """
 
     __slots__ = ("traces", "means")
@@ -599,7 +615,7 @@ class ProbeCache:
         self.traces: dict = {}
         self.means: dict = {}  # (policy, capacity, total_txns, seed) -> means
 
-    def _held(self, workloads: Sequence[TenantWorkload], total_txns: int, seed: int) -> list:
+    def hold(self, workloads: Sequence[TenantWorkload], total_txns: int, seed: int) -> list:
         """seed's trace entry, generated afresh when shorter than total_txns."""
         cached = self.traces.get(seed)
         if cached is None or cached[0] < total_txns:
@@ -626,7 +642,7 @@ class ProbeCache:
         early is generated once.  Nothing is generated until the first event
         is asked for.
         """
-        _, tenant_ids, items, _ = self._held(workloads, total_txns, seed)
+        _, tenant_ids, items, _ = self.hold(workloads, total_txns, seed)
         yield from zip(range(total_txns), tenant_ids, memoryview(items))
 
     def stack_distances(
@@ -638,7 +654,7 @@ class ProbeCache:
         the trace has the prefix of its distances, so the arrays of the
         longest trace held serve every shorter probe.
         """
-        entry = self._held(workloads, total_txns, seed)
+        entry = self.hold(workloads, total_txns, seed)
         if entry[3] is None:
             _, tenant_ids, items, _ = entry
             ids = sorted(w.tenant_id for w in workloads)
@@ -668,6 +684,24 @@ class ProbeCache:
             return ids, codes, global_d[: len(codes)] < s.capacity
         dc_sizes = s.resolved_layout().dc_sizes
         return ids, codes, tenant_d[: len(codes)] < np.array([dc_sizes[k] for k in ids])[codes]
+
+    def lru_records(self, s: Scenario, sample_from: int = 0) -> list[SampleRecord]:
+        """run_scenario(s, trace, sample_from) of an LRU maxmin_* or hybrid_*
+        scenario s, bit for bit, without a store.
+
+        trace is s.seed's held trace, and s is validated as run_scenario
+        validates it.  The driver replays SlotCounts and counted_insert over
+        (txn, tenant, per-tenant stack distance) triples: under LRU a
+        tenant's resident items are its most recent distinct ones, so its
+        slot counts alone decide each access (see counted_insert).
+        """
+        s.validate()
+        workloads = [t.workload for t in s.tenants]
+        _, _, _, tenant_d = self.stack_distances(workloads, s.total_txns, s.seed)
+        tenant_ids = self.hold(workloads, s.total_txns, s.seed)[1]
+        trace = zip(range(s.total_txns), tenant_ids, memoryview(tenant_d))
+        counts = SlotCounts(s.resolved_layout(), s.tenant_ids())
+        return _drive(s, counts, counted_insert, trace, sample_from)
 
     def lru_means(self, s: Scenario, sample_from: int) -> dict:
         """_mean_ewma(run_scenario(s, trace, sample_from)) of an LRU global or
@@ -721,14 +755,23 @@ def _mean_ewma(records: Iterable[SampleRecord]) -> dict:
     return _mean_by_tenant((k, t.ewma_hit_rate) for rec in records for k, t in rec.tenants.items())
 
 
+MIN_PROBE_TXNS = 40_000  # the shortest probe, in txns
+PROBE_TXNS_PER_SLOT = 4  # a probe's txns per slot of capacity, above the shortest
+
+
+def probe_txns(capacity: int, min_txns: int, txns_per_slot: int) -> int:
+    """The length of a capacity probe at capacity slots."""
+    return max(min_txns, txns_per_slot * capacity)
+
+
 def meets_target(
     policy: str,
     tenants: Sequence[TenantSpec],
     capacity: int,
     target: float,
     seeds: Sequence[int],
-    min_txns: int = 40_000,
-    txns_per_slot: int = 4,
+    min_txns: int = MIN_PROBE_TXNS,
+    txns_per_slot: int = PROBE_TXNS_PER_SLOT,
     base: Scenario | None = None,
     cache: ProbeCache | None = None,
 ) -> bool:
@@ -746,13 +789,15 @@ def meets_target(
     capacity whose derived layout leaves some tenant no slot, a static split
     over more tenants than slots, meets no target and runs nothing.
 
-    An LRU global or static probe is not simulated: its means come from the
-    cache's stack distances (ProbeCache.lru_means), bit for bit those of
-    run_scenario.  Every other probe, FCFS ones included (FCFS is not a
-    stack algorithm), runs run_scenario.  Either way the probe scenario is
-    validated first, so a bad one raises the same ConfigurationError.
+    No LRU probe runs a store.  A global or static probe's means come from
+    the cache's stack distances (ProbeCache.lru_means), and a maxmin_* or
+    hybrid_* probe replays per-tenant slot counts over them
+    (ProbeCache.lru_records); both are bit for bit those of run_scenario.
+    FCFS probes run run_scenario: FCFS is not a stack algorithm.  Either way
+    the probe scenario is validated first, so a bad one raises the same
+    ConfigurationError.
     """
-    total_txns = max(min_txns, txns_per_slot * capacity)
+    total_txns = probe_txns(capacity, min_txns, txns_per_slot)
     layout = derive_layout(policy, capacity, [t.workload.tenant_id for t in tenants])
     if not layout.sc_size and not all(layout.dc_sizes.values()):
         return False
@@ -775,11 +820,13 @@ def meets_target(
                 sample_every=max(1, total_txns // 200),
             )
             sample_from = total_txns * 3 // 4
-            if policy in ("global", "static") and scenario.replacement == LRU:
-                means = cache.lru_means(scenario, sample_from)
-            else:
+            if scenario.replacement != LRU:
                 trace = cache.trace([t.workload for t in tenants], total_txns, seed)
                 means = _mean_ewma(run_scenario(scenario, trace=trace, sample_from=sample_from))
+            elif policy in ("global", "static"):
+                means = cache.lru_means(scenario, sample_from)
+            else:
+                means = _mean_ewma(cache.lru_records(scenario, sample_from))
             cache.means[key] = means
         if not means:
             raise ConfigurationError(
@@ -803,6 +850,8 @@ def min_slots_for_target(
     trials: int = 3,
     seed: int = 0,
     cache: ProbeCache | None = None,
+    min_txns: int = MIN_PROBE_TXNS,
+    txns_per_slot: int = PROBE_TXNS_PER_SLOT,
     **run_kwargs,
 ) -> int:
     """Smallest capacity (on the resolution grid) meeting the target hit rate.
@@ -812,7 +861,9 @@ def min_slots_for_target(
     when it meets the target.  Otherwise upper must meet it, or an
     InfeasibleTargetError is raised, and a binary search between the two
     finds the answer.  Every probe goes through meets_target with one
-    ProbeCache, the given one or one private to this search.
+    ProbeCache, the given one or one private to this search.  Before the
+    first probe the cache holds each seed's trace at the length of the upper
+    probe, the longest, so that no probe's trace is generated twice.
     """
     if not 0.0 <= target < 1.0:
         raise ConfigurationError("target", "must be in [0, 1)")
@@ -827,9 +878,15 @@ def min_slots_for_target(
     upper = ((upper + resolution - 1) // resolution) * resolution
     if cache is None:
         cache = ProbeCache()
+    workloads = [t.workload for t in tenants]
+    for each in seeds:
+        cache.hold(workloads, probe_txns(upper, min_txns, txns_per_slot), each)
 
     def ok(capacity: int) -> bool:
-        return meets_target(policy, tenants, capacity, target, seeds, cache=cache, **run_kwargs)
+        return meets_target(
+            policy, tenants, capacity, target, seeds, min_txns, txns_per_slot,
+            cache=cache, **run_kwargs,
+        )
 
     if ok(lower):
         return lower

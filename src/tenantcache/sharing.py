@@ -14,13 +14,24 @@ Gaps change only when a window closes or the active set changes, so the
 donor rule is split in two: rank_donors orders the tenants when their gaps
 change, and pick_donor walks that order on each SC replacement for the
 first tenant that owns an SC slot.
+
+counted_insert is hybrid_insert under LRU for the ranked policies on slot
+counts alone (SlotCounts): a capacity probe replays it over per-tenant stack
+distances, with no store.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .cache_core import SC, NoCandidateError, Region, SlotStore, UnknownTenantError
+from .cache_core import (
+    SC,
+    NoCandidateError,
+    Region,
+    RegionLayout,
+    SlotStore,
+    UnknownTenantError,
+)
 
 INF = float("inf")
 
@@ -250,6 +261,74 @@ def hybrid_insert(
     else:
         store.promote(key, dcr, victim_idx, evict=True)
     return _SC_REPLACED[donor]
+
+
+class SlotCounts:
+    """Each tenant's DC and SC slot counts under a layout, and the SC's free
+    slots: all that counted_insert keeps of a store.
+
+    owned and sc_count read as SlotStore's do.  It serves only the tenants
+    it is built for.
+    """
+
+    __slots__ = ("dc_sizes", "dc_count", "sc_count", "sc_size", "sc_free")
+
+    def __init__(self, layout: RegionLayout, tenant_ids: Iterable):
+        self.dc_sizes = {k: layout.dc_sizes.get(k, 0) for k in tenant_ids}
+        self.dc_count = dict.fromkeys(self.dc_sizes, 0)
+        self.sc_count = dict.fromkeys(self.dc_sizes, 0)
+        self.sc_size = self.sc_free = layout.sc_size
+
+    def owned(self, tenant) -> tuple[int, int]:
+        """(dc_slots, sc_slots) currently occupied by tenant."""
+        return self.dc_count[tenant], self.sc_count[tenant]
+
+
+_COUNTED_HIT = InsertOutcome("hit")
+_COUNTED_INSERTED = InsertOutcome("inserted")
+_COUNTED_REPLACED = InsertOutcome("replaced")
+
+
+def counted_insert(
+    counts: SlotCounts, key: tuple, ranking: DonorRanking
+) -> InsertOutcome:
+    """hybrid_insert under LRU with a donor ranking, on slot counts alone.
+
+    key is (tenant, distance), the access's LRU stack distance within its
+    tenant's own substream.  Under LRU every eviction takes the least recent
+    resident item of its owner, and a hit or an insert puts its key on top of
+    its own tenant's stack, so tenant k's resident items are always the n_k
+    most recent distinct items of its substream, n_k = dc_k + sc_k.  In a
+    hybrid layout the DC holds the tenant's d_k newest items: the DC fills
+    first and its slots are never freed, and a promotion brings the key into
+    the DC and moves the DC's oldest item out to SC, an item newer than
+    every SC item of the tenant.  So a donor's SC victim is its least recent
+    item too.  The cases, in hybrid_insert's order: a hit iff distance <
+    dc_k + sc_k; else a free DC slot (dc_k + 1); else a free SC slot
+    (sc_k + 1); else, with no SC, the tenant's own oldest DC item goes and
+    the counts stay; else pick_donor's donor gives one SC slot to the
+    tenant, which changes nothing when the donor is the tenant.  The
+    outcome's kind is hybrid_insert's; counts name no region or victim.
+    """
+    tenant, distance = key
+    dc = counts.dc_count[tenant]
+    sc = counts.sc_count
+    if distance < dc + sc[tenant]:
+        return _COUNTED_HIT
+    if dc < counts.dc_sizes[tenant]:
+        counts.dc_count[tenant] = dc + 1
+        return _COUNTED_INSERTED
+    if counts.sc_free:
+        counts.sc_free -= 1
+        sc[tenant] += 1
+        return _COUNTED_INSERTED
+    if not counts.sc_size:
+        return _COUNTED_REPLACED
+    donor = pick_donor(ranking, sc, tenant)
+    if donor != tenant:
+        sc[donor] -= 1
+        sc[tenant] += 1
+    return _COUNTED_REPLACED
 
 
 # the policy families' names for the one algorithm: run_scenario resolves its

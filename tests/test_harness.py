@@ -639,29 +639,38 @@ class TestProbeCache:
             assert memoised == meets_target(policy, tenants, capacity, target, [0, 1], **kw)
 
     def test_sweep_runs_each_probe_once_and_generates_each_trace_once(self, monkeypatch):
+        """Each distinct probe runs once, on a store (FCFS) or on slot counts
+        (LRU maxmin), and each seed's trace is generated once, at the length
+        of the upper probe, though the lower probe is shorter."""
         import tenantcache.harness as harness
 
         runs, generated = [], []
-        real_run, real_generate = harness.run_scenario, harness.generate_stream
+        real_drive, real_generate = harness._drive, harness.generate_stream
 
-        def counting_run(s, **kw):
-            runs.append((s.policy, s.capacity, s.seed))
-            return real_run(s, **kw)
+        def counting_drive(s, *args):
+            runs.append((s.replacement, s.policy, s.capacity, s.seed))
+            return real_drive(s, *args)
 
         def counting_generate(workloads, total_txns, seed=0):
             generated.append((seed, total_txns))
             return real_generate(workloads, total_txns, seed)
 
-        monkeypatch.setattr(harness, "run_scenario", counting_run)
+        monkeypatch.setattr(harness, "_drive", counting_drive)
         monkeypatch.setattr(harness, "generate_stream", counting_generate)
         tenants = [tenant(1, universe=60), tenant(2, universe=60, alpha=0.7)]
-        capacity_sweep(
-            tenants, [0.3, 0.4, 0.5], ["global", "static", "maxmin_fair"],
-            lower=4, upper=128, resolution=4, trials=2, **FAST,
-        )
-        assert runs and len(runs) == len(set(runs))
-        assert generated and len(generated) == len(set(generated))
-        assert {seed for seed, _ in generated} == {0, 1}
+        for replacement in ("lru", "fcfs"):
+            generated.clear()
+            base = Scenario(capacity=8, policy="global", tenants=tenants, replacement=replacement)
+            capacity_sweep(
+                tenants, [0.3, 0.4, 0.5], ["global", "static", "maxmin_fair"],
+                lower=4, upper=128, resolution=4, trials=2, min_txns=400, txns_per_slot=4,
+                base=base,
+            )
+            assert sorted(generated) == [(0, 512), (1, 512)]
+        assert len(runs) == len(set(runs))
+        assert {(r, p) for r, p, _, _ in runs} == {
+            ("lru", "maxmin_fair"), ("fcfs", "global"), ("fcfs", "static"), ("fcfs", "maxmin_fair")
+        }
 
     def test_early_ending_stream_generated_once(self, monkeypatch):
         import tenantcache.harness as harness
@@ -1010,24 +1019,35 @@ class TestCli:
     def test_sweep_probes_carry_the_config_strategy(self, tmp_path, monkeypatch):
         import tenantcache.harness as harness
         from tenantcache.cli import main
-        from tenantcache.sharing import SharingStrategy
+        from tenantcache.sharing import SharingStrategy, SlotCounts
 
+        # an LRU probe replays slot counts through the driver; an FCFS one
+        # runs run_scenario
         probes = []
-        monkeypatch.setattr(harness, "run_scenario", lambda s, **_: probes.append(s) or ONE_RECORD)
-        cfg = self.config_path(
-            tmp_path,
-            policy="maxmin_selfish",
-            strategy=SharingStrategy(loss_horizon=5, history_len=4),
+        monkeypatch.setattr(
+            harness, "_drive",
+            lambda s, store, *_: probes.append((s, type(store))) or ONE_RECORD,
         )
-        code = main([
-            "sweep", "--config", cfg, "--targets", "0.0", "--policies", "maxmin_selfish",
-            "--out", str(tmp_path / "sweep.csv"),
-            "--lower", "8", "--upper", "64", "--resolution", "8", "--trials", "2",
-        ])
-        assert code == 0
-        assert len(probes) == 2
-        for s in probes:
-            assert (s.strategy.loss_horizon, s.strategy.history_len) == (5, 4)
+        monkeypatch.setattr(
+            harness, "run_scenario", lambda s, **_: probes.append((s, None)) or ONE_RECORD
+        )
+        for replacement, path in (("lru", SlotCounts), ("fcfs", None)):
+            probes.clear()
+            cfg = self.config_path(
+                tmp_path,
+                policy="maxmin_selfish",
+                strategy=SharingStrategy(loss_horizon=5, history_len=4),
+                replacement=replacement,
+            )
+            code = main([
+                "sweep", "--config", cfg, "--targets", "0.0", "--policies", "maxmin_selfish",
+                "--out", str(tmp_path / "sweep.csv"),
+                "--lower", "8", "--upper", "64", "--resolution", "8", "--trials", "2",
+            ])
+            assert code == 0
+            assert [kind for _, kind in probes] == [path, path]
+            for s, _ in probes:
+                assert (s.strategy.loss_horizon, s.strategy.history_len) == (5, 4)
 
     def test_search_options_not_given_take_the_library_defaults(self, tmp_path, monkeypatch):
         import inspect

@@ -31,7 +31,7 @@ from tenantcache.harness import (
     scenario_to_json,
 )
 from tenantcache.metrics import Requirement
-from tenantcache.sharing import global_insert, static_insert
+from tenantcache.sharing import SlotCounts, global_insert, static_insert
 from tenantcache.workload import TenantWorkload, WorkloadPhase
 
 FAST = dict(min_txns=4_000, txns_per_slot=4)
@@ -212,14 +212,26 @@ def test_lru_baseline_sweep_simulates_nothing(monkeypatch):
 
 @pytest.mark.parametrize(
     "replacement,simulated",
-    [("fcfs", {"global", "static", "maxmin_fair"}), ("lru", {"maxmin_fair"})],
+    [("fcfs", {"global", "static", "maxmin_fair"}), ("lru", set())],
 )
 def test_fcfs_and_maxmin_probes_still_simulate(monkeypatch, replacement, simulated):
+    """FCFS probes run run_scenario; LRU maxmin probes replay slot counts instead."""
     runs = counted_runs(monkeypatch)
+    drives = []
+    real_drive = harness._drive
+
+    def counting_drive(s, store, *args):
+        drives.append((s.policy, type(store)))
+        return real_drive(s, store, *args)
+
+    monkeypatch.setattr(harness, "_drive", counting_drive)
     base = Scenario(capacity=64, policy="global", tenants=TENANTS, replacement=replacement)
     capacity_sweep(TENANTS, [0.4], ["global", "static", "maxmin_fair"], base=base, **SWEEP)
     assert {policy for policy, _ in runs} == simulated
-    assert {r for _, r in runs} == {replacement}
+    assert {r for _, r in runs} <= {replacement}
+    store = SlotStore if replacement == "fcfs" else SlotCounts
+    assert {policy for policy, _ in drives} == simulated | {"maxmin_fair"}
+    assert {kind for _, kind in drives} == {store}
 
 
 # the CSVs of this sweep before the stack-distance backend existed
