@@ -8,8 +8,11 @@ under LRU (a hit restamps it), its insertion under FCFS (only an insert does).
 The store offers lookup, insertion into an empty slot, victim choice,
 replacement of a full region's victim by a new key in one step (replace), and
 promotion of a shared-region key into its owner's dedicated region in one step
-(promote, which can also take a full SC's victim slot for a new key); the
-insertion algorithm that every policy runs over them is sharing.hybrid_insert.
+(promote, which can also take a full SC's victim slot for a new key).
+sharing.hybrid_insert is the insertion algorithm every policy runs over them.
+FCFS runs use the store; LRU runs keep per-tenant recency lists in place of
+slots (sharing.recency_insert), and an LRU store is the reference model they
+are tested against.
 
 Victims come from one lazily validated index, built by heapifying the occupied
 slots when the first victim query arrives; until then nothing is indexed, so

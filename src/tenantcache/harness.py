@@ -8,6 +8,7 @@ from collections import abc, deque
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache, partial
+from operator import is_
 from types import NoneType, UnionType
 from typing import IO, Iterable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -31,6 +32,7 @@ from .metrics import (
 )
 from .sharing import (
     INF,
+    RecencyLists,
     SharingStrategy,
     SlotCounts,
     counted_insert,
@@ -38,6 +40,7 @@ from .sharing import (
     hybrid_insert,
     maxmin_insert,
     rank_donors,
+    recency_insert,
     selfish_eligible,
     static_insert,
 )
@@ -82,7 +85,7 @@ class TenantSpec:
     requirement: Requirement = Requirement()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TenantSample:
     ewma_hit_rate: float
     window_hit_rate: float
@@ -92,7 +95,7 @@ class TenantSample:
     hard_violation: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleRecord:
     txn: int
     tenants: Mapping[int, TenantSample]
@@ -352,6 +355,14 @@ def run_scenario(
 ) -> list[SampleRecord]:
     """Drive the scenario's policy over its workload stream.
 
+    Under LRU the run keeps no slots: tenant k's resident items are always
+    its dc_k + sc_k most recent distinct items and every victim is its
+    owner's least recent one (the stack property; Mattson et al. 1970), so
+    recency_insert replays hybrid_insert's cases on per-tenant recency
+    lists (one shared list under global) and slot counts, RecencyLists,
+    and gives the records of hybrid_insert on an LRU SlotStore bit for bit.
+    FCFS, not a stack algorithm, runs hybrid_insert on a SlotStore.
+
     A lookup hit before any mutation counts as a hit; everything else is a
     miss.  A given trace holds (txn, tenant_id, item) triples, AccessEvents
     or plain tuples, in increasing txn order; without one the scenario's
@@ -368,14 +379,19 @@ def run_scenario(
     fully deterministic given the scenario (seed included).
     """
     s.validate()
-    store = SlotStore(s.resolved_layout(), s.replacement)
-    policy = s.policy
-    # one algorithm under the policy family's name, resolved once per run from
-    # the module globals so that wrappers apply
-    if policy in ("global", "static"):
-        insert = global_insert if policy == "global" else static_insert
+    layout, policy = s.resolved_layout(), s.policy
+    # the insert is resolved once per run from the module globals, so that
+    # wrappers apply
+    if s.replacement == LRU:
+        store = RecencyLists(layout, s.tenant_ids(), shared=policy == "global")
+        insert = recency_insert
     else:
-        insert = maxmin_insert if policy.startswith("maxmin") else hybrid_insert
+        # one algorithm under the policy family's name
+        store = SlotStore(layout, s.replacement)
+        if policy in ("global", "static"):
+            insert = global_insert if policy == "global" else static_insert
+        else:
+            insert = maxmin_insert if policy.startswith("maxmin") else hybrid_insert
     if trace is None:
         trace = generate_stream([t.workload for t in s.tenants], s.total_txns, s.seed)
     return _drive(s, store, insert, trace, sample_from)
@@ -386,10 +402,10 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
     item), ranking) for each (txn, tenant, item) of trace, and the trackers,
     gaps, donor rankings and samples around it.
 
-    store is the cache state: a SlotStore, or anything else whose
-    owned(tenant) gives (dc_slots, sc_slots).  insert returns an outcome of
-    kind "hit" or another.  Without a donor ranking (global, static) SC
-    donors go by age.
+    store is the cache state: a SlotStore, RecencyLists or SlotCounts, or
+    anything else whose owned(tenant) gives (dc_slots, sc_slots).  insert
+    returns an outcome of kind "hit" or another.  Without a donor ranking
+    (global, static) SC donors go by age.
     """
     policy = s.policy
     strategy = s.strategy
@@ -426,6 +442,7 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
     ranking = rank_donors(gaps, answers) if ranked else None
 
     records: list[SampleRecord] = []
+    kept: dict = {}  # tenant -> its last sample, shared by records while unchanged
     sample_every = s.sample_every
 
     def next_sample(t: int) -> int:
@@ -447,7 +464,7 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
     for txn, tenant, item in trace:
         if txn >= due:
             if taken is not None:
-                records.append(_sample(taken, store, trackers, reqs, gaps, active))
+                records.append(_sample(taken, store, trackers, reqs, gaps, active, kept))
                 taken = None
             while change_txns[next_change] <= txn:
                 now = changes[change_txns[next_change]]
@@ -477,18 +494,23 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
                 ranking = rank_donors(gaps, answers)
 
     if taken is not None:
-        records.append(_sample(taken, store, trackers, reqs, gaps, active))
+        records.append(_sample(taken, store, trackers, reqs, gaps, active, kept))
     return records
 
 
-def _sample(txn, store, trackers, reqs, gaps, active) -> SampleRecord:
+def _sample(txn, store, trackers, reqs, gaps, active, kept=None) -> SampleRecord:
     """One record over the active tenants.
 
     Each gap is the driver's own (the one victim choice used); the hard flags
-    and the minimum gap come from check_objectives.
+    and the minimum gap come from check_objectives.  kept maps each tenant
+    to the field values and TenantSample it was last sampled with; a tenant
+    whose fields are the very same objects again shares that sample, so a
+    run's records hold one sample per change, not one per record.
     """
     if not active:
         return SampleRecord(txn=txn, tenants={}, min_gap=INF)
+    if kept is None:
+        kept = {}
     ids = sorted(active)
     hit_rates = {k: trackers[k].hit_rate for k in ids}
     violations, min_gap = check_objectives(hit_rates, reqs, ids)
@@ -496,14 +518,14 @@ def _sample(txn, store, trackers, reqs, gaps, active) -> SampleRecord:
     for k in ids:
         last = trackers[k].last_window_rate
         dc_n, sc_n = store.owned(k)
-        tenants[k] = TenantSample(
-            ewma_hit_rate=hit_rates[k],
-            window_hit_rate=last if last is not None else 0.0,
-            dc_slots=dc_n,
-            sc_slots=sc_n,
-            gap=gaps[k],
-            hard_violation=violations[k],
-        )
+        values = (hit_rates[k], last if last is not None else 0.0, dc_n, sc_n, gaps[k],
+                  violations[k])
+        old = kept.get(k)
+        if old is not None and all(map(is_, values, old[0])):
+            tenants[k] = old[1]
+        else:
+            tenants[k] = TenantSample(*values)
+            kept[k] = (values, tenants[k])
     return SampleRecord(txn=txn, tenants=tenants, min_gap=min_gap)
 
 

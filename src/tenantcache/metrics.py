@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 DEFAULT_WINDOW = 100
@@ -37,6 +38,13 @@ def ewma_update(prev: float | None, observed: float, weight: float = DEFAULT_EWM
     return weight * observed + (1.0 - weight) * prev
 
 
+@lru_cache(maxsize=1024)
+def _window_rate(hits: int, window_length: int) -> float:
+    """hits / window_length as one float object per value, shared by every
+    tracker: a run's sample records hold the rate of each sampled window."""
+    return hits / window_length
+
+
 @dataclass
 class HitRateTracker:
     """Counts hits over fixed-length access windows and smooths the window rates."""
@@ -65,7 +73,7 @@ class HitRateTracker:
             self.window_hits += 1
         if self.window_accesses < self.window_length:
             return None
-        rate = self.window_hits / self.window_length
+        rate = _window_rate(self.window_hits, self.window_length)
         self.ewma = ewma_update(self.ewma, rate, self.ewma_weight)
         self.last_window_rate = rate
         self.window_hits = 0

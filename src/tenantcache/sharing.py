@@ -15,12 +15,17 @@ donor rule is split in two: rank_donors orders the tenants when their gaps
 change, and pick_donor walks that order on each SC replacement for the
 first tenant that owns an SC slot.
 
-counted_insert is hybrid_insert under LRU for the ranked policies on slot
-counts alone (SlotCounts): a capacity probe replays it over per-tenant stack
-distances, with no store.
+Under LRU a tenant's resident items are always its most recent distinct
+ones (the stack property), so an LRU run needs no store: recency_insert is
+hybrid_insert under LRU on per-tenant recency lists (RecencyLists), and
+counted_insert is the same on slot counts alone (SlotCounts), which a
+capacity probe replays over per-tenant stack distances.  hybrid_insert on a
+SlotStore stays the algorithm of FCFS runs, which are not stack algorithms,
+and the reference model the other two are held to.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -328,6 +333,78 @@ def counted_insert(
     if donor != tenant:
         sc[donor] -= 1
         sc[tenant] += 1
+    return _COUNTED_REPLACED
+
+
+class RecencyLists(SlotCounts):
+    """SlotCounts plus the resident keys in recency order, least recent
+    first: all that recency_insert keeps of an LRU store.
+
+    lists maps each tenant to a collections.OrderedDict of its resident
+    items; with shared (global caching) every tenant maps to one
+    OrderedDict of all resident (tenant, item) keys.  Memory is
+    O(capacity).
+    """
+
+    __slots__ = ("lists", "shared")
+
+    def __init__(self, layout: RegionLayout, tenant_ids: Iterable, shared: bool = False):
+        super().__init__(layout, tenant_ids)
+        one = OrderedDict()
+        self.lists = {k: one if shared else OrderedDict() for k in self.dc_sizes}
+        self.shared = shared
+
+
+def recency_insert(
+    lists: RecencyLists, key: tuple, ranking: DonorRanking | None = None
+) -> InsertOutcome:
+    """hybrid_insert on an LRU store, on recency lists in place of slots.
+
+    A tenant's resident items are its dc_k + sc_k most recent distinct ones,
+    and every victim is its owner's least recent resident item (see
+    counted_insert), so each case of hybrid_insert is a list step, in
+    counted_insert's order: a hit iff the item is in its tenant's list (the
+    key, in a shared list), moved to the newest end; else it is appended
+    after taking a free DC slot, else a free SC slot; else, with no SC, the
+    tenant's own least recent item goes; else a donor's least recent item
+    goes and its SC slot passes to the tenant.  The donor is pick_donor's
+    with a ranking, else (global caching) the owner of the shared list's
+    least recent key.  The outcome's kind is hybrid_insert's; it names no
+    region or victim.  A tenant the lists are not built for raises
+    UnknownTenantError.
+    """
+    tenant, item = key
+    try:
+        mine = lists.lists[tenant]
+    except KeyError:
+        raise UnknownTenantError(f"tenant {tenant!r} is not in the scenario") from None
+    if lists.shared:
+        item = key
+    if item in mine:
+        mine.move_to_end(item)
+        return _COUNTED_HIT
+    dc = lists.dc_count[tenant]
+    if dc < lists.dc_sizes[tenant]:
+        lists.dc_count[tenant] = dc + 1
+        mine[item] = None
+        return _COUNTED_INSERTED
+    sc = lists.sc_count
+    if lists.sc_free:
+        lists.sc_free -= 1
+        sc[tenant] += 1
+        mine[item] = None
+        return _COUNTED_INSERTED
+    if not lists.sc_size:
+        mine.popitem(last=False)
+    else:
+        if ranking is None:
+            donor = mine.popitem(last=False)[0][0]
+        else:
+            donor = pick_donor(ranking, sc, tenant)
+            lists.lists[donor].popitem(last=False)
+        sc[donor] -= 1
+        sc[tenant] += 1
+    mine[item] = None
     return _COUNTED_REPLACED
 
 

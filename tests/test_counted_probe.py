@@ -1,11 +1,13 @@
-"""Counted LRU probes: max-min and hybrid sweep probes replayed on slot counts.
+"""LRU runs without a store, held to the store they replace.
 
 Under LRU a tenant's resident items are always its most recent distinct
-ones, so an access hits iff its stack distance within its tenant's own
-substream is below the tenant's slot count.  ProbeCache.lru_records replays
-counted_insert over SlotCounts and those distances; it must give
-run_scenario's records over the same trace, sample for sample.  The unit
-tests hold counted_insert to each case of hybrid_insert's case list.
+ones, and every victim is its owner's least recent item.  So run_scenario
+runs LRU scenarios on per-tenant recency lists (recency_insert over
+RecencyLists), and ProbeCache.lru_records replays counted_insert over
+SlotCounts and per-tenant stack distances.  Both must give the records of
+the driver over an LRU SlotStore and hybrid_insert, the reference model,
+sample for sample, or raise the same error class.  The unit tests hold
+counted_insert to each case of hybrid_insert's case list.
 """
 from __future__ import annotations
 
@@ -13,23 +15,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenantcache.cache_core import RegionLayout
-from tenantcache.harness import ProbeCache, Scenario, TenantSpec, run_scenario
+from tenantcache.cache_core import LRU, NoCandidateError, RegionLayout, SlotStore, UnknownTenantError
+from tenantcache.harness import POLICIES, ProbeCache, Scenario, TenantSpec, _drive, run_scenario
 from tenantcache.metrics import Requirement
-from tenantcache.sharing import DonorRanking, SharingStrategy, SlotCounts, counted_insert
+from tenantcache.sharing import (
+    DonorRanking,
+    SharingStrategy,
+    SlotCounts,
+    counted_insert,
+    hybrid_insert,
+)
 from tenantcache.workload import TenantWorkload, WorkloadPhase
 
 RANKED = ("maxmin_fair", "maxmin_selfish", "hybrid_fair", "hybrid_selfish")
 
 
+def reference(s: Scenario, trace, sample_from: int) -> list:
+    """The driver's records over an LRU SlotStore and hybrid_insert."""
+    s.validate()
+    return _drive(s, SlotStore(s.resolved_layout(), LRU), hybrid_insert, trace, sample_from)
+
+
+def held_trace(s: Scenario, cache: ProbeCache | None = None) -> list:
+    """s.seed's ProbeCache trace of s.total_txns txns."""
+    cache = cache or ProbeCache()
+    return list(cache.trace([t.workload for t in s.tenants], s.total_txns, s.seed))
+
+
 def store_and_counted(s: Scenario, sample_from: int) -> tuple:
-    """run_scenario's records over s.seed's ProbeCache trace, and lru_records'."""
+    """The reference's records over s.seed's ProbeCache trace, and lru_records'."""
     cache = ProbeCache()
-    trace = cache.trace([t.workload for t in s.tenants], s.total_txns, s.seed)
-    return run_scenario(s, trace=trace, sample_from=sample_from), cache.lru_records(s, sample_from)
+    return reference(s, held_trace(s, cache), sample_from), cache.lru_records(s, sample_from)
 
 
-# -- the counted replay against the store ------------------------------------
+def result(run, *args) -> tuple:
+    """("records", the records) of run(*args), or ("raised", the error class)."""
+    try:
+        return "records", run(*args)
+    except Exception as exc:  # noqa: BLE001 -- the class is what is compared
+        return "raised", type(exc)
+
+
+# -- LRU runs against the store ----------------------------------------------
 
 
 @st.composite
@@ -53,14 +80,17 @@ def tenant_specs(draw, tid: int) -> TenantSpec:
 
 
 @st.composite
-def lru_scenarios(draw) -> Scenario:
-    """An LRU max-min or hybrid scenario: phases, arrivals and departures,
-    selfish strategies, DCs of size 0 and hybrids with no SC."""
-    policy = draw(st.sampled_from(RANKED))
+def lru_scenarios(draw, policies=RANKED) -> Scenario:
+    """An LRU scenario of one of policies: phases, arrivals and departures,
+    selfish strategies, DCs of size 0, hybrids with no SC and static splits
+    of any sizes."""
+    policy = draw(st.sampled_from(policies))
     ids = range(1, draw(st.integers(1, 3)) + 1)
     tenants = [draw(tenant_specs(k)) for k in ids]
-    if policy.startswith("maxmin"):
+    if policy in ("global", "maxmin_fair", "maxmin_selfish"):
         layout = RegionLayout.global_layout(draw(st.integers(1, 40)))
+    elif policy == "static":
+        layout = RegionLayout(dc_sizes={k: draw(st.integers(1, 12)) for k in ids})
     else:
         sc_size = draw(st.sampled_from((0, 0, 1, 3, 8, 15)))
         least = 0 if sc_size else 1  # with no SC every tenant needs a DC slot
@@ -84,10 +114,87 @@ def lru_scenarios(draw) -> Scenario:
 
 
 @settings(max_examples=200, deadline=None)
-@given(s=lru_scenarios(), sample_from=st.integers(0, 400))
-def test_counted_replay_gives_the_store_runs_records(s, sample_from):
+@given(data=st.data(), s=lru_scenarios())
+def test_counted_replay_gives_the_store_runs_records(data, s):
+    # from within the trace's first half, so that most examples sample something
+    sample_from = data.draw(st.integers(0, s.total_txns // 2))
     expected, counted = store_and_counted(s, sample_from)
     assert counted == expected
+
+
+@st.composite
+def traces(draw, s: Scenario) -> list:
+    """A trace for s: its own held trace, with gaps or not, or one that
+    ignores the scenario's arrivals and departures; maybe with an event of
+    a tenant s does not list."""
+    ids = s.tenant_ids()
+    if draw(st.booleans()):
+        trace = held_trace(s)
+        every = draw(st.integers(1, 4))
+        if every > 1:  # drop the txns of one residue: activation changes may be skipped
+            skip = draw(st.integers(0, every - 1))
+            trace = [ev for ev in trace if ev[0] % every != skip]
+    else:
+        steps = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(ids),
+                                        st.integers(0, 30)), min_size=20, max_size=400))
+        txn, trace = -1, []
+        for step, tenant, item in steps:
+            txn += step
+            trace.append((txn, tenant, item))
+    if trace and not draw(st.integers(0, 3)):
+        at = draw(st.integers(0, len(trace) - 1))
+        trace[at] = (trace[at][0], 99, trace[at][2])
+    return trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), s=lru_scenarios(POLICIES))
+def test_lru_runs_give_the_store_runs_records(data, s):
+    """Every policy, gapped traces and traces that break the scenario's
+    timeline: records equal, or the same error class raised.  An unlisted
+    tenant's event raises UnknownTenantError unless an earlier event raised;
+    the store may raise NoCandidateError there instead, because an all-SC
+    store takes the stranger's key, donor and all, before the driver names
+    it."""
+    trace = data.draw(traces(s))
+    sample_from = data.draw(st.integers(0, trace[-1][0] // 2 if trace else 0))
+    got = result(run_scenario, s, trace, sample_from)
+    strangers = [i for i, ev in enumerate(trace) if ev[1] == 99]
+    if not strangers:
+        assert got == result(reference, s, trace, sample_from)
+        return
+    before = trace[: strangers[0]]
+    expected = result(reference, s, before, sample_from)
+    assert result(run_scenario, s, before, sample_from) == expected
+    assert got == (expected if expected[0] == "raised" else ("raised", UnknownTenantError))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_an_unlisted_tenant_raises_under_every_policy(policy):
+    if policy.startswith("hybrid"):
+        layout = RegionLayout(dc_sizes={1: 2, 2: 2}, sc_size=4)
+    elif policy == "static":
+        layout = RegionLayout(dc_sizes={1: 4, 2: 4})
+    else:
+        layout = RegionLayout.global_layout(8)
+    s = Scenario(capacity=8, policy=policy, tenants=[spec(1), spec(2)], layout=layout,
+                 total_txns=100)
+    trace = [(0, 1, 5), (1, 2, 5), (2, 99, 5)]
+    for run in (reference, run_scenario):
+        with pytest.raises(UnknownTenantError, match="99"):
+            run(s, trace, 0)
+
+
+def test_a_tenant_sending_before_its_arrival_raises_as_the_store_does():
+    """Tenant 2 sends every odd txn from 0 but arrives at 100, so it has no
+    gap and never donates; the ranked tenant donates to it until it alone
+    owns SC, and then no donor is left."""
+    s = Scenario(capacity=8, policy="maxmin_fair", tenants=[spec(1), spec(2, active_from=100)],
+                 total_txns=200)
+    trace = [(txn, 1 + txn % 2, txn) for txn in range(200)]
+    for run in (reference, run_scenario):
+        with pytest.raises(NoCandidateError):
+            run(s, trace, 0)
 
 
 def spec(tid, alpha=1.0, soft=0.5, **kw) -> TenantSpec:

@@ -392,6 +392,24 @@ class TestRunScenario:
             bufs.append(out.getvalue())
         assert bufs[0] == bufs[1]
 
+    def test_records_are_slotted(self):
+        # a run keeps one record per sample and one tenant sample per active
+        # tenant, so neither carries a per-instance __dict__
+        rec = run_scenario(small_scenario())[-1]
+        assert not hasattr(rec, "__dict__")
+        assert not any(hasattr(t, "__dict__") for t in rec.tenants.values())
+
+    @pytest.mark.parametrize("replacement", ["lru", "fcfs"])
+    def test_unchanged_samples_are_shared(self, replacement):
+        # sampled every txn, a tenant's fields change only on its own misses
+        # and window closes, so most records repeat its last sample object
+        s = small_scenario(sample_every=1, total_txns=2_000, replacement=replacement)
+        records = run_scenario(s)
+        pairs = [(a.tenants[k], b.tenants[k]) for a, b in zip(records, records[1:])
+                 for k in a.tenants.keys() & b.tenants.keys()]
+        shared = [a for a, b in pairs if a is b]
+        assert len(shared) > len(pairs) // 2
+
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_unknown_tenant_in_a_given_trace_is_named(self, policy):
@@ -401,22 +419,30 @@ class TestRunScenario:
         with pytest.raises(UnknownTenantError, match="99"):
             run_scenario(s, trace=[(0, 1, 5), (1, 99, 3)])
 
-    @pytest.mark.parametrize("policy", ["global", "maxmin_fair"])
+    @pytest.mark.parametrize("policy", ["global", "maxmin_fair", "static", "hybrid_fair"])
     def test_insert_looked_up_on_module_at_run_start(self, monkeypatch, policy):
+        """Each engine calls the insert it finds on the harness module at run
+        start: the recency-list insert under LRU, the policy family's name
+        for the one algorithm under FCFS."""
         import tenantcache.harness as harness
 
-        name = "global_insert" if policy == "global" else "maxmin_insert"
-        real = getattr(harness, name)
-        calls = []
+        family = policy.split("_")[0] + "_insert"
+        names = ("recency_insert", "global_insert", "static_insert", "maxmin_insert",
+                 "hybrid_insert")
+        calls = {}
+        for name in names:
+            def counting(*args, name=name, real=getattr(harness, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
 
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
-
-        monkeypatch.setattr(harness, name, counting)
-        s = small_scenario(policy=policy)
-        run_scenario(s)
-        assert len(calls) == s.total_txns
+            monkeypatch.setattr(harness, name, counting)
+        hybrid = RegionLayout(dc_sizes={1: 8, 2: 8}, sc_size=48)
+        for replacement, name in (("lru", "recency_insert"), ("fcfs", family)):
+            calls.clear()
+            layout = derive_layout(policy, 64, [1, 2], hybrid)
+            s = small_scenario(policy=policy, layout=layout, replacement=replacement)
+            run_scenario(s)
+            assert calls == {name: s.total_txns}
 
 
 class TestActivation:

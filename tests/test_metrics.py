@@ -85,6 +85,13 @@ class TestHitRateTracker:
             assert 0.0 <= t.hit_rate <= 1.0
             assert t.window_hits <= t.window_accesses <= t.window_length
 
+    def test_equal_window_rates_are_one_object(self):
+        # sample records keep the window rates, so equal rates share one float
+        a, b = HitRateTracker(window_length=4), HitRateTracker(window_length=4)
+        rates = [t.record_access(h) for t in (a, b) for h in (True, False, True, False)]
+        assert rates[3] == rates[7] == 0.5
+        assert rates[3] is rates[7]
+
 
 class TestRequirement:
     def test_hard_must_not_exceed_soft(self):
