@@ -21,16 +21,13 @@ index keeps one heap per (region, owner) whose entries are single ints,
 stamp << shift | index, ordered as (stamp, index); an owner-free query takes
 the least live top over the region's owner heaps.  A slot filled from empty,
 or refilled by swap or by an SC hit's promotion, is pushed under its new
-stamp, and its old entry, if any, is dropped when it surfaces.  A full
-region's replacement hands its victim's entry, which the victim query has
-just put on top of its heap, to the new content: re-keyed in place when the
-owner stays, else popped and pushed once on the new owner's heap, so it adds
-no entry and leaves none stale.  A promotion hands on its DC victim's entry
-the same way, and its SC victim's when it evicts one.  An LRU hit only writes
-the slot's new stamp: the slot's entry keeps the older stamp, and is re-keyed
-in place to the current one when it reaches a heap top, so a slot that is hit
-many times between two victim queries costs one heap step, not one push per
-hit.
+stamp, and so is a slot an LRU hit restamps; its old entry, if any, is
+dropped when it surfaces.  A full region's replacement hands its victim's
+entry, which the victim query has just put on top of its heap, to the new
+content: re-keyed in place when the owner stays, else popped and pushed once
+on the new owner's heap, so it adds no entry and leaves none stale.  A
+promotion hands on its DC victim's entry the same way, and its SC victim's
+when it evicts one.
 Once pushes would take the index past 2 * capacity + 64 entries it is
 rebuilt from the occupied slots, so memory stays O(capacity) whatever the
 trace length, at amortised O(1) cost per push.  A victim query does not
@@ -112,21 +109,17 @@ class _VictimIndex:
 
     shift is capacity.bit_length(), so an int entry orders as its (stamp,
     slot) pair would, and decodes as entry >> shift, entry & mask.
-    ``indexed[slot]`` is the stamp the slot's current content was pushed
-    under.  An entry is live while its slot is occupied and ``indexed`` still
-    holds the entry's stamp; a later push for the slot makes it stale.  Stamps
-    are never reused and move only with their key, so a live entry also names
-    the slot's current owner.  Under LRU a hit raises the slot's stamp above
-    the indexed one, so a live entry may be older than its slot; it is
-    re-keyed when it reaches a heap top.  A replacement or promotion hands its
-    victim's entry, which the query has just put on top, to the slot's new
-    content (replace_top).
+    An entry is live while its slot is occupied and still holds the entry's
+    stamp; a new stamp for the slot makes it stale.  Stamps are never reused
+    and move only with their key, so a live entry also names the slot's
+    current owner.  Every new stamp is indexed: pushed, or, for a replacement
+    or promotion, given to the victim's entry, which the query has just put on
+    top (replace_top).
     ``room`` counts the entries that still fit under ``limit`` before the
     next rebuild.
     """
 
-    __slots__ = ("keys", "regions", "stamps", "indexed", "limit", "heaps", "room",
-                 "shift", "mask")
+    __slots__ = ("keys", "regions", "stamps", "limit", "heaps", "room", "shift", "mask")
 
     def __init__(self, store: "SlotStore"):
         # the store's arrays, not the store: no reference cycle keeps it alive
@@ -150,7 +143,6 @@ class _VictimIndex:
             for heap in by_owner.values():
                 heapq.heapify(heap)
         self.heaps = heaps
-        self.indexed = stamps[:]
         self.room = self.limit - live
 
     def push(self, idx: int) -> None:
@@ -159,7 +151,7 @@ class _VictimIndex:
             self.rebuild()  # the rebuild indexes idx as it is now
             return
         self.room -= 1
-        stamp = self.indexed[idx] = self.stamps[idx]
+        stamp = self.stamps[idx]
         by_owner = self.heaps.get(self.regions[idx])
         if by_owner is None:
             by_owner = self.heaps[self.regions[idx]] = {}
@@ -184,7 +176,6 @@ class _VictimIndex:
         heap = by_owner[owner]
         if heap[0] & self.mask != idx:
             raise CacheError(f"slot {idx} is not the victim a query has just named")
-        self.indexed[idx] = stamp
         entry = stamp << self.shift | idx
         if new_owner == owner:
             heapq.heapreplace(heap, entry)
@@ -197,22 +188,15 @@ class _VictimIndex:
             heapq.heappush(heap, entry)
 
     def _top(self, heap):
-        """The heap's least live entry, after dropping stale ones above it and
-        re-keying a restamped one; or None."""
-        stamps, keys, indexed = self.stamps, self.keys, self.indexed
-        shift, mask = self.shift, self.mask
+        """The heap's least live entry, after dropping stale ones above it; or None."""
+        stamps, keys, shift, mask = self.stamps, self.keys, self.shift, self.mask
         while heap:
             entry = heap[0]
             idx = entry & mask
-            stamp = entry >> shift
-            if keys[idx] is None or indexed[idx] != stamp:
-                heapq.heappop(heap)
-                self.room += 1
-            elif stamps[idx] == stamp:
+            if keys[idx] is not None and stamps[idx] == entry >> shift:
                 return entry
-            else:  # hit since it was indexed: move it down to its current stamp
-                stamp = indexed[idx] = stamps[idx]
-                heapq.heapreplace(heap, stamp << shift | idx)
+            heapq.heappop(heap)
+            self.room += 1
         return None
 
     def victim(self, region: Region, owner) -> int:
@@ -220,10 +204,9 @@ class _VictimIndex:
         by_owner = self.heaps.get(region, {})
         if owner is not None:
             heap = by_owner.get(owner)
-            if heap:  # the top itself when it is live and current
+            if heap:  # the top itself when it is live
                 idx = heap[0] & self.mask
-                if (self.keys[idx] is not None
-                        and self.indexed[idx] == self.stamps[idx] == heap[0] >> self.shift):
+                if self.keys[idx] is not None and self.stamps[idx] == heap[0] >> self.shift:
                     return idx
             best = self._top(heap)
         else:
@@ -287,8 +270,8 @@ class SlotStore:
     def lookup(self, key: Key):
         """Return (region, slot index) on hit, restamping under LRU; None on miss.
 
-        A restamp only writes the slot's stamp; the victim index re-keys the
-        slot when its older entry next reaches a heap top.
+        A restamp pushes the slot under its new stamp once the victim index
+        is built.
         """
         idx = self.key_index.get(key)
         if idx is None:
@@ -296,6 +279,8 @@ class SlotStore:
         if self._restamp_on_hit:
             self._seq += 1
             self.stamps[idx] = self._seq
+            if self._index is not None:
+                self._index.push(idx)
         return self.regions[idx], idx
 
     def peek(self, key: Key):
@@ -416,8 +401,8 @@ class SlotStore:
         a victim query has just named, and key, which must be new, takes it
         after its content is evicted.  The two slots then exchange contents,
         so both keep their stamps: on an SC hit the key keeps the stamp it
-        holds, which the caller's lookup has just renewed under LRU and which
-        is its insertion stamp under FCFS; a new key is stamped with a new
+        holds, which the caller's lookup has just renewed (and pushed) under
+        LRU and which is its insertion stamp under FCFS; a new key is stamped with a new
         tick.  The DC slot's entry is re-keyed in place.  A free SC slot is
         pushed, so that promotion adds one index entry; an evicted one takes
         over its old content's entry, so that one adds none.  Returns the DC

@@ -29,9 +29,9 @@ MIN_TARGET_STEP = 1e-6  # the sweep CSV's target precision
 def _parse_targets(spec: str) -> list[float]:
     """Either 'start:stop:step' (inclusive) or a comma-separated list.
 
-    A range is checked before it is listed: start and stop in [0, 1) and a
-    step of at least MIN_TARGET_STEP, so it never lists more than a million
-    targets.
+    A range is checked before it is listed: 0 <= start <= stop < 1 and a
+    step of at least MIN_TARGET_STEP, so it lists at least one target and
+    never more than a million.
     """
     try:
         if ":" not in spec:
@@ -41,9 +41,9 @@ def _parse_targets(spec: str) -> list[float]:
         raise ConfigurationError(
             "targets", f"{spec!r} is neither start:stop:step nor a comma-separated list"
         ) from exc
-    if not (step >= MIN_TARGET_STEP and 0.0 <= start < 1.0 and 0.0 <= stop < 1.0):
+    if not (step >= MIN_TARGET_STEP and 0.0 <= start <= stop < 1.0):
         raise ConfigurationError(
-            "targets", f"a range needs start and stop in [0, 1) and a step >= {MIN_TARGET_STEP:g}"
+            "targets", f"a range needs 0 <= start <= stop < 1 and a step >= {MIN_TARGET_STEP:g}"
         )
     targets = []
     t = start

@@ -482,11 +482,11 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
                 taken, due = txn, txn + 1
             due = min(due, change_txns[next_change])
 
-        outcome = insert(store, (tenant, item), ranking)
-        try:
+        try:  # before the access: an all-SC store would serve any tenant
             tracker = trackers[tenant]
-        except KeyError:  # an all-SC store serves any tenant, so the error is raised here
+        except KeyError:
             raise UnknownTenantError(f"tenant {tenant!r} is not in the scenario") from None
+        outcome = insert(store, (tenant, item), ranking)
         if tracker.record_access(outcome.kind == "hit") is not None:
             histories[tenant].append((sum(store.owned(tenant)), tracker.hit_rate))
             refresh(tenant)

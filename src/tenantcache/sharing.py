@@ -370,14 +370,11 @@ def recency_insert(
     goes and its SC slot passes to the tenant.  The donor is pick_donor's
     with a ranking, else (global caching) the owner of the shared list's
     least recent key.  The outcome's kind is hybrid_insert's; it names no
-    region or victim.  A tenant the lists are not built for raises
-    UnknownTenantError.
+    region or victim.  The caller checks the tenant: one the lists are not
+    built for raises KeyError.
     """
     tenant, item = key
-    try:
-        mine = lists.lists[tenant]
-    except KeyError:
-        raise UnknownTenantError(f"tenant {tenant!r} is not in the scenario") from None
+    mine = lists.lists[tenant]
     if lists.shared:
         item = key
     if item in mine:

@@ -150,23 +150,14 @@ def traces(draw, s: Scenario) -> list:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), s=lru_scenarios(POLICIES))
 def test_lru_runs_give_the_store_runs_records(data, s):
-    """Every policy, gapped traces and traces that break the scenario's
-    timeline: records equal, or the same error class raised.  An unlisted
-    tenant's event raises UnknownTenantError unless an earlier event raised;
-    the store may raise NoCandidateError there instead, because an all-SC
-    store takes the stranger's key, donor and all, before the driver names
-    it."""
+    """Every policy, gapped traces, traces that break the scenario's timeline
+    and events of a tenant it does not list: records equal, or the same error
+    class raised.  The driver names an unlisted tenant before its access, so
+    both engines raise UnknownTenantError at its event unless an earlier
+    event raised."""
     trace = data.draw(traces(s))
     sample_from = data.draw(st.integers(0, trace[-1][0] // 2 if trace else 0))
-    got = result(run_scenario, s, trace, sample_from)
-    strangers = [i for i, ev in enumerate(trace) if ev[1] == 99]
-    if not strangers:
-        assert got == result(reference, s, trace, sample_from)
-        return
-    before = trace[: strangers[0]]
-    expected = result(reference, s, before, sample_from)
-    assert result(run_scenario, s, before, sample_from) == expected
-    assert got == (expected if expected[0] == "raised" else ("raised", UnknownTenantError))
+    assert result(run_scenario, s, trace, sample_from) == result(reference, s, trace, sample_from)
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -1147,7 +1147,8 @@ class TestCli:
 
     @pytest.mark.parametrize("spec", ["0.3,", "0.6:0.3:-0.1", "0:inf:0.1", "-inf:0.5:0.1",
                                       "0:0.5:nan", "0.1:0.2:0.3:0.4", "0:0.00001:1e-7",
-                                      "-0.1:0.5:0.1", "0.5:1.5:0.1", "0:1:0.1"])
+                                      "-0.1:0.5:0.1", "0.5:1.5:0.1", "0:1:0.1",
+                                      "0.5:0.3:0.1"])
     def test_parse_targets_rejects_bad_spec(self, spec):
         from tenantcache.cli import _parse_targets
 

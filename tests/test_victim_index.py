@@ -31,6 +31,17 @@ def oracle_victim(store, region, owner):
     return min(candidates)[1] if candidates else None
 
 
+def assert_victims_match_oracle(store):
+    """Once the index is built, every query with a candidate names the oracle's victim."""
+    if store._index is None:
+        return
+    for region in [SC] + [dc_region(t) for t in TENANTS]:
+        for owner in (None,) + TENANTS:
+            expected = oracle_victim(store, region, owner)
+            if expected is not None:
+                assert store.select_victim(region, owner) == expected
+
+
 def heap_entries(store):
     """Entries held by the victim index, 0 while it is unbuilt."""
     index = store._index
@@ -140,17 +151,12 @@ def test_victims_match_oracle_and_memory_is_bounded(layout, replacement, script)
                 assert store.select_victim(dcr, tenant) == victim
                 if idx is not None and store.regions[idx] == SC:
                     store.swap(idx, victim)
-        if store._index is not None:
-            for region in [SC] + [dc_region(t) for t in TENANTS]:
-                for owner in (None,) + TENANTS:
-                    expected = oracle_victim(store, region, owner)
-                    if expected is not None:
-                        assert store.select_victim(region, owner) == expected
+        assert_victims_match_oracle(store)
         assert heap_entries(store) <= bound
 
 
 # LRU hits outnumber everything else, and half of them hit the slot a victim
-# query would name, so its entry reaches a heap top older than its slot
+# query would name, so the entry on its heap's top turns stale
 lru_ops = st.one_of(
     st.tuples(st.just("insert"), tenants, st.integers(0, 9), st.booleans()),
     *[st.tuples(st.just("hit"), tenants, st.integers(0, 9))] * 3,
@@ -167,7 +173,6 @@ def test_lru_hits_are_rekeyed_to_exact_victims(layout, script):
     bound = 2 * store.capacity + 64
     for op in script:
         kind = op[0]
-        entries = heap_entries(store)
         if kind == "insert":
             _, tenant, item, use_sc = op
             region = SC if use_sc else dc_region(tenant)
@@ -177,7 +182,6 @@ def test_lru_hits_are_rekeyed_to_exact_victims(layout, script):
         elif kind == "hit":
             _, tenant, item = op
             store.lookup((tenant, item))
-            assert heap_entries(store) == entries
         else:
             _, use_sc, owner = op
             region = SC if use_sc else dc_region(owner or 1)
@@ -185,7 +189,6 @@ def test_lru_hits_are_rekeyed_to_exact_victims(layout, script):
             if kind == "hit_victim":
                 if expected is not None:
                     store.lookup(store.keys[expected])
-                assert heap_entries(store) == entries
             elif expected is None:
                 with pytest.raises(NoCandidateError):
                     store.select_victim(region, owner)
@@ -194,28 +197,24 @@ def test_lru_hits_are_rekeyed_to_exact_victims(layout, script):
                 if kind == "evict_victim":
                     store.evict(expected)
         assert heap_entries(store) <= bound
-    if store._index is not None:
-        for region in [SC] + [dc_region(t) for t in TENANTS]:
-            for owner in (None,) + TENANTS:
-                expected = oracle_victim(store, region, owner)
-                if expected is not None:
-                    assert store.select_victim(region, owner) == expected
+    assert_victims_match_oracle(store)
 
 
-def test_lru_lookup_leaves_the_index_alone():
+def test_lru_lookup_pushes_once_the_index_is_built():
     store = SlotStore(RegionLayout.global_layout(4))
     slots = [store.insert_into_empty((1, item), SC) for item in range(4)]
-    assert store.select_victim(SC) == slots[0]  # build the index
+    assert store.lookup((1, 0)) == (SC, slots[0])
+    assert heap_entries(store) == 0  # no index yet, so nothing to push
+    assert store.select_victim(SC) == slots[1]  # build the index
     entries = heap_entries(store)
-    for _ in range(3):
-        stamp = store.stamps[slots[0]]
-        assert store.lookup((1, 0)) == (SC, slots[0])
-        assert store.stamps[slots[0]] > stamp
-        assert heap_entries(store) == entries
-    # the hit slot's entry is re-keyed in place when it reaches the top
-    assert store.select_victim(SC) == slots[1]
-    assert heap_entries(store) == entries
-    assert store._index.indexed[slots[0]] == store.stamps[slots[0]]
+    for n in range(1, 4):
+        stamp = store.stamps[slots[1]]
+        assert store.lookup((1, 1)) == (SC, slots[1])
+        assert store.stamps[slots[1]] > stamp
+        assert heap_entries(store) == entries + n  # one entry per hit
+    # the hit slot's old entry is dropped when it surfaces
+    assert store.select_victim(SC) == slots[2]
+    assert heap_entries(store) == entries + 2
 
 
 def test_filling_builds_no_index():
@@ -240,7 +239,8 @@ def test_fcfs_lookup_leaves_the_stamp():
 
 @pytest.mark.parametrize("replacement", [LRU, FCFS])
 def test_hybrid_promotion_indexes_one_entry(replacement):
-    # the DC victim's entry is replaced in place; only the SC slot is pushed
+    # the DC victim's entry is replaced in place; only the SC slot is pushed,
+    # and under LRU the SC hit's restamp too
     store = SlotStore(RegionLayout(dc_sizes={1: 2}, sc_size=2), replacement)
     dcr = dc_region(1)
     hybrid_insert(store, (1, 0))
@@ -252,9 +252,12 @@ def test_hybrid_promotion_indexes_one_entry(replacement):
     assert store.regions[store.peek((1, 0))] == SC
     assert len(store._index.heaps[dcr][1]) == 2
     assert hybrid_insert(store, (1, 0)).kind == "hit"  # an SC hit
-    assert heap_entries(store) == entries + 2
     assert store.regions[store.peek((1, 0))] == dcr
     assert len(store._index.heaps[dcr][1]) == 2
+    if replacement == FCFS:
+        assert heap_entries(store) == entries + 2
+    assert_victims_match_oracle(store)
+    assert heap_entries(store) <= 2 * store.capacity + 64
 
 
 hybrid_layouts = st.builds(
@@ -276,7 +279,9 @@ hybrid_ops = st.one_of(
     st.lists(hybrid_ops, min_size=20, max_size=300),
 )
 def test_hybrid_dc_heaps_hold_one_entry_per_slot(layout, replacement, gaps, script):
+    # exactly one under FCFS; an LRU hit on a DC slot pushes it again
     store = SlotStore(layout, replacement)
+    bound = 2 * store.capacity + 64
     ranking = None if gaps is None else rank_donors(gaps)
     dc_slots = {
         t: [i for i in range(store.capacity) if store.regions[i] == dc_region(t)]
@@ -299,13 +304,10 @@ def test_hybrid_dc_heaps_hold_one_entry_per_slot(layout, replacement, gaps, scri
                 occupied = sum(store.keys[i] is not None for i in slots)
                 by_owner = store._index.heaps.get(dc_region(t), {})
                 assert set(by_owner) <= {t}
-                assert len(by_owner.get(t, ())) == occupied
-    if store._index is not None:
-        for region in [SC] + [dc_region(t) for t in TENANTS]:
-            for owner in (None,) + TENANTS:
-                expected = oracle_victim(store, region, owner)
-                if expected is not None:
-                    assert store.select_victim(region, owner) == expected
+                if replacement == FCFS:
+                    assert len(by_owner.get(t, ())) == occupied
+        assert heap_entries(store) <= bound
+    assert_victims_match_oracle(store)
 
 
 # -- a full region's replacement in one step, against the two steps it fuses --
@@ -326,8 +328,7 @@ def unfused_promote_over(store, key, dcr, idx):
 
 def top_entry(store, idx):
     """The entry idx's content is indexed under, as a victim query has just left it on top."""
-    index = store._index
-    return index.indexed[idx] << index.shift | idx
+    return store.stamps[idx] << store._index.shift | idx
 
 
 def assert_guards_hold(store, tenant, pick):
@@ -428,12 +429,7 @@ def test_one_step_replacement_matches_evict_then_insert(layout, replacement, scr
             assert_guards_hold(fused, tenant, item)
         assert fused.dump() == unfused.dump()
         assert [fused.owned(t) for t in TENANTS] == [unfused.owned(t) for t in TENANTS]
-        if fused._index is not None:
-            for region in [SC] + [dc_region(t) for t in TENANTS]:
-                for owner in (None,) + TENANTS:
-                    expected = oracle_victim(fused, region, owner)
-                    if expected is not None:
-                        assert fused.select_victim(region, owner) == expected
+        assert_victims_match_oracle(fused)
         assert heap_entries(fused) <= bound
 
 
@@ -518,11 +514,7 @@ def test_compaction_under_hybrid_promotions(monkeypatch, replacement):
         assert store.free_count(SC)
         assert heap_entries(store) <= bound
     assert len(rebuilds) > 1
-    for region in (SC, dc_region(1), dc_region(2)):
-        for owner in (None, 1, 2):
-            expected = oracle_victim(store, region, owner)
-            if expected is not None:
-                assert store.select_victim(region, owner) == expected
+    assert_victims_match_oracle(store)
 
 
 @pytest.mark.parametrize("query", ["select_victim", "evict_victim"])
