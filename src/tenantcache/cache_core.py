@@ -6,38 +6,20 @@ the shared region SC.  The store's replacement policy is fixed when it is
 built, and every slot carries one stamp from one counter: its last access
 under LRU (a hit restamps it), its insertion under FCFS (only an insert does).
 The store offers lookup, insertion into an empty slot, victim choice,
-replacement of a full region's victim by a new key in one step (replace), and
-promotion of a shared-region key into its owner's dedicated region in one step
-(promote, which can also take a full SC's victim slot for a new key).
-sharing.hybrid_insert is the insertion algorithm every policy runs over them.
-FCFS runs use the store; LRU runs keep per-tenant recency lists in place of
-slots (sharing.recency_insert), and an LRU store is the reference model they
-are tested against.
+eviction and the swap of two slots' contents; sharing.hybrid_insert is the
+insertion algorithm every policy runs over them.
 
-Victims come from one lazily validated index, built by heapifying the occupied
-slots when the first victim query arrives; until then nothing is indexed, so
-filling an empty store and a run that never evicts cost no heap work.  The
-index keeps one heap per (region, owner) whose entries are single ints,
-stamp << shift | index, ordered as (stamp, index); an owner-free query takes
-the least live top over the region's owner heaps.  A slot filled from empty,
-or refilled by swap or by an SC hit's promotion, is pushed under its new
-stamp, and so is a slot an LRU hit restamps; its old entry, if any, is
-dropped when it surfaces.  A full region's replacement hands its victim's
-entry, which the victim query has just put on top of its heap, to the new
-content: re-keyed in place when the owner stays, else popped and pushed once
-on the new owner's heap, so it adds no entry and leaves none stale.  A
-promotion hands on its DC victim's entry the same way, and its SC victim's
-when it evicts one.
-Once pushes would take the index past 2 * capacity + 64 entries it is
-rebuilt from the occupied slots, so memory stays O(capacity) whatever the
-trace length, at amortised O(1) cost per push.  A victim query does not
-consume its answer: the slot stays indexed, and only when the caller
-re-stamps, moves, replaces or evicts it does the next query see another slot.
+No run keeps slots.  LRU runs keep per-tenant recency lists
+(sharing.recency_insert) and FCFS runs keep insertion stamps in per-tenant
+heaps (sharing.fifo_insert); the store is the reference model both are
+tested against, under either policy.  So it favours plain steps over speed:
+it keeps the occupied slots of each region by owner, and a victim query
+scans the candidates for the least stamp.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable, Mapping
 
 SC = "SC"
@@ -104,124 +86,8 @@ class RegionLayout:
         return cls(dc_sizes=sizes, sc_size=0)
 
 
-class _VictimIndex:
-    """Min-heaps of stamp << shift | slot over the store's stamps, by region then owner.
-
-    shift is capacity.bit_length(), so an int entry orders as its (stamp,
-    slot) pair would, and decodes as entry >> shift, entry & mask.
-    An entry is live while its slot is occupied and still holds the entry's
-    stamp; a new stamp for the slot makes it stale.  Stamps are never reused
-    and move only with their key, so a live entry also names the slot's
-    current owner.  Every new stamp is indexed: pushed, or, for a replacement
-    or promotion, given to the victim's entry, which the query has just put on
-    top (replace_top).
-    ``room`` counts the entries that still fit under ``limit`` before the
-    next rebuild.
-    """
-
-    __slots__ = ("keys", "regions", "stamps", "limit", "heaps", "room", "shift", "mask")
-
-    def __init__(self, store: "SlotStore"):
-        # the store's arrays, not the store: no reference cycle keeps it alive
-        self.keys, self.regions = store.keys, store.regions
-        self.stamps = store.stamps
-        self.limit = 2 * store.capacity + 64
-        self.shift = store.capacity.bit_length()
-        self.mask = (1 << self.shift) - 1
-        self.rebuild()
-
-    def rebuild(self) -> None:
-        regions, stamps, shift = self.regions, self.stamps, self.shift
-        heaps: dict = {}
-        live = 0
-        for idx, key in enumerate(self.keys):
-            if key is not None:
-                by_owner = heaps.setdefault(regions[idx], {})
-                by_owner.setdefault(key[0], []).append(stamps[idx] << shift | idx)
-                live += 1
-        for by_owner in heaps.values():
-            for heap in by_owner.values():
-                heapq.heapify(heap)
-        self.heaps = heaps
-        self.room = self.limit - live
-
-    def push(self, idx: int) -> None:
-        """Index slot idx's new content under its current stamp, owner and region."""
-        if not self.room:
-            self.rebuild()  # the rebuild indexes idx as it is now
-            return
-        self.room -= 1
-        stamp = self.stamps[idx]
-        by_owner = self.heaps.get(self.regions[idx])
-        if by_owner is None:
-            by_owner = self.heaps[self.regions[idx]] = {}
-        owner = self.keys[idx][0]
-        heap = by_owner.get(owner)
-        if heap is None:
-            by_owner[owner] = [stamp << self.shift | idx]
-        else:
-            heapq.heappush(heap, stamp << self.shift | idx)
-
-    def replace_top(self, region: Region, owner, idx: int, stamp: int, new_owner) -> None:
-        """Index slot idx's new content, of new_owner, under stamp in place of idx's
-        old entry, which must top its (region, owner) heap.
-
-        Content of the same owner re-keys the top (one heapreplace); another
-        owner's pops it and pushes one entry on new_owner's heap.  Either way
-        the index holds as many entries as before and none for the old
-        content.  Raises CacheError, changing nothing, when the top is not
-        idx's, as it is just after a victim query named idx.
-        """
-        by_owner = self.heaps[region]  # an occupied slot has a live entry here
-        heap = by_owner[owner]
-        if heap[0] & self.mask != idx:
-            raise CacheError(f"slot {idx} is not the victim a query has just named")
-        entry = stamp << self.shift | idx
-        if new_owner == owner:
-            heapq.heapreplace(heap, entry)
-            return
-        heapq.heappop(heap)
-        heap = by_owner.get(new_owner)
-        if heap is None:
-            by_owner[new_owner] = [entry]
-        else:
-            heapq.heappush(heap, entry)
-
-    def _top(self, heap):
-        """The heap's least live entry, after dropping stale ones above it; or None."""
-        stamps, keys, shift, mask = self.stamps, self.keys, self.shift, self.mask
-        while heap:
-            entry = heap[0]
-            idx = entry & mask
-            if keys[idx] is not None and stamps[idx] == entry >> shift:
-                return entry
-            heapq.heappop(heap)
-            self.room += 1
-        return None
-
-    def victim(self, region: Region, owner) -> int:
-        """Slot with the least (stamp, index) in region, owned by owner unless None."""
-        by_owner = self.heaps.get(region, {})
-        if owner is not None:
-            heap = by_owner.get(owner)
-            if heap:  # the top itself when it is live
-                idx = heap[0] & self.mask
-                if self.keys[idx] is not None and self.stamps[idx] == heap[0] >> self.shift:
-                    return idx
-            best = self._top(heap)
-        else:
-            best = None
-            for heap in by_owner.values():
-                entry = self._top(heap)
-                if entry is not None and (best is None or entry < best):
-                    best = entry
-        if best is None:
-            raise NoCandidateError(f"no occupied slot in {region!r} for owner {owner!r}")
-        return best & self.mask
-
-
 class SlotStore:
-    """The slot array, its free lists and per-owner counts, and the victim index."""
+    """The slot array, its free lists, and each region's occupied slots by owner."""
 
     def __init__(self, layout: RegionLayout, replacement: str = LRU):
         if replacement not in REPLACEMENTS:
@@ -234,9 +100,6 @@ class SlotStore:
         self.regions: list = [None] * self.capacity
         self.key_index: dict = {}
         self.free_slots: dict = {}  # region -> stack of its empty slot indices
-        self._index: _VictimIndex | None = None  # built on the first victim query
-        self._dc_count: dict = {}
-        self.sc_count: dict = {}  # owner -> its SC slots; read-only outside the store
         self._seq = 0
         # tenant -> its DC region, None for a listed tenant without DC slots;
         # a layout with no DC slot at all serves any tenant from SC alone
@@ -256,31 +119,23 @@ class SlotStore:
         for i in range(idx, self.capacity):
             self.regions[i] = SC
         self.free_slots[SC] = list(range(self.capacity - 1, idx - 1, -1))
+        # region -> owner -> the region's slots that hold the owner's keys;
+        # read-only outside the store
+        self.occupied: dict = {region: {} for region in self.free_slots}
 
-    # -- bookkeeping -------------------------------------------------------
-    # the hot paths (lookup, insert_into_empty, evict, replace, promote) tick
-    # the stamp counter and adjust the per-owner counts inline
-
-    def _count(self, owner, region, delta: int) -> None:
-        counts = self.sc_count if region == SC else self._dc_count
-        counts[owner] = counts.get(owner, 0) + delta
+    def _slots(self, region: Region, owner) -> set:
+        return self.occupied[region].setdefault(owner, set())
 
     # -- core operations ---------------------------------------------------
 
     def lookup(self, key: Key):
-        """Return (region, slot index) on hit, restamping under LRU; None on miss.
-
-        A restamp pushes the slot under its new stamp once the victim index
-        is built.
-        """
+        """Return (region, slot index) on hit, restamping under LRU; None on miss."""
         idx = self.key_index.get(key)
         if idx is None:
             return None
         if self._restamp_on_hit:
             self._seq += 1
             self.stamps[idx] = self._seq
-            if self._index is not None:
-                self._index.push(idx)
         return self.regions[idx], idx
 
     def peek(self, key: Key):
@@ -304,26 +159,29 @@ class SlotStore:
         self._seq += 1
         self.stamps[idx] = self._seq
         self.key_index[key] = idx
-        owner = key[0]
-        counts = self.sc_count if region == SC else self._dc_count
-        counts[owner] = counts.get(owner, 0) + 1
-        if self._index is not None:
-            self._index.push(idx)
+        self._slots(region, key[0]).add(idx)
         return idx
 
     def select_victim(self, region: Region, owner=None) -> int:
         """Slot the store would evict from region, optionally owner-filtered; kept in place.
 
-        The victim is the occupied candidate with the least (stamp, index),
-        the stamp being the last access (LRU) or the insertion (FCFS), as
-        fixed when the store was built.  The query changes nothing
-        observable, so asking twice gives the same slot until the caller
-        re-stamps, moves, replaces or evicts it.  Raises NoCandidateError when
-        no slot qualifies.
+        The victim is the occupied candidate with the least stamp, the stamp
+        being the last access (LRU) or the insertion (FCFS), as fixed when
+        the store was built.  Stamps come from one counter and move only with
+        their key, so no two occupied slots share one.  The query scans the
+        candidates and changes nothing, so asking twice gives the same slot
+        until the caller re-stamps, moves or evicts it.  Raises
+        NoCandidateError when no slot qualifies.
         """
-        if self._index is None:
-            self._index = _VictimIndex(self)
-        return self._index.victim(region, owner)
+        by_owner = self.occupied.get(region, {})
+        if owner is None:
+            slots = chain.from_iterable(by_owner.values())
+        else:
+            slots = by_owner.get(owner, ())
+        victim = min(slots, key=self.stamps.__getitem__, default=None)
+        if victim is None:
+            raise NoCandidateError(f"no occupied slot in {region!r} for owner {owner!r}")
+        return victim
 
     def evict_victim(self, region: Region, owner=None) -> int:
         """Evict the oldest candidate under the store's policy; return its index."""
@@ -337,8 +195,7 @@ class SlotStore:
             raise CacheError(f"slot {idx} already empty")
         region = self.regions[idx]
         del self.key_index[key]
-        counts = self.sc_count if region == SC else self._dc_count
-        counts[key[0]] -= 1
+        self.occupied[region][key[0]].remove(idx)
         self.keys[idx] = None
         self.free_slots[region].append(idx)
 
@@ -348,115 +205,26 @@ class SlotStore:
             raise CacheError("swap requires two occupied slots")
         ri, rj = self.regions[i], self.regions[j]
         oi, oj = self.keys[i][0], self.keys[j][0]
-        # counts are per owner and region kind, so a same-owner promotion keeps them
-        if oi != oj and (ri == SC) != (rj == SC):
-            self._count(oi, ri, -1)
-            self._count(oj, rj, -1)
-            self._count(oi, rj, +1)
-            self._count(oj, ri, +1)
+        if oi != oj:
+            self.occupied[ri][oi].remove(i)
+            self.occupied[rj][oj].remove(j)
+            self._slots(ri, oj).add(i)
+            self._slots(rj, oi).add(j)
         self.keys[i], self.keys[j] = self.keys[j], self.keys[i]
         self.stamps[i], self.stamps[j] = self.stamps[j], self.stamps[i]
         self.key_index[self.keys[i]] = i
         self.key_index[self.keys[j]] = j
-        if self._index is not None:
-            self._index.push(i)
-            self._index.push(j)
-
-    def replace(self, idx: int, key: Key) -> None:
-        """Evict slot idx's content and put key, which must be new, in its place.
-
-        One step for a full region's miss: idx is the victim a query has just
-        named, whose entry tops its (region, owner) heap.  key is stamped with
-        a new tick and takes over that entry (replace_top), so no free list is
-        touched and no stale entry is left.  Raises CacheError, changing
-        nothing, when the slot is empty, key is present already, or idx's
-        entry is not on top.
-        """
-        keys, key_index = self.keys, self.key_index
-        old = keys[idx]
-        if old is None:
-            raise CacheError(f"slot {idx} already empty")
-        if key in key_index:
-            raise CacheError(f"key {key!r} already present")
-        if self._index is None:
-            raise CacheError(f"slot {idx} is not the victim a query has just named")
-        region, owner, old_owner = self.regions[idx], key[0], old[0]
-        stamp = self._seq + 1
-        self._index.replace_top(region, old_owner, idx, stamp, owner)
-        self._seq = stamp
-        self.stamps[idx] = stamp
-        keys[idx] = key
-        del key_index[old]
-        key_index[key] = idx
-        if owner != old_owner:
-            counts = self.sc_count if region == SC else self._dc_count
-            counts[old_owner] -= 1
-            counts[owner] = counts.get(owner, 0) + 1
-
-    def promote(self, key: Key, dcr: Region, idx: int | None = None, evict: bool = False) -> int:
-        """Move key into its owner's DC region dcr and the owner's DC victim out to SC.
-
-        idx is the SC slot key occupies on an SC hit; None places key, which
-        must be new, in the next free SC slot; with evict, idx is the SC slot
-        a victim query has just named, and key, which must be new, takes it
-        after its content is evicted.  The two slots then exchange contents,
-        so both keep their stamps: on an SC hit the key keeps the stamp it
-        holds, which the caller's lookup has just renewed (and pushed) under
-        LRU and which is its insertion stamp under FCFS; a new key is stamped with a new
-        tick.  The DC slot's entry is re-keyed in place.  A free SC slot is
-        pushed, so that promotion adds one index entry; an evicted one takes
-        over its old content's entry, so that one adds none.  Returns the DC
-        slot key now holds.  Raises, changing nothing, when dcr holds no slot
-        of key's owner, when a new key is present already, when SC is full
-        (no evict) or when slot idx is not an occupied SC slot whose entry
-        tops its heap (evict).
-        """
-        owner = key[0]
-        keys, stamps, key_index = self.keys, self.stamps, self.key_index
-        hit = idx is not None and not evict
-        if not hit:
-            if idx is None and not self.free_slots[SC]:
-                raise RegionFullError(f"region {SC!r} has no empty slot")
-            if key in key_index:
-                raise CacheError(f"key {key!r} already present")
-            if evict and (keys[idx] is None or self.regions[idx] != SC):
-                raise CacheError(f"slot {idx} is not an occupied {SC} slot")
-        victim = self.select_victim(dcr, owner)
-        index = self._index
-        if hit:
-            stamp = stamps[idx]
-        else:
-            counts = self.sc_count
-            if evict:
-                old = keys[idx]
-                # the DC victim's content takes over the SC slot's entry
-                index.replace_top(SC, old[0], idx, stamps[victim], owner)
-                del key_index[old]
-                counts[old[0]] -= 1
-            else:
-                idx = self.free_slots[SC].pop()
-            counts[owner] = counts.get(owner, 0) + 1
-            self._seq += 1
-            stamp = self._seq
-        # the victim has key's owner, so the per-owner DC counts stay as they are
-        moved = keys[victim]
-        keys[idx], stamps[idx], key_index[moved] = moved, stamps[victim], idx
-        keys[victim], stamps[victim], key_index[key] = key, stamp, victim
-        # the victim's entry tops its heap, and the slot stays in that heap
-        index.replace_top(dcr, owner, victim, stamp, owner)
-        if not evict:
-            index.push(idx)
-        return victim
 
     # -- queries -----------------------------------------------------------
 
     def owned(self, tenant) -> tuple[int, int]:
-        """(dc_slots, sc_slots) currently occupied by tenant."""
-        return self._dc_count.get(tenant, 0), self.sc_count.get(tenant, 0)
+        """(dc_slots, sc_slots) currently occupied by tenant, in any DC region and in SC."""
+        dc = sum(len(by_owner.get(tenant, ())) for r, by_owner in self.occupied.items() if r != SC)
+        return dc, len(self.occupied[SC].get(tenant, ()))
 
     def sc_owners(self) -> list:
         """Tenants currently owning at least one SC slot."""
-        return [t for t, n in self.sc_count.items() if n > 0]
+        return [t for t, slots in self.occupied[SC].items() if slots]
 
     def occupied_count(self) -> int:
         return len(self.key_index)

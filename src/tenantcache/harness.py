@@ -19,7 +19,6 @@ from .cache_core import (
     REPLACEMENTS,
     CacheError,
     RegionLayout,
-    SlotStore,
     UnknownTenantError,
 )
 from .metrics import (
@@ -30,12 +29,17 @@ from .metrics import (
     check_objectives,
     ewma_update,
 )
+# global_insert, static_insert, maxmin_insert and hybrid_insert run nowhere
+# here, but the benchmark's tracer (perfbench/tracer.py) wraps them on this
+# module by name until the benchmark is refreshed (ROADMAP item 1)
 from .sharing import (
     INF,
+    FifoHeaps,
     RecencyLists,
     SharingStrategy,
     SlotCounts,
     counted_insert,
+    fifo_insert,
     global_insert,
     hybrid_insert,
     maxmin_insert,
@@ -355,13 +359,15 @@ def run_scenario(
 ) -> list[SampleRecord]:
     """Drive the scenario's policy over its workload stream.
 
-    Under LRU the run keeps no slots: tenant k's resident items are always
-    its dc_k + sc_k most recent distinct items and every victim is its
-    owner's least recent one (the stack property; Mattson et al. 1970), so
-    recency_insert replays hybrid_insert's cases on per-tenant recency
-    lists (one shared list under global) and slot counts, RecencyLists,
-    and gives the records of hybrid_insert on an LRU SlotStore bit for bit.
-    FCFS, not a stack algorithm, runs hybrid_insert on a SlotStore.
+    The run keeps no slots.  Under LRU tenant k's resident items are
+    always its dc_k + sc_k most recent distinct items and every victim is
+    its owner's least recent one (the stack property; Mattson et al. 1970),
+    so recency_insert replays hybrid_insert's cases on per-tenant recency
+    lists (one shared list under global) and slot counts, RecencyLists.
+    FCFS is not a stack algorithm, so fifo_insert replays them on
+    insertion stamps, in per-tenant heaps by region (one shared SC heap
+    under global) and slot counts, FifoHeaps.  Either gives the records of
+    hybrid_insert on a SlotStore of the same replacement bit for bit.
 
     A lookup hit before any mutation counts as a hit; everything else is a
     miss.  A given trace holds (txn, tenant_id, item) triples, AccessEvents
@@ -383,15 +389,10 @@ def run_scenario(
     # the insert is resolved once per run from the module globals, so that
     # wrappers apply
     if s.replacement == LRU:
-        store = RecencyLists(layout, s.tenant_ids(), shared=policy == "global")
-        insert = recency_insert
+        engine, insert = RecencyLists, recency_insert
     else:
-        # one algorithm under the policy family's name
-        store = SlotStore(layout, s.replacement)
-        if policy in ("global", "static"):
-            insert = global_insert if policy == "global" else static_insert
-        else:
-            insert = maxmin_insert if policy.startswith("maxmin") else hybrid_insert
+        engine, insert = FifoHeaps, fifo_insert
+    store = engine(layout, s.tenant_ids(), shared=policy == "global")
     if trace is None:
         trace = generate_stream([t.workload for t in s.tenants], s.total_txns, s.seed)
     return _drive(s, store, insert, trace, sample_from)
@@ -402,10 +403,11 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
     item), ranking) for each (txn, tenant, item) of trace, and the trackers,
     gaps, donor rankings and samples around it.
 
-    store is the cache state: a SlotStore, RecencyLists or SlotCounts, or
-    anything else whose owned(tenant) gives (dc_slots, sc_slots).  insert
-    returns an outcome of kind "hit" or another.  Without a donor ranking
-    (global, static) SC donors go by age.
+    store is the cache state: RecencyLists, FifoHeaps or SlotCounts in a
+    run or probe, a SlotStore in the tests' reference runs, or anything
+    else whose owned(tenant) gives (dc_slots, sc_slots).  insert returns an
+    outcome of kind "hit" or another.  Without a donor ranking (global,
+    static) SC donors go by age.
     """
     policy = s.policy
     strategy = s.strategy
@@ -811,11 +813,12 @@ def meets_target(
     capacity whose derived layout leaves some tenant no slot, a static split
     over more tenants than slots, meets no target and runs nothing.
 
-    No LRU probe runs a store.  A global or static probe's means come from
+    No probe runs a store.  An LRU global or static probe's means come from
     the cache's stack distances (ProbeCache.lru_means), and a maxmin_* or
     hybrid_* probe replays per-tenant slot counts over them
     (ProbeCache.lru_records); both are bit for bit those of run_scenario.
-    FCFS probes run run_scenario: FCFS is not a stack algorithm.  Either way
+    FCFS probes call run_scenario, on insertion stamps (FifoHeaps): FCFS is
+    not a stack algorithm, so no stack distance serves them.  Either way
     the probe scenario is validated first, so a bad one raises the same
     ConfigurationError.
     """

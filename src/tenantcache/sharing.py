@@ -15,18 +15,20 @@ donor rule is split in two: rank_donors orders the tenants when their gaps
 change, and pick_donor walks that order on each SC replacement for the
 first tenant that owns an SC slot.
 
-Under LRU a tenant's resident items are always its most recent distinct
-ones (the stack property), so an LRU run needs no store: recency_insert is
+No run keeps slots.  Under LRU a tenant's resident items are always its
+most recent distinct ones (the stack property), so recency_insert is
 hybrid_insert under LRU on per-tenant recency lists (RecencyLists), and
 counted_insert is the same on slot counts alone (SlotCounts), which a
-capacity probe replays over per-tenant stack distances.  hybrid_insert on a
-SlotStore stays the algorithm of FCFS runs, which are not stack algorithms,
-and the reference model the other two are held to.
+capacity probe replays over per-tenant stack distances.  FCFS is not a
+stack algorithm, so fifo_insert is hybrid_insert under FCFS on insertion
+stamps, in per-tenant min-heaps by region (FifoHeaps).  hybrid_insert on a
+SlotStore is the reference model all three are held to.
 """
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cache_core import (
@@ -80,7 +82,8 @@ def rank_donors(gaps: Mapping, eligible: Mapping | None = None) -> DonorRanking:
 
 
 def pick_donor(ranking: DonorRanking, owns: Mapping, requester=None) -> object:
-    """The donor among the ranked tenants k that own something (owns.get(k) > 0).
+    """The donor among the ranked tenants k that own something: owns.get(k)
+    is a nonzero count or a nonempty set of slots.
 
     Fair sharing takes the first such owner in rank order.  Selfish sharing
     takes the first that is the requester or a volunteer, and when there is
@@ -218,54 +221,50 @@ def hybrid_insert(
     tenant's own oldest DC slot, which is static caching.  The donor is the
     owner of the oldest SC slot when ranking is None (global caching), else
     pick_donor's walk of ranking (rank_donors' order of the gaps, and under
-    selfish sharing the volunteers) over the store's SC counts.  A tenant
+    selfish sharing the volunteers) over the store's SC owners.  A tenant
     with no DC slot is never promoted.  A layout with any DC slot serves only
     the tenants it lists; an all-SC layout serves any tenant.  The key is
-    read once, by store.lookup, whose LRU restamp an SC hit's promotion
-    keeps.  Each promotion is one store.promote step, which re-keys the DC
-    victim's index entry in place.  A miss on a full region is one store
-    step too: store.replace, or store.promote with evict, writes the item
-    into the victim's slot, which takes over the victim's index entry.
+    read once, by store.lookup, whose LRU restamp an SC hit's swap keeps.
+    Every case is a sequence of the store's primitive steps: this is the
+    reference model that recency_insert and fifo_insert are held to.
     """
     tenant = key[0]
     dcr = store.dc_regions.get(tenant)
     if dcr is None and not store.shared_only and tenant not in store.dc_regions:
         raise UnknownTenantError(f"tenant {tenant!r} has no entry in the layout")
 
-    hit = store.lookup(key)  # restamps under LRU; an SC hit keeps that stamp
+    hit = store.lookup(key)  # restamps under LRU; an SC hit's swap keeps that stamp
     if hit is not None:
         if dcr is None:
             return SC_HIT
         region, idx = hit
         if region == dcr:
             return _DC_OUTCOMES[dcr][0]
-        store.promote(key, dcr, idx)
+        store.swap(idx, store.select_victim(dcr, tenant))
         return SC_HIT
 
     free = store.free_slots
     if dcr is not None and free[dcr]:
         store.insert_into_empty(key, dcr)
         return _DC_OUTCOMES[dcr][1]
-    if free[SC]:
-        if dcr is None:
-            store.insert_into_empty(key, SC)
-        else:
-            store.promote(key, dcr)
-        return SC_INSERTED
     if not store.layout.sc_size:
-        store.replace(store.select_victim(dcr, tenant), key)
+        store.evict_victim(dcr, tenant)
+        store.insert_into_empty(key, dcr)
         return _DC_OUTCOMES[dcr][2]
-    if ranking is None:
-        victim_idx = store.select_victim(SC)
-        donor = store.keys[victim_idx][0]
-    else:
-        donor = pick_donor(ranking, store.sc_count, tenant)
-        victim_idx = store.select_victim(SC, donor)
-    if dcr is None:
-        store.replace(victim_idx, key)
-    else:
-        store.promote(key, dcr, victim_idx, evict=True)
-    return _SC_REPLACED[donor]
+    outcome = SC_INSERTED
+    if not free[SC]:
+        if ranking is None:
+            victim = store.select_victim(SC)
+            donor = store.keys[victim][0]
+        else:
+            donor = pick_donor(ranking, store.occupied[SC], tenant)
+            victim = store.select_victim(SC, donor)
+        store.evict(victim)
+        outcome = _SC_REPLACED[donor]
+    idx = store.insert_into_empty(key, SC)
+    if dcr is not None:
+        store.swap(idx, store.select_victim(dcr, tenant))
+    return outcome
 
 
 class SlotCounts:
@@ -405,6 +404,138 @@ def recency_insert(
     return _COUNTED_REPLACED
 
 
-# the policy families' names for the one algorithm: run_scenario resolves its
-# insert by family name, so a wrapper of one name sees only that family's calls
+class FifoHeaps(SlotCounts):
+    """SlotCounts plus each resident key's insertion stamp and region, and
+    min-heaps of the stamps: all that fifo_insert keeps of an FCFS store.
+
+    stamps maps each resident key to its stamp, a tick of one counter that
+    stays with the key, and dc_keys and sc_keys map each stamp in that
+    region kind to its key.  dc_heaps and sc_heaps map each tenant to a min-heap of its
+    stamps in its DC and in SC; with shared (global caching) every tenant
+    maps to one SC heap.  An entry is live while its key is still in that
+    region under that stamp.  A key leaves its DC only as its heap's top, so
+    DC heaps hold live entries alone; an SC hit's promotion leaves its SC
+    entry stale, and stale entries are dropped when they reach the top.
+    Once pushes would take the heaps past 2 * capacity + 64 entries they are
+    rebuilt from the resident keys, so memory is O(capacity) whatever the
+    trace length.
+    """
+
+    __slots__ = ("stamps", "dc_keys", "sc_keys", "dc_heaps", "sc_heaps", "tick", "limit", "room")
+
+    def __init__(self, layout: RegionLayout, tenant_ids: Iterable, shared: bool = False):
+        super().__init__(layout, tenant_ids)
+        self.stamps: dict = {}
+        self.dc_keys: dict = {}
+        self.sc_keys: dict = {}
+        self.dc_heaps = {k: [] for k in self.dc_sizes}
+        one: list = []
+        self.sc_heaps = {k: one if shared else [] for k in self.dc_sizes}
+        self.tick = 0
+        self.limit = self.room = 2 * layout.capacity + 64  # room: pushes left before a rebuild
+
+    def push(self, heap: list, stamp: int) -> None:
+        """Push stamp, whose key the dicts already place, or rebuild the heaps."""
+        if self.room:
+            self.room -= 1
+            heappush(heap, stamp)
+        else:
+            self.rebuild()
+
+    def rebuild(self) -> None:
+        """Refill every heap, in place, with the live entries alone."""
+        heaps = {id(h): h for h in (*self.dc_heaps.values(), *self.sc_heaps.values())}
+        for heap in heaps.values():
+            heap.clear()
+        for stamp, key in self.dc_keys.items():
+            self.dc_heaps[key[0]].append(stamp)
+        for stamp, key in self.sc_keys.items():
+            self.sc_heaps[key[0]].append(stamp)
+        for heap in heaps.values():
+            heapify(heap)
+        self.room = self.limit - len(self.dc_keys) - len(self.sc_keys)
+
+    def pop_oldest_sc(self, heap: list) -> int:
+        """Pop and return the least live stamp of an SC heap, dropping stale ones above it."""
+        sc = self.sc_keys
+        while heap[0] not in sc:
+            heappop(heap)
+            self.room += 1
+        self.room += 1
+        return heappop(heap)
+
+
+def fifo_insert(heaps: FifoHeaps, key: tuple, ranking: DonorRanking | None = None) -> InsertOutcome:
+    """hybrid_insert on an FCFS store, on insertion stamps in place of slots.
+
+    FCFS is not a stack algorithm (Belady, Nelson & Shedler 1969), so a
+    tenant's resident items are not its newest ones, and an SC hit's
+    promotion breaks per-tenant FIFO order: the hit key and the tenant's
+    oldest DC key trade places and both keep their stamps.  With a DC of
+    size 1, insert a, insert b (a moves out to SC), then hit a (b moves
+    out): the next donation evicts b, not a.  So each victim is the least
+    stamp of its heap.  The cases, in hybrid_insert's order: a hit iff the
+    key is resident, promoted on an SC hit when the tenant has a DC; else
+    the key, with a new tick, takes a free DC slot; else, with no SC, it
+    replaces the tenant's oldest DC key; else it takes a free SC slot or a
+    donor's oldest SC key's, and with a DC it is promoted, the tenant's
+    oldest DC key moving out to SC.  The donor is pick_donor's with a
+    ranking, else (global caching) the owner of the shared heap's oldest
+    key.  The outcome's kind is hybrid_insert's; it names no region or
+    victim.  The caller checks the tenant: one the heaps are not built for
+    raises KeyError.
+    """
+    tenant = key[0]
+    dc_heap = heaps.dc_heaps[tenant]
+    has_dc = heaps.dc_sizes[tenant]
+    dc, sc = heaps.dc_keys, heaps.sc_keys
+    stamp = heaps.stamps.get(key)
+    if stamp is not None:
+        if has_dc and stamp in sc:  # trade places with the oldest DC key
+            moved = heapreplace(dc_heap, stamp)
+            dc[stamp] = sc.pop(stamp)
+            sc[moved] = dc.pop(moved)
+            heaps.push(heaps.sc_heaps[tenant], moved)
+        return _COUNTED_HIT
+    heaps.tick = stamp = heaps.tick + 1
+    heaps.stamps[key] = stamp
+    n = heaps.dc_count[tenant]
+    if n < has_dc:
+        heaps.dc_count[tenant] = n + 1
+        dc[stamp] = key
+        heaps.push(dc_heap, stamp)
+        return _COUNTED_INSERTED
+    if not heaps.sc_size:
+        del heaps.stamps[dc.pop(heapreplace(dc_heap, stamp))]
+        dc[stamp] = key
+        return _COUNTED_REPLACED
+    counts = heaps.sc_count
+    if heaps.sc_free:
+        heaps.sc_free -= 1
+        outcome = _COUNTED_INSERTED
+    else:
+        if ranking is None:
+            oldest = heaps.pop_oldest_sc(heaps.sc_heaps[tenant])
+            donor = sc[oldest][0]
+        else:
+            donor = pick_donor(ranking, counts, tenant)
+            oldest = heaps.pop_oldest_sc(heaps.sc_heaps[donor])
+        del heaps.stamps[sc.pop(oldest)]
+        counts[donor] -= 1
+        outcome = _COUNTED_REPLACED
+    counts[tenant] += 1
+    if has_dc:  # promoted: the oldest DC key moves out to SC
+        moved = heapreplace(dc_heap, stamp)
+        dc[stamp] = key
+        sc[moved] = dc.pop(moved)
+        stamp = moved
+    else:
+        sc[stamp] = key
+    heaps.push(heaps.sc_heaps[tenant], stamp)
+    return outcome
+
+
+# the policy families' names for the one algorithm.  No run calls them, but
+# the benchmark's tracer (perfbench/tracer.py) wraps each on harness by name,
+# so they stay until the benchmark is refreshed (ROADMAP item 1).
 global_insert = static_insert = maxmin_insert = hybrid_insert

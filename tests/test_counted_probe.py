@@ -1,13 +1,14 @@
-"""LRU runs without a store, held to the store they replace.
+"""Runs without a store, held to the store they replace.
 
 Under LRU a tenant's resident items are always its most recent distinct
 ones, and every victim is its owner's least recent item.  So run_scenario
 runs LRU scenarios on per-tenant recency lists (recency_insert over
 RecencyLists), and ProbeCache.lru_records replays counted_insert over
-SlotCounts and per-tenant stack distances.  Both must give the records of
-the driver over an LRU SlotStore and hybrid_insert, the reference model,
-sample for sample, or raise the same error class.  The unit tests hold
-counted_insert to each case of hybrid_insert's case list.
+SlotCounts and per-tenant stack distances.  FCFS scenarios run on insertion
+stamps (fifo_insert over FifoHeaps).  Each must give the records of the
+driver over a SlotStore of the same replacement and hybrid_insert, the
+reference model, sample for sample, or raise the same error class.  The unit
+tests hold counted_insert to each case of hybrid_insert's case list.
 """
 from __future__ import annotations
 
@@ -15,7 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenantcache.cache_core import LRU, NoCandidateError, RegionLayout, SlotStore, UnknownTenantError
+from tenantcache.cache_core import (
+    FCFS,
+    LRU,
+    NoCandidateError,
+    RegionLayout,
+    SlotStore,
+    UnknownTenantError,
+)
 from tenantcache.harness import POLICIES, ProbeCache, Scenario, TenantSpec, _drive, run_scenario
 from tenantcache.metrics import Requirement
 from tenantcache.sharing import (
@@ -31,9 +39,10 @@ RANKED = ("maxmin_fair", "maxmin_selfish", "hybrid_fair", "hybrid_selfish")
 
 
 def reference(s: Scenario, trace, sample_from: int) -> list:
-    """The driver's records over an LRU SlotStore and hybrid_insert."""
+    """The driver's records over a SlotStore of s's replacement and hybrid_insert."""
     s.validate()
-    return _drive(s, SlotStore(s.resolved_layout(), LRU), hybrid_insert, trace, sample_from)
+    store = SlotStore(s.resolved_layout(), s.replacement)
+    return _drive(s, store, hybrid_insert, trace, sample_from)
 
 
 def held_trace(s: Scenario, cache: ProbeCache | None = None) -> list:
@@ -56,7 +65,7 @@ def result(run, *args) -> tuple:
         return "raised", type(exc)
 
 
-# -- LRU runs against the store ----------------------------------------------
+# -- runs against the store ---------------------------------------------------
 
 
 @st.composite
@@ -80,10 +89,10 @@ def tenant_specs(draw, tid: int) -> TenantSpec:
 
 
 @st.composite
-def lru_scenarios(draw, policies=RANKED) -> Scenario:
-    """An LRU scenario of one of policies: phases, arrivals and departures,
-    selfish strategies, DCs of size 0, hybrids with no SC and static splits
-    of any sizes."""
+def scenarios(draw, policies=RANKED, replacement=LRU) -> Scenario:
+    """A scenario of one of policies under replacement: phases, arrivals and
+    departures, selfish strategies, DCs of size 0, hybrids with no SC and
+    static splits of any sizes."""
     policy = draw(st.sampled_from(policies))
     ids = range(1, draw(st.integers(1, 3)) + 1)
     tenants = [draw(tenant_specs(k)) for k in ids]
@@ -104,6 +113,7 @@ def lru_scenarios(draw, policies=RANKED) -> Scenario:
         layout=layout,
         total_txns=draw(st.integers(0, 800)),
         window_length=draw(st.integers(1, 40)),
+        replacement=replacement,
         ewma_weight=draw(st.sampled_from((0.1, 0.5, 1.0))),
         strategy=SharingStrategy(
             loss_horizon=draw(st.integers(1, 12)), history_len=draw(st.integers(2, 6))
@@ -114,7 +124,7 @@ def lru_scenarios(draw, policies=RANKED) -> Scenario:
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), s=lru_scenarios())
+@given(data=st.data(), s=scenarios())
 def test_counted_replay_gives_the_store_runs_records(data, s):
     # from within the trace's first half, so that most examples sample something
     sample_from = data.draw(st.integers(0, s.total_txns // 2))
@@ -147,9 +157,7 @@ def traces(draw, s: Scenario) -> list:
     return trace
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), s=lru_scenarios(POLICIES))
-def test_lru_runs_give_the_store_runs_records(data, s):
+def assert_run_gives_the_store_runs_records(data, s):
     """Every policy, gapped traces, traces that break the scenario's timeline
     and events of a tenant it does not list: records equal, or the same error
     class raised.  The driver names an unlisted tenant before its access, so
@@ -160,6 +168,18 @@ def test_lru_runs_give_the_store_runs_records(data, s):
     assert result(run_scenario, s, trace, sample_from) == result(reference, s, trace, sample_from)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), s=scenarios(POLICIES))
+def test_lru_runs_give_the_store_runs_records(data, s):
+    assert_run_gives_the_store_runs_records(data, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), s=scenarios(POLICIES, FCFS))
+def test_fifo_runs_give_the_store_runs_records(data, s):
+    assert_run_gives_the_store_runs_records(data, s)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_an_unlisted_tenant_raises_under_every_policy(policy):
     if policy.startswith("hybrid"):
@@ -168,24 +188,27 @@ def test_an_unlisted_tenant_raises_under_every_policy(policy):
         layout = RegionLayout(dc_sizes={1: 4, 2: 4})
     else:
         layout = RegionLayout.global_layout(8)
-    s = Scenario(capacity=8, policy=policy, tenants=[spec(1), spec(2)], layout=layout,
-                 total_txns=100)
     trace = [(0, 1, 5), (1, 2, 5), (2, 99, 5)]
-    for run in (reference, run_scenario):
-        with pytest.raises(UnknownTenantError, match="99"):
-            run(s, trace, 0)
+    for replacement in (LRU, FCFS):
+        s = Scenario(capacity=8, policy=policy, tenants=[spec(1), spec(2)], layout=layout,
+                     total_txns=100, replacement=replacement)
+        for run in (reference, run_scenario):
+            with pytest.raises(UnknownTenantError, match="99"):
+                run(s, trace, 0)
 
 
 def test_a_tenant_sending_before_its_arrival_raises_as_the_store_does():
     """Tenant 2 sends every odd txn from 0 but arrives at 100, so it has no
     gap and never donates; the ranked tenant donates to it until it alone
     owns SC, and then no donor is left."""
-    s = Scenario(capacity=8, policy="maxmin_fair", tenants=[spec(1), spec(2, active_from=100)],
-                 total_txns=200)
+    tenants = [spec(1), spec(2, active_from=100)]
     trace = [(txn, 1 + txn % 2, txn) for txn in range(200)]
-    for run in (reference, run_scenario):
-        with pytest.raises(NoCandidateError):
-            run(s, trace, 0)
+    for replacement in (LRU, FCFS):
+        s = Scenario(capacity=8, policy="maxmin_fair", tenants=tenants, total_txns=200,
+                     replacement=replacement)
+        for run in (reference, run_scenario):
+            with pytest.raises(NoCandidateError):
+                run(s, trace, 0)
 
 
 def spec(tid, alpha=1.0, soft=0.5, **kw) -> TenantSpec:

@@ -40,13 +40,27 @@ COMPARE_DIGESTS = {
     },
 }
 
-CHURN_DIGEST = "a54ca9488f1e3a73ee17ee636bd76a8076819e06b919020af1f40d2990297423"
+CHURN_DIGESTS = {
+    "lru": "a54ca9488f1e3a73ee17ee636bd76a8076819e06b919020af1f40d2990297423",
+    "fcfs": "064dc94b576dac83348cb6c90cab02fb5618a815f3342bfec9d67da4f5e21031",
+}
 
-# many_owner_scenario per policy: up to 8 SC owners to choose a donor among
+# many_owner_scenario per replacement and policy: up to 8 SC owners to choose
+# a donor among
 MANY_OWNER_DIGESTS = {
-    "maxmin_fair": "e59abf8c099571d6fe8f4688d4779211f594f0a5183cc6ae2bac2f276908fba2",
-    "maxmin_selfish": "12da6f7c65acdfa3ec7f13e2548e478f22193d726dc07f70dd29b93b52b72af6",
-    "hybrid_selfish": "c574037f55bbc156edee68753ce8be04b205f2f62063e76dc2d4627217739fc8",
+    "lru": {
+        "maxmin_fair": "e59abf8c099571d6fe8f4688d4779211f594f0a5183cc6ae2bac2f276908fba2",
+        "maxmin_selfish": "12da6f7c65acdfa3ec7f13e2548e478f22193d726dc07f70dd29b93b52b72af6",
+        "hybrid_selfish": "c574037f55bbc156edee68753ce8be04b205f2f62063e76dc2d4627217739fc8",
+    },
+    "fcfs": {
+        "global": "b5fdc54a60c4df1f8a21b83409b3ffb4143b897cbce81c5e46eb710a6f03a26b",
+        "static": "50698b31063f4dfea463fbd42c7813f1b577044e1920282b902d51db3f01a16f",
+        "maxmin_fair": "4647b4191eeb356f1dceae7568b287ec4985f8f20f48f15bd81d84256f0774d9",
+        "maxmin_selfish": "0a249918be0bdc9238d241ff99aa509730433516256e81d911914dd92cddacd3",
+        "hybrid_fair": "1b2e8bb7438a05a656b75194cd168d838deca3c0b11316f4b9069c06e91b5607",
+        "hybrid_selfish": "5d18b7af3160ecaac35a6d0214c2caa5afcd8966cf2ff9331dd2605b78ea4a10",
+    },
 }
 
 # generate_stream output (write_trace format) and its event count
@@ -117,7 +131,7 @@ def compare_scenario(replacement: str) -> Scenario:
     )
 
 
-def churn_scenario() -> Scenario:
+def churn_scenario(replacement: str = "lru") -> Scenario:
     """hybrid_selfish with an arrival, a departure and phase changes."""
     return Scenario(
         capacity=150,
@@ -132,6 +146,7 @@ def churn_scenario() -> Scenario:
         layout=RegionLayout(dc_sizes={1: 25, 2: 25, 3: 25}, sc_size=75),
         total_txns=9_000,
         window_length=50,
+        replacement=replacement,
         seed=3,
         sample_every=300,
     )
@@ -142,7 +157,7 @@ MANY_ALPHAS = (1.0, 0.9, 0.8, 0.7, 0.6, 0.9, 0.8, 0.7)
 MANY_WEIGHTS = (1, 2, 3, 1, 2, 3, 1, 2)
 
 
-def many_owner_scenario(policy: str) -> Scenario:
+def many_owner_scenario(policy: str, replacement: str = "lru") -> Scenario:
     """perfbench's churn-8t shape, scaled down: of 8 tenants, 3 and 5 leave,
     7 and 8 arrive late, and each shifts its skew twice."""
     n = 9_000
@@ -169,6 +184,7 @@ def many_owner_scenario(policy: str) -> Scenario:
         layout=layout,
         total_txns=n,
         window_length=50,
+        replacement=replacement,
         seed=4,
         sample_every=250,
     )
@@ -192,12 +208,22 @@ def test_compare_outputs_unchanged(replacement):
 
 
 def test_selfish_churn_output_unchanged():
-    assert digest(run_scenario(churn_scenario())) == CHURN_DIGEST
+    assert digest(run_scenario(churn_scenario())) == CHURN_DIGESTS["lru"]
 
 
-@pytest.mark.parametrize("policy", sorted(MANY_OWNER_DIGESTS))
+def test_fcfs_selfish_churn_output_unchanged():
+    assert digest(run_scenario(churn_scenario("fcfs"))) == CHURN_DIGESTS["fcfs"]
+
+
+@pytest.mark.parametrize("policy", sorted(MANY_OWNER_DIGESTS["lru"]))
 def test_many_owner_churn_unchanged(policy):
-    assert digest(run_scenario(many_owner_scenario(policy))) == MANY_OWNER_DIGESTS[policy]
+    assert digest(run_scenario(many_owner_scenario(policy))) == MANY_OWNER_DIGESTS["lru"][policy]
+
+
+@pytest.mark.parametrize("policy", sorted(MANY_OWNER_DIGESTS["fcfs"]))
+def test_fcfs_many_owner_churn_unchanged(policy):
+    got = digest(run_scenario(many_owner_scenario(policy, "fcfs")))
+    assert got == MANY_OWNER_DIGESTS["fcfs"][policy]
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
@@ -207,6 +233,9 @@ def test_stream_unchanged(name):
 
 if __name__ == "__main__":
     print({r: compare_digests(r) for r in sorted(COMPARE_DIGESTS)})
-    print(repr(digest(run_scenario(churn_scenario()))))
-    print({p: digest(run_scenario(many_owner_scenario(p))) for p in sorted(MANY_OWNER_DIGESTS)})
+    print({r: digest(run_scenario(churn_scenario(r))) for r in sorted(CHURN_DIGESTS)})
+    print({
+        r: {p: digest(run_scenario(many_owner_scenario(p, r))) for p in sorted(policies)}
+        for r, policies in sorted(MANY_OWNER_DIGESTS.items())
+    })
     print({name: stream_digest(name) for name in sorted(STREAMS)})

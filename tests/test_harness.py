@@ -422,13 +422,12 @@ class TestRunScenario:
     @pytest.mark.parametrize("policy", ["global", "maxmin_fair", "static", "hybrid_fair"])
     def test_insert_looked_up_on_module_at_run_start(self, monkeypatch, policy):
         """Each engine calls the insert it finds on the harness module at run
-        start: the recency-list insert under LRU, the policy family's name
-        for the one algorithm under FCFS."""
+        start: the recency-list insert under LRU, the insertion-stamp insert
+        under FCFS, and never the store's algorithm under any name."""
         import tenantcache.harness as harness
 
-        family = policy.split("_")[0] + "_insert"
-        names = ("recency_insert", "global_insert", "static_insert", "maxmin_insert",
-                 "hybrid_insert")
+        names = ("recency_insert", "fifo_insert", "global_insert", "static_insert",
+                 "maxmin_insert", "hybrid_insert")
         calls = {}
         for name in names:
             def counting(*args, name=name, real=getattr(harness, name)):
@@ -437,7 +436,7 @@ class TestRunScenario:
 
             monkeypatch.setattr(harness, name, counting)
         hybrid = RegionLayout(dc_sizes={1: 8, 2: 8}, sc_size=48)
-        for replacement, name in (("lru", "recency_insert"), ("fcfs", family)):
+        for replacement, name in (("lru", "recency_insert"), ("fcfs", "fifo_insert")):
             calls.clear()
             layout = derive_layout(policy, 64, [1, 2], hybrid)
             s = small_scenario(policy=policy, layout=layout, replacement=replacement)

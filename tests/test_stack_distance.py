@@ -31,7 +31,7 @@ from tenantcache.harness import (
     scenario_to_json,
 )
 from tenantcache.metrics import Requirement
-from tenantcache.sharing import SlotCounts, global_insert, static_insert
+from tenantcache.sharing import FifoHeaps, SlotCounts, global_insert, static_insert
 from tenantcache.workload import TenantWorkload, WorkloadPhase
 
 FAST = dict(min_txns=4_000, txns_per_slot=4)
@@ -215,7 +215,8 @@ def test_lru_baseline_sweep_simulates_nothing(monkeypatch):
     [("fcfs", {"global", "static", "maxmin_fair"}), ("lru", set())],
 )
 def test_fcfs_and_maxmin_probes_still_simulate(monkeypatch, replacement, simulated):
-    """FCFS probes run run_scenario; LRU maxmin probes replay slot counts instead."""
+    """FCFS probes run run_scenario on insertion stamps; LRU maxmin probes
+    replay slot counts instead."""
     runs = counted_runs(monkeypatch)
     drives = []
     real_drive = harness._drive
@@ -229,7 +230,7 @@ def test_fcfs_and_maxmin_probes_still_simulate(monkeypatch, replacement, simulat
     capacity_sweep(TENANTS, [0.4], ["global", "static", "maxmin_fair"], base=base, **SWEEP)
     assert {policy for policy, _ in runs} == simulated
     assert {r for _, r in runs} <= {replacement}
-    store = SlotStore if replacement == "fcfs" else SlotCounts
+    store = FifoHeaps if replacement == "fcfs" else SlotCounts
     assert {policy for policy, _ in drives} == simulated | {"maxmin_fair"}
     assert {kind for _, kind in drives} == {store}
 
