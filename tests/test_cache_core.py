@@ -1,10 +1,7 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tenantcache.cache_core import (
     FCFS,
-    LRU,
     SC,
     CacheError,
     NoCandidateError,
@@ -309,76 +306,3 @@ def test_fcfs_promotion_keeps_the_insertion_stamp():
     assert store.regions[idx] == dc_region(1)
     assert store.stamps[idx] == stamp
 
-
-TENANTS = (1, 2, 3)
-
-
-def oracle_victim(store, region, owner):
-    """argmin of (stamp, index) over the occupied candidate slots, or None."""
-    candidates = [
-        (store.stamps[i], i)
-        for i in range(store.capacity)
-        if store.keys[i] is not None
-        and store.regions[i] == region
-        and (owner is None or store.keys[i][0] == owner)
-    ]
-    return min(candidates)[1] if candidates else None
-
-
-ops = st.one_of(
-    st.tuples(st.just("insert"), st.sampled_from(TENANTS), st.integers(0, 9), st.booleans()),
-    st.tuples(st.just("lookup"), st.sampled_from(TENANTS), st.integers(0, 9)),
-    st.tuples(st.just("evict_victim"), st.booleans(), st.sampled_from((None,) + TENANTS)),
-    st.tuples(st.just("evict"), st.integers(0, 15)),
-    st.tuples(st.just("swap"), st.integers(0, 15), st.integers(0, 15)),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.integers(0, 3), min_size=3, max_size=3),
-    st.integers(1, 4),
-    st.sampled_from((LRU, FCFS)),
-    st.lists(ops, min_size=20, max_size=200),
-)
-def test_victims_are_a_brute_force_argmin(dcs, sc_size, replacement, script):
-    """After inserts, lookups, evictions and swaps of any two occupied slots,
-    owners and regions mixed, every owner-filtered and owner-free victim
-    query names the oracle's slot and owned() recounts the slots."""
-    store = SlotStore(RegionLayout(dict(zip(TENANTS, dcs)), sc_size), replacement)
-    regions = [SC] + [dc_region(t) for t in TENANTS]
-    for op in script:
-        occupied = [i for i, k in enumerate(store.keys) if k is not None]
-        kind = op[0]
-        if kind == "insert":
-            _, tenant, item, use_sc = op
-            region = SC if use_sc else dc_region(tenant)
-            if store.peek((tenant, item)) is None and store.free_count(region):
-                store.insert_into_empty((tenant, item), region)
-        elif kind == "lookup":
-            store.lookup(op[1:])
-        elif kind == "evict_victim":
-            _, use_sc, owner = op
-            region = SC if use_sc else dc_region(owner or 1)
-            expected = oracle_victim(store, region, owner)
-            if expected is None:
-                with pytest.raises(NoCandidateError):
-                    store.evict_victim(region, owner)
-            else:
-                assert store.evict_victim(region, owner) == expected
-        elif occupied and kind == "evict":
-            store.evict(occupied[op[1] % len(occupied)])
-        elif occupied:
-            store.swap(occupied[op[1] % len(occupied)], occupied[op[2] % len(occupied)])
-        for region in regions:
-            for owner in (None,) + TENANTS:
-                expected = oracle_victim(store, region, owner)
-                if expected is None:
-                    with pytest.raises(NoCandidateError):
-                        store.select_victim(region, owner)
-                else:
-                    assert store.select_victim(region, owner) == expected
-        for t in TENANTS:
-            mine = [i for i, k in enumerate(store.keys) if k is not None and k[0] == t]
-            sc = sum(store.regions[i] == SC for i in mine)
-            assert store.owned(t) == (len(mine) - sc, sc)
