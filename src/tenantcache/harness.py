@@ -381,8 +381,10 @@ def run_scenario(
     records are built, never their values.  Selfish or fair sharing follows
     the policy name; donors are ranked again whenever a gap, a selfish
     answer or the active set changes.  An event of a tenant the scenario
-    does not list raises UnknownTenantError under every policy.  The run is
-    fully deterministic given the scenario (seed included).
+    does not list, or of one that has not arrived yet, raises
+    UnknownTenantError under every policy; a departed tenant's events are
+    accepted.  The run is fully deterministic given the scenario (seed
+    included).
     """
     s.validate()
     layout, policy = s.resolved_layout(), s.policy
@@ -414,10 +416,9 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
     selfish = policy.endswith("selfish")
 
     reqs = {t.workload.tenant_id: t.requirement for t in s.tenants}
-    trackers = {
-        k: HitRateTracker(window_length=s.window_length, ewma_weight=s.ewma_weight)
-        for k in reqs
-    }
+    # a tenant's tracker is built when it arrives and kept after it departs,
+    # so an event of a tenant that has not arrived finds none
+    trackers: dict = {}
     # per tenant, one (owned slots, smoothed hit rate) point per closed window
     histories = {k: deque(maxlen=strategy.history_len) for k in reqs}
 
@@ -474,6 +475,8 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
                     gaps[k] = INF
                     eligible[k] = True
                 for k in now - active:
+                    if k not in trackers:
+                        trackers[k] = HitRateTracker(s.window_length, s.ewma_weight)
                     refresh(k)
                 active = now
                 next_change += 1
@@ -487,7 +490,8 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
         try:  # before the access: an all-SC store would serve any tenant
             tracker = trackers[tenant]
         except KeyError:
-            raise UnknownTenantError(f"tenant {tenant!r} is not in the scenario") from None
+            why = "has not arrived" if tenant in reqs else "is not in the scenario"
+            raise UnknownTenantError(f"tenant {tenant!r} at txn {txn} {why}") from None
         outcome = insert(store, (tenant, item), ranking)
         if tracker.record_access(outcome.kind == "hit") is not None:
             histories[tenant].append((sum(store.owned(tenant)), tracker.hit_rate))
@@ -615,29 +619,30 @@ class ProbeCache:
     """What the probes of one capacity search or sweep share, and the one
     trace that compare_policies replays through each policy.
 
-    It holds one generated trace per seed and the final-quarter means of each
-    distinct (policy, capacity, length, seed) probe already run, so a probe
-    repeated for another target or by the binary search runs no simulation.
-    For LRU probes a seed's trace entry also holds two LRU stack distances
-    of each of its events: the global one, from one pass over the whole
-    trace, and the tenant's, from one pass over each tenant's own substream.
-    They give the hit bits of every global and static capacity at once, so
-    those probes run no simulation at all (see lru_means), and a max-min or
-    hybrid probe replays per-tenant slot counts over the tenant distances
-    in place of a store (see lru_records).  They are computed on the first
-    probe that needs them and go with the trace entry, so a longer trace,
+    It holds one generated trace per seed and the series of each distinct
+    (policy, capacity, length, seed) probe already run (see probe), so a
+    probe repeated for another target or by the binary search runs no
+    simulation.  For LRU probes a seed's trace entry also holds two LRU
+    stack distances of each of its events: the global one, from one pass
+    over the whole trace, and the tenant's, from one pass over each
+    tenant's own substream.  They give the hit bits of every global and
+    static capacity at once, so those probes run no simulation at all, and
+    a max-min or hybrid probe replays per-tenant slot counts over the tenant
+    distances in place of a store.  They are computed on the first probe
+    that needs them and go with the trace entry, so a longer trace,
     generated afresh, computes them afresh; a capacity search holds each
     seed's trace at its longest probe's length before its first probe.  A
     cache serves the probes of one tenant set and one base scenario only.
     It compares and hashes by identity.
     """
 
-    __slots__ = ("traces", "means")
+    __slots__ = ("traces", "series")
 
     def __init__(self):
         # seed -> [length requested, tenant ids, items, stack distances or None]
         self.traces: dict = {}
-        self.means: dict = {}  # (policy, capacity, total_txns, seed) -> means
+        # (policy, capacity, total_txns, seed) -> {tenant: final-quarter EWMA series}
+        self.series: dict = {}
 
     def hold(self, workloads: Sequence[TenantWorkload], total_txns: int, seed: int) -> list:
         """seed's trace entry, generated afresh when shorter than total_txns."""
@@ -693,90 +698,91 @@ class ProbeCache:
             entry[3] = (ids, codes, global_d, tenant_d)
         return entry[3]
 
-    def lru_hits(self, s: Scenario) -> tuple:
-        """(tenant ids, codes, hit bits) of an LRU global or static scenario s
-        over the first s.total_txns events of s.seed's trace.
+    def probe(self, s: Scenario) -> dict:
+        """Each tenant sampled in the final quarter of the probe s, mapped to
+        its EWMA hit rate at each final-quarter sample that includes it, in
+        sample order: those of run_scenario(s, trace, sample_from) on
+        s.seed's held trace from three quarters of s.total_txns on, bit for
+        bit, memoised by (policy, capacity, total_txns, seed).
 
-        An access hits iff its global distance is below the capacity
-        (global), or its per-tenant distance below its tenant's DC size
-        (static): the outcomes of run_scenario, access by access.
+        s is validated as run_scenario validates it, before any trace is
+        held.  FCFS is not a stack algorithm, so an FCFS probe calls
+        run_scenario, on insertion stamps.  Under LRU an access of a global
+        probe hits iff its global distance is below the capacity, and one of
+        a static probe iff its tenant distance is below its tenant's DC
+        size; those hit bits fill each tenant's windows and EWMA as
+        HitRateTracker does, read at the sample txns at which
+        activation_timeline marks the tenant active.  A maxmin_* or hybrid_*
+        probe drives SlotCounts and counted_insert over (txn, tenant, tenant
+        distance) triples: a tenant's resident items are its most recent
+        distinct ones, so its slot counts alone decide each access.
         """
-        workloads = [t.workload for t in s.tenants]
-        ids, codes, global_d, tenant_d = self.stack_distances(workloads, s.total_txns, s.seed)
-        codes = codes[: s.total_txns]
-        if s.policy == "global":
-            return ids, codes, global_d[: len(codes)] < s.capacity
+        key = (s.policy, s.capacity, s.total_txns, s.seed)
+        if key not in self.series:
+            s.validate()
+            n, sample_from = s.total_txns, s.total_txns * 3 // 4
+            workloads = [t.workload for t in s.tenants]
+            if s.replacement == LRU and s.policy in ("global", "static"):
+                pairs = _stack_rates(s, self.stack_distances(workloads, n, s.seed), sample_from)
+            else:
+                if s.replacement != LRU:
+                    trace = self.trace(workloads, n, s.seed)
+                    records = run_scenario(s, trace=trace, sample_from=sample_from)
+                else:
+                    tenant_d = self.stack_distances(workloads, n, s.seed)[3]
+                    trace = zip(range(n), self.traces[s.seed][1], memoryview(tenant_d))
+                    counts = SlotCounts(s.resolved_layout(), s.tenant_ids())
+                    records = _drive(s, counts, counted_insert, trace, sample_from)
+                pairs = ((k, t.ewma_hit_rate) for rec in records for k, t in rec.tenants.items())
+            series: dict = {}
+            for k, rate in pairs:
+                series.setdefault(k, []).append(rate)
+            self.series[key] = series
+        return self.series[key]
+
+
+def _stack_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[tuple]:
+    """(tenant, EWMA hit rate) at each final-quarter sample of an LRU global
+    or static probe s, in ProbeCache.probe's order, from the stack distances
+    of its held trace."""
+    ids, codes, global_d, tenant_d = distances
+    codes = codes[: s.total_txns]
+    n = len(codes)
+    if s.policy == "global":
+        hits = global_d[:n] < s.capacity
+    else:
         dc_sizes = s.resolved_layout().dc_sizes
-        return ids, codes, tenant_d[: len(codes)] < np.array([dc_sizes[k] for k in ids])[codes]
-
-    def lru_records(self, s: Scenario, sample_from: int = 0) -> list[SampleRecord]:
-        """run_scenario(s, trace, sample_from) of an LRU maxmin_* or hybrid_*
-        scenario s, bit for bit, without a store.
-
-        trace is s.seed's held trace, and s is validated as run_scenario
-        validates it.  The driver replays SlotCounts and counted_insert over
-        (txn, tenant, per-tenant stack distance) triples: under LRU a
-        tenant's resident items are its most recent distinct ones, so its
-        slot counts alone decide each access (see counted_insert).
-        """
-        s.validate()
-        workloads = [t.workload for t in s.tenants]
-        _, _, _, tenant_d = self.stack_distances(workloads, s.total_txns, s.seed)
-        tenant_ids = self.hold(workloads, s.total_txns, s.seed)[1]
-        trace = zip(range(s.total_txns), tenant_ids, memoryview(tenant_d))
-        counts = SlotCounts(s.resolved_layout(), s.tenant_ids())
-        return _drive(s, counts, counted_insert, trace, sample_from)
-
-    def lru_means(self, s: Scenario, sample_from: int) -> dict:
-        """_mean_ewma(run_scenario(s, trace, sample_from)) of an LRU global or
-        static scenario s, bit for bit, without simulating it.
-
-        trace is s.seed's held trace, and s is validated as run_scenario
-        validates it.  The hit bits of lru_hits fill each tenant's windows
-        and EWMA as HitRateTracker does, and each tenant's EWMA at the sample
-        txns at which activation_timeline marks it active is averaged by the
-        helper _mean_ewma uses, in the same order, so the sums are the same.
-        """
-        s.validate()
-        ids, codes, hits = self.lru_hits(s)
-        n = len(codes)
-        every, window = s.sample_every, s.window_length
-        sample_txns = np.arange((sample_from + every) // every * every - 1, n, every)
-        # per tenant, its EWMA hit rate at each sample txn
-        at_samples = {}
-        for c, k in enumerate(ids):
-            mine = np.flatnonzero(codes == c)
-            m = len(mine) // window
-            rates = hits[mine[: m * window]].reshape(m, window).sum(axis=1) / window
-            ewma, curve = None, [0.0]  # curve[w]: the EWMA once w windows have closed
-            for rate in rates.tolist():
-                ewma = ewma_update(ewma, rate, s.ewma_weight)
-                curve.append(ewma)
-            closed = np.searchsorted(mine, sample_txns, side="right") // window
-            at_samples[k] = [curve[w] for w in closed.tolist()]
-        timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
-        # an idle stretch's two entries share a txn, and bisect_right picks the later
-        starts = [txn for txn, _, _ in timeline]
-        return _mean_by_tenant(
-            (k, at_samples[k][i])
-            for i, txn in enumerate(sample_txns.tolist())
-            for k in timeline[bisect_right(starts, txn) - 1][2]
-        )
+        hits = tenant_d[:n] < np.array([dc_sizes[k] for k in ids])[codes]
+    every, window = s.sample_every, s.window_length
+    sample_txns = np.arange((sample_from + every) // every * every - 1, n, every)
+    # per tenant, its EWMA hit rate at each sample txn
+    at_samples = {}
+    for c, k in enumerate(ids):
+        mine = np.flatnonzero(codes == c)
+        m = len(mine) // window
+        rates = hits[mine[: m * window]].reshape(m, window).sum(axis=1) / window
+        ewma, curve = None, [0.0]  # curve[w]: the EWMA once w windows have closed
+        for rate in rates.tolist():
+            ewma = ewma_update(ewma, rate, s.ewma_weight)
+            curve.append(ewma)
+        closed = np.searchsorted(mine, sample_txns, side="right") // window
+        at_samples[k] = [curve[w] for w in closed.tolist()]
+    timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
+    # an idle stretch's two entries share a txn, and bisect_right picks the later
+    starts = [txn for txn, _, _ in timeline]
+    return (
+        (k, at_samples[k][i])
+        for i, txn in enumerate(sample_txns.tolist())
+        for k in timeline[bisect_right(starts, txn) - 1][2]
+    )
 
 
-def _mean_by_tenant(pairs: Iterable[tuple]) -> dict:
-    """Each tenant's mean rate over (tenant, rate) pairs, summed in their order."""
-    sums: dict = {}
-    counts: dict = {}
-    for k, rate in pairs:
-        sums[k] = sums.get(k, 0.0) + rate
-        counts[k] = counts.get(k, 0) + 1
-    return {k: sums[k] / counts[k] for k in sums}
-
-
-def _mean_ewma(records: Iterable[SampleRecord]) -> dict:
-    """Each tenant's mean EWMA hit rate over the records that sample it."""
-    return _mean_by_tenant((k, t.ewma_hit_rate) for rec in records for k, t in rec.tenants.items())
+def _mean(rates: Sequence[float]) -> float:
+    """The mean of rates, added left to right; builtin sum() may compensate."""
+    total = 0.0
+    for rate in rates:
+        total += rate
+    return total / len(rates)
 
 
 MIN_PROBE_TXNS = 40_000  # the shortest probe, in txns
@@ -813,14 +819,9 @@ def meets_target(
     capacity whose derived layout leaves some tenant no slot, a static split
     over more tenants than slots, meets no target and runs nothing.
 
-    No probe runs a store.  An LRU global or static probe's means come from
-    the cache's stack distances (ProbeCache.lru_means), and a maxmin_* or
-    hybrid_* probe replays per-tenant slot counts over them
-    (ProbeCache.lru_records); both are bit for bit those of run_scenario.
-    FCFS probes call run_scenario, on insertion stamps (FifoHeaps): FCFS is
-    not a stack algorithm, so no stack distance serves them.  Either way
-    the probe scenario is validated first, so a bad one raises the same
-    ConfigurationError.
+    Each probe's series come from ProbeCache.probe, which validates the
+    probe scenario first, so a bad one raises the same ConfigurationError
+    as run_scenario, and which runs no store.
     """
     total_txns = probe_txns(capacity, min_txns, txns_per_slot)
     layout = derive_layout(policy, capacity, [t.workload.tenant_id for t in tenants])
@@ -831,33 +832,22 @@ def meets_target(
     if cache is None:
         cache = ProbeCache()
     for seed in seeds:
-        key = (policy, capacity, total_txns, seed)
-        means = cache.means.get(key)
-        if means is None:
-            scenario = replace(
-                base,
-                policy=policy,
-                capacity=capacity,
-                tenants=tenants,
-                layout=layout,
-                total_txns=total_txns,
-                seed=seed,
-                sample_every=max(1, total_txns // 200),
-            )
-            sample_from = total_txns * 3 // 4
-            if scenario.replacement != LRU:
-                trace = cache.trace([t.workload for t in tenants], total_txns, seed)
-                means = _mean_ewma(run_scenario(scenario, trace=trace, sample_from=sample_from))
-            elif policy in ("global", "static"):
-                means = cache.lru_means(scenario, sample_from)
-            else:
-                means = _mean_ewma(cache.lru_records(scenario, sample_from))
-            cache.means[key] = means
-        if not means:
+        scenario = replace(
+            base,
+            policy=policy,
+            capacity=capacity,
+            tenants=tenants,
+            layout=layout,
+            total_txns=total_txns,
+            seed=seed,
+            sample_every=max(1, total_txns // 200),
+        )
+        series = cache.probe(scenario)
+        if not series:
             raise ConfigurationError(
                 "tenants", f"no tenant is active in the final quarter of a {total_txns}-txn probe"
             )
-        if any(m < target for m in means.values()):
+        if any(_mean(rates) < target for rates in series.values()):
             return False
     return True
 

@@ -114,15 +114,19 @@ def predict_hit_rate(history: Iterable[tuple], slots: float) -> float:
     """Ordinary least squares of hit rate against owned slots, evaluated at slots.
 
     Degenerate histories (all slot counts equal) fall back to the mean rate.
+    The sums are added left to right, so every Python gives the same bits;
+    builtin sum() compensates float sums from Python 3.12 on.
     """
     points = list(history)
     n = len(points)
     if n == 0:
         raise ValueError("history is empty")
-    sx = sum(p[0] for p in points)
-    sy = sum(p[1] for p in points)
-    sxx = sum(p[0] * p[0] for p in points)
-    sxy = sum(p[0] * p[1] for p in points)
+    sx = sy = sxx = sxy = 0
+    for x, y in points:
+        sx += x
+        sy += y
+        sxx += x * x
+        sxy += x * y
     denom = n * sxx - sx * sx
     if denom == 0:
         return sy / n
@@ -271,8 +275,8 @@ class SlotCounts:
     """Each tenant's DC and SC slot counts under a layout, and the SC's free
     slots: all that counted_insert keeps of a store.
 
-    owned and sc_count read as SlotStore's do.  It serves only the tenants
-    it is built for.
+    owned reads as SlotStore's does.  It serves only the tenants it is
+    built for.
     """
 
     __slots__ = ("dc_sizes", "dc_count", "sc_count", "sc_size", "sc_free")

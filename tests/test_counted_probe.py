@@ -3,8 +3,8 @@
 Under LRU a tenant's resident items are always its most recent distinct
 ones, and every victim is its owner's least recent item.  So run_scenario
 runs LRU scenarios on per-tenant recency lists (recency_insert over
-RecencyLists), and ProbeCache.lru_records replays counted_insert over
-SlotCounts and per-tenant stack distances.  FCFS scenarios run on insertion
+RecencyLists), and ProbeCache.probe drives counted_insert over SlotCounts
+and per-tenant stack distances for an LRU max-min or hybrid probe.  FCFS scenarios run on insertion
 stamps (fifo_insert over FifoHeaps).  Each must give the records of the
 driver over a SlotStore of the same replacement and hybrid_insert, the
 reference model, sample for sample, or raise the same error class.  The unit
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from tenantcache.cache_core import (
     FCFS,
     LRU,
-    NoCandidateError,
     RegionLayout,
     SlotStore,
     UnknownTenantError,
@@ -52,9 +51,15 @@ def held_trace(s: Scenario, cache: ProbeCache | None = None) -> list:
 
 
 def store_and_counted(s: Scenario, sample_from: int) -> tuple:
-    """The reference's records over s.seed's ProbeCache trace, and lru_records'."""
+    """The reference's records over s.seed's ProbeCache trace, and the
+    driver's over SlotCounts and counted_insert on its tenant distances, as
+    ProbeCache.probe drives an LRU max-min or hybrid probe."""
     cache = ProbeCache()
-    return reference(s, held_trace(s, cache), sample_from), cache.lru_records(s, sample_from)
+    expected = reference(s, held_trace(s, cache), sample_from)
+    tenant_d = cache.stack_distances([t.workload for t in s.tenants], s.total_txns, s.seed)[3]
+    trace = zip(range(s.total_txns), cache.traces[s.seed][1], tenant_d.tolist())
+    counts = SlotCounts(s.resolved_layout(), s.tenant_ids())
+    return expected, _drive(s, counts, counted_insert, trace, sample_from)
 
 
 def result(run, *args) -> tuple:
@@ -198,17 +203,17 @@ def test_an_unlisted_tenant_raises_under_every_policy(policy):
 
 
 def test_a_tenant_sending_before_its_arrival_raises_as_the_store_does():
-    """Tenant 2 sends every odd txn from 0 but arrives at 100, so it has no
-    gap and never donates; the ranked tenant donates to it until it alone
-    owns SC, and then no donor is left."""
+    """Tenant 2 sends every odd txn from 0 but arrives at 100: the driver
+    names it at its first event, whichever policy and engine run."""
     tenants = [spec(1), spec(2, active_from=100)]
     trace = [(txn, 1 + txn % 2, txn) for txn in range(200)]
-    for replacement in (LRU, FCFS):
-        s = Scenario(capacity=8, policy="maxmin_fair", tenants=tenants, total_txns=200,
-                     replacement=replacement)
-        for run in (reference, run_scenario):
-            with pytest.raises(NoCandidateError):
-                run(s, trace, 0)
+    for policy in ("global", "static", "maxmin_fair"):
+        for replacement in (LRU, FCFS):
+            s = Scenario(capacity=8, policy=policy, tenants=tenants, total_txns=200,
+                         replacement=replacement)
+            for run in (reference, run_scenario):
+                with pytest.raises(UnknownTenantError, match="tenant 2 at txn 1 has not arrived"):
+                    run(s, trace, 0)
 
 
 def spec(tid, alpha=1.0, soft=0.5, **kw) -> TenantSpec:

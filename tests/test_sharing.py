@@ -110,6 +110,11 @@ class TestPredictHitRate:
         with pytest.raises(ValueError):
             predict_hit_rate([], 10)
 
+    def test_sums_are_added_left_to_right(self):
+        # a compensated sum (builtin sum() from Python 3.12 on) gives 0.090909090909091
+        history = [(0, 1.0)] + [(i, 1e-16) for i in range(1, 11)]
+        assert predict_hit_rate(history, 5) == 0.09090909090909088
+
 
 class TestSelfishEligible:
     def strategy(self):

@@ -3,9 +3,9 @@
 Under LRU an access hits a cache of c slots iff fewer than c distinct keys
 were accessed since its key's previous access (Mattson et al., 1970), so one
 pass over a seed's trace gives the outcome of every capacity.  These tests
-hold the distance pass to its definition, and that backend to the
-simulation it replaces: the same hit bits, access by access, and the same
-final-quarter means, exactly.
+hold the distance pass to its definition, its hit bits to the store access
+by access, and every probe engine (stack distances, slot counts, FCFS
+simulation) to run_scenario: the same final-quarter EWMA series, exactly.
 """
 from __future__ import annotations
 
@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tenantcache.harness as harness
-from tenantcache.cache_core import LRU, SlotStore
+from tenantcache.cache_core import FCFS, LRU, RegionLayout, SlotStore
 from tenantcache.cli import main
 from tenantcache.harness import (
+    POLICIES,
     ProbeCache,
     Scenario,
     TenantSpec,
-    _mean_ewma,
     capacity_sweep,
     meets_target,
     min_slots_for_target,
@@ -31,7 +31,13 @@ from tenantcache.harness import (
     scenario_to_json,
 )
 from tenantcache.metrics import Requirement
-from tenantcache.sharing import FifoHeaps, SlotCounts, global_insert, static_insert
+from tenantcache.sharing import (
+    FifoHeaps,
+    SharingStrategy,
+    SlotCounts,
+    global_insert,
+    static_insert,
+)
 from tenantcache.workload import TenantWorkload, WorkloadPhase
 
 FAST = dict(min_txns=4_000, txns_per_slot=4)
@@ -103,52 +109,100 @@ def tenant_specs(draw):
 
 
 @st.composite
-def probes(draw):
-    """An LRU global or static scenario, its sampling start, and a longer held trace."""
+def probes(draw, policies=("global", "static"), replacement=LRU):
+    """A probe scenario of one of policies under replacement, and a longer held trace."""
     tenants = draw(tenant_specs())
-    policy = draw(st.sampled_from(["global", "static"]))
-    # static splits the capacity equally, the remainder going to the lowest ids
-    capacity = draw(st.integers(len(tenants) if policy == "static" else 1, 60))
+    policy = draw(st.sampled_from(policies))
+    layout = None
+    if policy.startswith("hybrid"):
+        sc_size = draw(st.sampled_from([0, 1, 3, 8, 15]))
+        least = 0 if sc_size else 1  # with no SC every tenant needs a DC slot
+        dc_sizes = {t.workload.tenant_id: draw(st.integers(least, 8)) for t in tenants}
+        layout = RegionLayout(dc_sizes=dc_sizes, sc_size=sc_size)
+        capacity = layout.capacity
+    else:
+        # static splits the capacity equally, the remainder going to the lowest ids
+        capacity = draw(st.integers(len(tenants) if policy == "static" else 1, 60))
     total_txns = draw(st.integers(1, 900))
     scenario = Scenario(
         capacity=capacity,
         policy=policy,
         tenants=tenants,
+        layout=layout,
         total_txns=total_txns,
         window_length=draw(st.integers(1, 40)),
         ewma_weight=draw(
             st.sampled_from([1.0, 0.125]) | st.floats(0.001, 1.0, allow_nan=False)
         ),
-        replacement=LRU,
+        strategy=SharingStrategy(
+            loss_horizon=draw(st.integers(1, 12)), history_len=draw(st.integers(2, 6))
+        ),
+        replacement=replacement,
         seed=draw(st.integers(0, 2**32)),
         sample_every=draw(st.integers(1, 60)),
     )
-    sample_from = draw(st.integers(0, total_txns))
-    return scenario, sample_from, total_txns + draw(st.sampled_from([0, 0, 1, 250]))
+    return scenario, total_txns + draw(st.sampled_from([0, 0, 1, 250]))
+
+
+def held_events(cache: ProbeCache, s: Scenario, held: int) -> list:
+    """The first s.total_txns events of s.seed's trace, held at length held:
+    a trace held longer than the probe serves it as a prefix."""
+    return list(cache.trace([t.workload for t in s.tenants], held, s.seed))[: s.total_txns]
+
+
+def simulated_series(s: Scenario, events) -> dict:
+    """Each tenant's EWMA hit rate at each final-quarter sample of run_scenario
+    over events, in sample order: the oracle of ProbeCache.probe."""
+    series = {}
+    for rec in run_scenario(s, trace=iter(events), sample_from=s.total_txns * 3 // 4):
+        for k, t in rec.tenants.items():
+            series.setdefault(k, []).append(t.ewma_hit_rate)
+    return series
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=probes())
-def test_hit_bits_and_means_equal_the_simulation(case):
-    s, sample_from, held = case
+def test_hit_bits_equal_the_store(case):
+    """An access hits iff its global distance is below the capacity (global),
+    or its tenant distance below its tenant's DC size (static)."""
+    s, held = case
     cache = ProbeCache()
-    workloads = [t.workload for t in s.tenants]
-    # a trace held longer than the probe serves it as a prefix
-    events = list(cache.trace(workloads, held, s.seed))[: s.total_txns]
-
-    ids, codes, hits = cache.lru_hits(s)
-    assert len(hits) == len(events)
+    events = held_events(cache, s, held)
+    ids, codes, global_d, tenant_d = cache.stack_distances(
+        [t.workload for t in s.tenants], s.total_txns, s.seed
+    )
+    n = len(events)
+    if s.policy == "global":
+        hits = global_d[:n] < s.capacity
+    else:
+        dc_sizes = s.resolved_layout().dc_sizes
+        hits = tenant_d[:n] < np.array([dc_sizes[k] for k in ids])[codes[:n]]
     store = SlotStore(s.resolved_layout(), LRU)
     insert = global_insert if s.policy == "global" else static_insert
     for (_, tid, item), code, hit in zip(events, codes.tolist(), hits.tolist()):
         assert ids[code] == tid
         assert hit == (insert(store, (tid, item)).kind == "hit")
 
-    simulated = _mean_ewma(run_scenario(s, trace=iter(events), sample_from=sample_from))
-    assert cache.lru_means(s, sample_from) == simulated
+
+RANKED = ("maxmin_fair", "maxmin_selfish", "hybrid_fair", "hybrid_selfish")
 
 
-def test_means_of_a_sweep_grid_equal_the_simulation():
+@pytest.mark.parametrize(
+    "policies,replacement",
+    [(("global", "static"), LRU), (RANKED, LRU), (POLICIES, FCFS)],
+    ids=["stack-distances", "slot-counts", "fcfs"],
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_probe_series_equal_the_simulation(data, policies, replacement):
+    s, held = data.draw(probes(policies, replacement))
+    cache = ProbeCache()
+    expected = simulated_series(s, held_events(cache, s, held))
+    assert cache.probe(s) == expected
+    assert cache.probe(s) is cache.probe(s)  # memoised
+
+
+def test_series_of_a_sweep_grid_equal_the_simulation():
     # long enough that the distance pass takes its reuses in several chunks
     tenants = [tenant(1, universe=300), tenant(2, universe=300, alpha=0.7, weight=2)]
     cache = ProbeCache()
@@ -158,9 +212,8 @@ def test_means_of_a_sweep_grid_equal_the_simulation():
                 capacity=capacity, policy=policy, tenants=tenants, total_txns=10_000,
                 seed=4, sample_every=50,
             )
-            trace = cache.trace([t.workload for t in tenants], 10_000, 4)
-            simulated = _mean_ewma(run_scenario(s, trace=trace, sample_from=7_500))
-            assert cache.lru_means(s, 7_500) == simulated
+            events = held_events(cache, s, 10_000)
+            assert cache.probe(s) == simulated_series(s, events)
 
 
 def test_distances_recomputed_only_for_a_longer_trace():
@@ -179,7 +232,7 @@ def test_bad_probe_scenario_raises_as_the_simulation_does():
     cache = ProbeCache()
     s = Scenario(capacity=1, policy="static", tenants=[tenant(1), tenant(2)], total_txns=100)
     with pytest.raises(harness.ConfigurationError) as exc:
-        cache.lru_means(s, 0)
+        cache.probe(s)
     assert exc.value.field_name == "capacity"
     assert not cache.traces
 
