@@ -37,12 +37,11 @@ from .sharing import (
     FifoHeaps,
     RecencyLists,
     SharingStrategy,
-    SlotCounts,
-    counted_insert,
     fifo_insert,
     global_insert,
     hybrid_insert,
     maxmin_insert,
+    pick_donor,
     rank_donors,
     recency_insert,
     selfish_eligible,
@@ -405,8 +404,8 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
     item), ranking) for each (txn, tenant, item) of trace, and the trackers,
     gaps, donor rankings and samples around it.
 
-    store is the cache state: RecencyLists, FifoHeaps or SlotCounts in a
-    run or probe, a SlotStore in the tests' reference runs, or anything
+    store is the cache state: RecencyLists or FifoHeaps in a run or an FCFS
+    probe, a SlotStore in the tests' reference runs, or anything
     else whose owned(tenant) gives (dc_slots, sc_slots).  insert returns an
     outcome of kind "hit" or another.  Without a donor ranking (global,
     static) SC donors go by age.
@@ -627,12 +626,12 @@ class ProbeCache:
     over the whole trace, and the tenant's, from one pass over each
     tenant's own substream.  They give the hit bits of every global and
     static capacity at once, so those probes run no simulation at all, and
-    a max-min or hybrid probe replays per-tenant slot counts over the tenant
-    distances in place of a store.  They are computed on the first probe
-    that needs them and go with the trace entry, so a longer trace,
-    generated afresh, computes them afresh; a capacity search holds each
-    seed's trace at its longest probe's length before its first probe.  A
-    cache serves the probes of one tenant set and one base scenario only.
+    a max-min or hybrid probe keeps per-tenant slot counts over the tenant
+    distances in one loop, in place of a store.  They are computed on the
+    first probe that needs them and go with the trace entry, so a longer
+    trace, generated afresh, computes them afresh; a capacity search holds
+    each seed's trace at its longest probe's length before its first probe.
+    A cache serves the probes of one tenant set and one base scenario only.
     It compares and hashes by identity.
     """
 
@@ -713,26 +712,23 @@ class ProbeCache:
         size; those hit bits fill each tenant's windows and EWMA as
         HitRateTracker does, read at the sample txns at which
         activation_timeline marks the tenant active.  A maxmin_* or hybrid_*
-        probe drives SlotCounts and counted_insert over (txn, tenant, tenant
-        distance) triples: a tenant's resident items are its most recent
-        distinct ones, so its slot counts alone decide each access.
+        probe is one loop over (tenant, tenant distance) pairs,
+        _counted_rates: a tenant's resident items are its most recent
+        distinct ones, so its slot counts alone decide each access, and the
+        loop keeps the windows, gaps, donor rankings and samples around them
+        that run_scenario keeps, with no tracker, store or record.
         """
         key = (s.policy, s.capacity, s.total_txns, s.seed)
         if key not in self.series:
             s.validate()
             n, sample_from = s.total_txns, s.total_txns * 3 // 4
             workloads = [t.workload for t in s.tenants]
-            if s.replacement == LRU and s.policy in ("global", "static"):
-                pairs = _stack_rates(s, self.stack_distances(workloads, n, s.seed), sample_from)
+            if s.replacement == LRU:
+                rates = _stack_rates if s.policy in ("global", "static") else _counted_rates
+                pairs = rates(s, self.stack_distances(workloads, n, s.seed), sample_from)
             else:
-                if s.replacement != LRU:
-                    trace = self.trace(workloads, n, s.seed)
-                    records = run_scenario(s, trace=trace, sample_from=sample_from)
-                else:
-                    tenant_d = self.stack_distances(workloads, n, s.seed)[3]
-                    trace = zip(range(n), self.traces[s.seed][1], memoryview(tenant_d))
-                    counts = SlotCounts(s.resolved_layout(), s.tenant_ids())
-                    records = _drive(s, counts, counted_insert, trace, sample_from)
+                records = run_scenario(s, trace=self.trace(workloads, n, s.seed),
+                                       sample_from=sample_from)
                 pairs = ((k, t.ewma_hit_rate) for rec in records for k, t in rec.tenants.items())
             series: dict = {}
             for k, rate in pairs:
@@ -775,6 +771,115 @@ def _stack_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[tu
         for i, txn in enumerate(sample_txns.tolist())
         for k in timeline[bisect_right(starts, txn) - 1][2]
     )
+
+
+def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[tuple]:
+    """(tenant, EWMA hit rate) at each final-quarter sample of an LRU
+    maxmin_* or hybrid_* probe s, in ProbeCache.probe's order, from the
+    tenant stack distances of its held trace: run_scenario's, bit for bit.
+
+    Under LRU tenant k's resident items are always the n_k = dc_k + sc_k
+    most recent distinct items of its substream, and every victim is its
+    owner's least recent item (see recency_insert).  So slot counts alone
+    decide each access, in hybrid_insert's order: a hit iff its tenant
+    distance is below n_k; else a free DC slot (dc_k + 1); else a free SC
+    slot (sc_k + 1); else, with no SC, the tenant's own oldest DC item goes
+    and the counts stay; else pick_donor's donor gives one SC slot to the
+    tenant, which changes nothing when the donor is the tenant.
+
+    One loop does run_scenario's accounting around those cases.  The donor
+    ranking changes only after the access that closes a window and before
+    the access at an activation_timeline change, and samples are read after
+    the access at their txn.  All three kinds of txn are known before the
+    loop from the trace's tenant codes, so the accesses between two of them
+    run with no check.  At each, in run_scenario's order: the closing
+    tenant's window rate is folded into its EWMA with ewma_update, as
+    HitRateTracker does, its (slots, EWMA) point joins its history, its gap
+    and selfish answer are refreshed and the donors ranked again; a sample
+    yields the EWMA (0.0 before a first window) of each active tenant in id
+    order; a change gives departed tenants a gap of +inf, refreshes the
+    arrivals and ranks again.  The held trace is the scenario's own stream,
+    so no event is of a tenant that has not arrived.
+    """
+    ids, codes, _, tenant_d = distances
+    codes = codes[: s.total_txns]
+    n, m = len(codes), len(ids)
+    layout, strategy = s.resolved_layout(), s.strategy
+    window, weight, every = s.window_length, s.ewma_weight, s.sample_every
+    index = {k: c for c, k in enumerate(ids)}
+    softs = {index[t.workload.tenant_id]: t.requirement.soft for t in s.tenants}
+    # per tenant code: resident items, hits in the open window, EWMA, free
+    # DC slots and history; SC slots in a dict, as pick_donor reads owners
+    held, hits, ewma = [0] * m, [0] * m, [None] * m
+    dc_free = [layout.dc_sizes.get(k, 0) for k in ids]
+    histories = [deque(maxlen=strategy.history_len) for _ in ids]
+    sc = dict.fromkeys(range(m), 0)
+    sc_size = sc_free = layout.sc_size
+
+    selfish = s.policy.endswith("selfish")
+    gaps: dict = {}
+    eligible: dict = {}
+    answers = eligible if selfish else None
+    active: set = set()
+
+    def refresh(c) -> None:
+        """Set c's gap, and under selfish sharing its answer as a donor."""
+        rate = ewma[c] or 0.0  # 0.0 before a first window
+        gaps[c] = rate - softs[c]
+        if selfish:
+            eligible[c] = selfish_eligible(histories[c], rate, softs[c], strategy)
+
+    # the accesses after which something happens: a window closes, a sample
+    # is read, or the active set changes before the next access (after
+    # access -1 for txn 0; an idle stretch's two entries share a txn, and
+    # the later one wins)
+    timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
+    change_after = {txn - 1: {index[k] for k in now} for txn, _, now in timeline if txn < n}
+    closes: set = set()
+    for c in range(m):
+        closes.update(np.flatnonzero(codes == c)[window - 1 :: window].tolist())
+    samples = set(range((sample_from + every) // every * every - 1, n, every))
+
+    ranking = rank_donors(gaps, answers)
+    start = 0
+    for stop in sorted(closes | samples | change_after.keys() | {n - 1}):
+        for c, d in zip(codes[start : stop + 1].tolist(), tenant_d[start : stop + 1].tolist()):
+            h = held[c]
+            if d < h:
+                hits[c] += 1
+            elif dc_free[c]:
+                dc_free[c] -= 1
+                held[c] = h + 1
+            elif sc_free:
+                sc_free -= 1
+                sc[c] += 1
+                held[c] = h + 1
+            elif sc_size:
+                donor = pick_donor(ranking, sc, c)
+                if donor != c:
+                    sc[donor] -= 1
+                    held[donor] -= 1
+                    sc[c] += 1
+                    held[c] = h + 1
+        start = stop + 1
+        if stop in closes:  # c's access closed its window
+            ewma[c] = ewma_update(ewma[c], hits[c] / window, weight)
+            hits[c] = 0
+            histories[c].append((held[c], ewma[c]))
+            refresh(c)
+            ranking = rank_donors(gaps, answers)
+        if stop in samples:
+            for k in sorted(active):
+                yield ids[k], ewma[k] or 0.0
+        if stop in change_after:
+            now = change_after[stop]
+            for k in active - now:
+                gaps[k] = INF
+                eligible[k] = True
+            for k in now - active:
+                refresh(k)
+            active = now
+            ranking = rank_donors(gaps, answers)
 
 
 def _mean(rates: Sequence[float]) -> float:

@@ -17,12 +17,13 @@ first tenant that owns an SC slot.
 
 No run keeps slots.  Under LRU a tenant's resident items are always its
 most recent distinct ones (the stack property), so recency_insert is
-hybrid_insert under LRU on per-tenant recency lists (RecencyLists), and
-counted_insert is the same on slot counts alone (SlotCounts), which a
-capacity probe replays over per-tenant stack distances.  FCFS is not a
-stack algorithm, so fifo_insert is hybrid_insert under FCFS on insertion
-stamps, in per-tenant min-heaps by region (FifoHeaps).  hybrid_insert on a
-SlotStore is the reference model all three are held to.
+hybrid_insert under LRU on per-tenant recency lists (RecencyLists); a
+capacity probe goes further and decides each access from slot counts and
+its per-tenant stack distance alone, in one loop
+(harness._counted_rates).  FCFS is not a stack algorithm, so fifo_insert
+is hybrid_insert under FCFS on insertion stamps, in per-tenant min-heaps
+by region (FifoHeaps).  hybrid_insert on a SlotStore is the reference
+model all of them are held to.
 """
 from __future__ import annotations
 
@@ -273,7 +274,7 @@ def hybrid_insert(
 
 class SlotCounts:
     """Each tenant's DC and SC slot counts under a layout, and the SC's free
-    slots: all that counted_insert keeps of a store.
+    slots: what RecencyLists and FifoHeaps keep of a store besides its keys.
 
     owned reads as SlotStore's does.  It serves only the tenants it is
     built for.
@@ -295,48 +296,6 @@ class SlotCounts:
 _COUNTED_HIT = InsertOutcome("hit")
 _COUNTED_INSERTED = InsertOutcome("inserted")
 _COUNTED_REPLACED = InsertOutcome("replaced")
-
-
-def counted_insert(
-    counts: SlotCounts, key: tuple, ranking: DonorRanking
-) -> InsertOutcome:
-    """hybrid_insert under LRU with a donor ranking, on slot counts alone.
-
-    key is (tenant, distance), the access's LRU stack distance within its
-    tenant's own substream.  Under LRU every eviction takes the least recent
-    resident item of its owner, and a hit or an insert puts its key on top of
-    its own tenant's stack, so tenant k's resident items are always the n_k
-    most recent distinct items of its substream, n_k = dc_k + sc_k.  In a
-    hybrid layout the DC holds the tenant's d_k newest items: the DC fills
-    first and its slots are never freed, and a promotion brings the key into
-    the DC and moves the DC's oldest item out to SC, an item newer than
-    every SC item of the tenant.  So a donor's SC victim is its least recent
-    item too.  The cases, in hybrid_insert's order: a hit iff distance <
-    dc_k + sc_k; else a free DC slot (dc_k + 1); else a free SC slot
-    (sc_k + 1); else, with no SC, the tenant's own oldest DC item goes and
-    the counts stay; else pick_donor's donor gives one SC slot to the
-    tenant, which changes nothing when the donor is the tenant.  The
-    outcome's kind is hybrid_insert's; counts name no region or victim.
-    """
-    tenant, distance = key
-    dc = counts.dc_count[tenant]
-    sc = counts.sc_count
-    if distance < dc + sc[tenant]:
-        return _COUNTED_HIT
-    if dc < counts.dc_sizes[tenant]:
-        counts.dc_count[tenant] = dc + 1
-        return _COUNTED_INSERTED
-    if counts.sc_free:
-        counts.sc_free -= 1
-        sc[tenant] += 1
-        return _COUNTED_INSERTED
-    if not counts.sc_size:
-        return _COUNTED_REPLACED
-    donor = pick_donor(ranking, sc, tenant)
-    if donor != tenant:
-        sc[donor] -= 1
-        sc[tenant] += 1
-    return _COUNTED_REPLACED
 
 
 class RecencyLists(SlotCounts):
@@ -363,11 +322,15 @@ def recency_insert(
 ) -> InsertOutcome:
     """hybrid_insert on an LRU store, on recency lists in place of slots.
 
-    A tenant's resident items are its dc_k + sc_k most recent distinct ones,
-    and every victim is its owner's least recent resident item (see
-    counted_insert), so each case of hybrid_insert is a list step, in
-    counted_insert's order: a hit iff the item is in its tenant's list (the
-    key, in a shared list), moved to the newest end; else it is appended
+    Under LRU a hit or an insert puts its key on top of its own tenant's
+    stack and every eviction takes its owner's least recent item, so a
+    tenant's resident items are its dc_k + sc_k most recent distinct ones.
+    In a hybrid layout the DC fills first and is never freed, and a
+    promotion moves the DC's oldest item out to SC, newer than every SC item
+    of the tenant, so a donor's SC victim is its least recent item too.
+    Each case of hybrid_insert is then a list step, in its order: a hit iff
+    the item is in its tenant's list (the key, in a shared list), moved to
+    the newest end; else it is appended
     after taking a free DC slot, else a free SC slot; else, with no SC, the
     tenant's own least recent item goes; else a donor's least recent item
     goes and its SC slot passes to the tenant.  The donor is pick_donor's

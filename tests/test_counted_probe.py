@@ -1,17 +1,20 @@
-"""Runs without a store, held to the store they replace.
+"""Runs and probes without a store, held to the store they replace.
 
 Under LRU a tenant's resident items are always its most recent distinct
 ones, and every victim is its owner's least recent item.  So run_scenario
 runs LRU scenarios on per-tenant recency lists (recency_insert over
-RecencyLists), and ProbeCache.probe drives counted_insert over SlotCounts
-and per-tenant stack distances for an LRU max-min or hybrid probe.  FCFS scenarios run on insertion
-stamps (fifo_insert over FifoHeaps).  Each must give the records of the
-driver over a SlotStore of the same replacement and hybrid_insert, the
-reference model, sample for sample, or raise the same error class.  The unit
-tests hold counted_insert to each case of hybrid_insert's case list.
+RecencyLists), and ProbeCache.probe serves an LRU max-min or hybrid probe
+with one loop over per-tenant stack distances that keeps slot counts alone
+(_counted_rates).  FCFS scenarios run on insertion stamps (fifo_insert over
+FifoHeaps).  Each must give the driver's results over a SlotStore of the
+same replacement and hybrid_insert, the reference model: the same records
+(the same EWMA at each sample, for the loop), or the same error class.  The
+unit tests hold the loop to each case of hybrid_insert's case list, one
+hand-built distance trace per case.
 """
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,15 +26,18 @@ from tenantcache.cache_core import (
     SlotStore,
     UnknownTenantError,
 )
-from tenantcache.harness import POLICIES, ProbeCache, Scenario, TenantSpec, _drive, run_scenario
-from tenantcache.metrics import Requirement
-from tenantcache.sharing import (
-    DonorRanking,
-    SharingStrategy,
-    SlotCounts,
-    counted_insert,
-    hybrid_insert,
+from tenantcache.harness import (
+    _COLD,
+    POLICIES,
+    ProbeCache,
+    Scenario,
+    TenantSpec,
+    _counted_rates,
+    _drive,
+    run_scenario,
 )
+from tenantcache.metrics import Requirement
+from tenantcache.sharing import SharingStrategy, hybrid_insert
 from tenantcache.workload import TenantWorkload, WorkloadPhase
 
 RANKED = ("maxmin_fair", "maxmin_selfish", "hybrid_fair", "hybrid_selfish")
@@ -51,15 +57,15 @@ def held_trace(s: Scenario, cache: ProbeCache | None = None) -> list:
 
 
 def store_and_counted(s: Scenario, sample_from: int) -> tuple:
-    """The reference's records over s.seed's ProbeCache trace, and the
-    driver's over SlotCounts and counted_insert on its tenant distances, as
-    ProbeCache.probe drives an LRU max-min or hybrid probe."""
+    """(tenant, EWMA hit rate) at each sample from sample_from on: the
+    reference's over s.seed's ProbeCache trace, and _counted_rates' over its
+    stack distances, as ProbeCache.probe serves an LRU max-min or hybrid
+    probe."""
     cache = ProbeCache()
-    expected = reference(s, held_trace(s, cache), sample_from)
-    tenant_d = cache.stack_distances([t.workload for t in s.tenants], s.total_txns, s.seed)[3]
-    trace = zip(range(s.total_txns), cache.traces[s.seed][1], tenant_d.tolist())
-    counts = SlotCounts(s.resolved_layout(), s.tenant_ids())
-    return expected, _drive(s, counts, counted_insert, trace, sample_from)
+    records = reference(s, held_trace(s, cache), sample_from)
+    expected = [(k, t.ewma_hit_rate) for rec in records for k, t in rec.tenants.items()]
+    distances = cache.stack_distances([t.workload for t in s.tenants], s.total_txns, s.seed)
+    return expected, list(_counted_rates(s, distances, sample_from))
 
 
 def result(run, *args) -> tuple:
@@ -262,71 +268,99 @@ def test_counted_replay_over_churn(policy, dc_sizes, sc_size):
     )
     expected, counted = store_and_counted(s, 0)
     assert counted == expected
-    assert len(expected) == 60
+    assert sum(k == 1 for k, _ in expected) == 60  # a sample every 50 txns
 
 
-# -- counted_insert, case by case --------------------------------------------
-
-FAIR = DonorRanking((1, 2))
+# -- the loop, case by case -----------------------------------------------------
 
 
-def counts(dc_sizes, sc_size, dc=None, sc=None) -> SlotCounts:
-    c = SlotCounts(RegionLayout(dc_sizes=dc_sizes, sc_size=sc_size), [1, 2])
-    c.dc_count.update(dc or {})
-    c.sc_count.update(sc or {})
-    c.sc_free -= sum(c.sc_count.values())
-    return c
+def hit_bits(policy, layout, trace, softs=(0.0, 0.0), strategy=SharingStrategy()) -> list:
+    """Whether each access of trace hits in _counted_rates.
 
-
-def state(c: SlotCounts) -> tuple:
-    return dict(c.dc_count), dict(c.sc_count), c.sc_free
+    trace holds (tenant, tenant distance) pairs of tenants 1 and 2, None for
+    a first access.  With windows of one access, an EWMA weight of 1 and a
+    sample at every txn, the accessing tenant's EWMA after its access is its
+    hit bit, and a tenant's gap is its last hit bit less its soft level.
+    """
+    tenants = [spec(k, soft=soft) for k, soft in zip((1, 2), softs)]
+    s = Scenario(capacity=layout.capacity, policy=policy, tenants=tenants, layout=layout,
+                 total_txns=len(trace), window_length=1, ewma_weight=1.0, sample_every=1,
+                 strategy=strategy)
+    s.validate()
+    codes = np.array([k - 1 for k, _ in trace], dtype=np.int32)
+    tenant_d = np.array([_COLD if d is None else d for _, d in trace], dtype=np.int32)
+    pairs = list(_counted_rates(s, ([1, 2], codes, None, tenant_d), 0))
+    assert len(pairs) == 2 * len(trace)  # both tenants, at every txn
+    return [pairs[2 * txn + k - 1][1] == 1.0 for txn, (k, _) in enumerate(trace)]
 
 
 def test_a_distance_below_the_tenants_slots_hits():
-    c = counts({1: 2, 2: 2}, 4, dc={1: 2}, sc={1: 1})
-    before = state(c)
-    assert counted_insert(c, (1, 2), FAIR).kind == "hit"  # 2 < 2 + 1
-    assert state(c) == before
-    assert counted_insert(c, (1, 3), FAIR).kind != "hit"
+    # tenant 1 fills its DC, then takes an SC slot: 3 slots
+    layout = RegionLayout(dc_sizes={1: 2, 2: 2}, sc_size=4)
+    trace = [(1, None)] * 3 + [(1, 2), (1, 0), (1, 3)]
+    assert hit_bits("hybrid_fair", layout, trace) == [False] * 3 + [True, True, False]
 
 
 def test_a_miss_takes_a_free_dc_slot_first():
-    c = counts({1: 2, 2: 2}, 4, dc={1: 1})
-    assert counted_insert(c, (1, 7), FAIR).kind == "inserted"
-    assert state(c) == ({1: 2, 2: 0}, {1: 0, 2: 0}, 4)
+    # tenant 1's two misses fill its DC and leave all 4 SC slots to tenant 2,
+    # which then holds 2 + 4 and has taken none of tenant 1's 2
+    layout = RegionLayout(dc_sizes={1: 2, 2: 2}, sc_size=4)
+    trace = [(1, None)] * 2 + [(2, None)] * 6 + [(2, 5), (1, 1)]
+    assert hit_bits("hybrid_fair", layout, trace) == [False] * 8 + [True, True]
 
 
 def test_a_miss_on_a_full_dc_takes_a_free_sc_slot():
-    c = counts({1: 2, 2: 0}, 4, dc={1: 2}, sc={2: 1})
-    assert counted_insert(c, (1, 7), FAIR).kind == "inserted"
-    assert counted_insert(c, (2, 7), FAIR).kind == "inserted"  # no DC: straight to SC
-    assert state(c) == ({1: 2, 2: 0}, {1: 1, 2: 2}, 1)
+    layout = RegionLayout(dc_sizes={1: 2, 2: 0}, sc_size=4)
+    trace = [
+        (1, None), (1, None), (1, None),  # DC full: the third takes an SC slot
+        (2, None),  # no DC: straight to SC
+        (1, 2), (2, 0),  # 3 slots and 1
+        (2, None),  # the last free SC slot
+        (2, 1), (1, 3),  # 2 slots and still 3
+    ]
+    assert hit_bits("hybrid_fair", layout, trace) == [
+        False, False, False, False, True, True, False, True, False,
+    ]
 
 
 def test_a_miss_with_no_sc_replaces_in_the_tenants_dc():
-    c = counts({1: 2, 2: 3}, 0, dc={1: 2, 2: 3})
-    before = state(c)
-    assert counted_insert(c, (2, 9), FAIR).kind == "replaced"
-    assert state(c) == before
+    layout = RegionLayout(dc_sizes={1: 2, 2: 3}, sc_size=0)
+    # the fourth miss replaces one of tenant 2's own 3 items; it keeps 3
+    trace = [(2, None)] * 4 + [(2, 2), (2, 3)]
+    assert hit_bits("hybrid_fair", layout, trace) == [False] * 4 + [True, False]
 
 
 def test_a_miss_on_a_full_sc_takes_a_slot_from_the_donor():
-    c = counts({1: 1, 2: 1}, 3, dc={1: 1, 2: 1}, sc={1: 2, 2: 1})
-    # tenant 2 ranks first and owns SC, so it gives one slot to tenant 1
-    assert counted_insert(c, (1, 9), DonorRanking((2, 1))).kind == "replaced"
-    assert state(c) == ({1: 1, 2: 1}, {1: 3, 2: 0}, 0)
-    # tenant 2 owns no SC now, so tenant 1 donates to itself
-    assert counted_insert(c, (1, 9), DonorRanking((2, 1))).kind == "replaced"
-    assert state(c) == ({1: 1, 2: 1}, {1: 3, 2: 0}, 0)
+    layout = RegionLayout(sc_size=3)
+    trace = [
+        (1, None), (2, None), (2, None),  # SC full: tenant 1 holds 1, tenant 2 holds 2
+        (2, 0),  # a hit: gap 1 ranks tenant 2 first
+        (1, None),  # so tenant 2 gives a slot to tenant 1
+        (1, 1),  # a hit: tenant 1 holds 2; the gaps tie at 1, so tenant 1 ranks first
+        (2, 1),  # a miss: tenant 2 holds 1, and tenant 1 gives the slot back
+        (1, None),  # tenant 1 still ranks first (gap 1 to 0): it donates to itself
+        (1, 0), (1, 1), (2, 1),  # tenant 1 holds 1, tenant 2 holds 2
+    ]
+    assert hit_bits("maxmin_fair", layout, trace) == [
+        False, False, False, True, False, True, False, False, True, False, True,
+    ]
 
 
 def test_a_selfish_requester_donates_to_itself():
-    c = counts({}, 3, sc={1: 1, 2: 2})
-    # tenant 2 ranks first but refuses; the requester is taken before the
-    # fallback to the first owner
-    ranking = DonorRanking((2, 1), frozenset())
-    assert counted_insert(c, (1, 5), ranking).kind == "replaced"
-    assert state(c) == ({1: 0, 2: 0}, {1: 1, 2: 2}, 0)
-    # a volunteer gives its slot
-    assert counted_insert(c, (1, 5), DonorRanking((2, 1), frozenset({2}))).kind == "replaced"
-    assert state(c) == ({1: 0, 2: 0}, {1: 2, 2: 1}, 0)
+    layout = RegionLayout(sc_size=3)
+    strategy = SharingStrategy(loss_horizon=1, history_len=2)
+    trace = [
+        (2, None), (2, None),  # tenant 2 holds 2; its history (1, 0), (2, 0)
+        # a hit: gap 1 - 0.6 > 0, but the mean of its history (2, 0), (2, 1)
+        # is below 0.6, so it refuses to donate
+        (2, 0),
+        (1, None),  # SC full: tenant 1 holds 1
+        (1, None),  # tenant 2 ranks first but refuses: the requester donates
+        (1, 1),  # so tenant 1 still holds 1
+        (2, 1),  # and tenant 2 still holds 2; its history (2, 1), (2, 1): it volunteers
+        (1, None),  # and gives a slot to tenant 1
+        (1, 1), (2, 1),  # tenant 1 holds 2 now, tenant 2 holds 1
+    ]
+    assert hit_bits("maxmin_selfish", layout, trace, (0.6, 0.6), strategy) == [
+        False, False, True, False, False, False, True, False, True, False,
+    ]

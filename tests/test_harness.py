@@ -664,23 +664,29 @@ class TestProbeCache:
             assert memoised == meets_target(policy, tenants, capacity, target, [0, 1], **kw)
 
     def test_sweep_runs_each_probe_once_and_generates_each_trace_once(self, monkeypatch):
-        """Each distinct probe runs once, on a store (FCFS) or on slot counts
-        (LRU maxmin), and each seed's trace is generated once, at the length
-        of the upper probe, though the lower probe is shorter."""
+        """Each distinct probe runs once, on insertion stamps (FCFS) or in the
+        slot-count loop (LRU maxmin), and each seed's trace is generated once,
+        at the length of the upper probe, though the lower probe is shorter."""
         import tenantcache.harness as harness
 
         runs, generated = [], []
         real_drive, real_generate = harness._drive, harness.generate_stream
+        real_counted = harness._counted_rates
 
         def counting_drive(s, *args):
             runs.append((s.replacement, s.policy, s.capacity, s.seed))
             return real_drive(s, *args)
+
+        def counting_counted(s, *args):
+            runs.append((s.replacement, s.policy, s.capacity, s.seed))
+            return real_counted(s, *args)
 
         def counting_generate(workloads, total_txns, seed=0):
             generated.append((seed, total_txns))
             return real_generate(workloads, total_txns, seed)
 
         monkeypatch.setattr(harness, "_drive", counting_drive)
+        monkeypatch.setattr(harness, "_counted_rates", counting_counted)
         monkeypatch.setattr(harness, "generate_stream", counting_generate)
         tenants = [tenant(1, universe=60), tenant(2, universe=60, alpha=0.7)]
         for replacement in ("lru", "fcfs"):
@@ -1044,19 +1050,19 @@ class TestCli:
     def test_sweep_probes_carry_the_config_strategy(self, tmp_path, monkeypatch):
         import tenantcache.harness as harness
         from tenantcache.cli import main
-        from tenantcache.sharing import SharingStrategy, SlotCounts
+        from tenantcache.sharing import SharingStrategy
 
-        # an LRU probe replays slot counts through the driver; an FCFS one
-        # runs run_scenario
+        # an LRU probe is served by the slot-count loop; an FCFS one runs
+        # run_scenario
         probes = []
         monkeypatch.setattr(
-            harness, "_drive",
-            lambda s, store, *_: probes.append((s, type(store))) or ONE_RECORD,
+            harness, "_counted_rates",
+            lambda s, *_: probes.append((s, "counted")) or [(1, 1.0)],
         )
         monkeypatch.setattr(
-            harness, "run_scenario", lambda s, **_: probes.append((s, None)) or ONE_RECORD
+            harness, "run_scenario", lambda s, **_: probes.append((s, "run")) or ONE_RECORD
         )
-        for replacement, path in (("lru", SlotCounts), ("fcfs", None)):
+        for replacement, path in (("lru", "counted"), ("fcfs", "run")):
             probes.clear()
             cfg = self.config_path(
                 tmp_path,

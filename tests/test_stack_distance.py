@@ -31,13 +31,7 @@ from tenantcache.harness import (
     scenario_to_json,
 )
 from tenantcache.metrics import Requirement
-from tenantcache.sharing import (
-    FifoHeaps,
-    SharingStrategy,
-    SlotCounts,
-    global_insert,
-    static_insert,
-)
+from tenantcache.sharing import FifoHeaps, SharingStrategy, global_insert, static_insert
 from tenantcache.workload import TenantWorkload, WorkloadPhase
 
 FAST = dict(min_txns=4_000, txns_per_slot=4)
@@ -216,6 +210,31 @@ def test_series_of_a_sweep_grid_equal_the_simulation():
             assert cache.probe(s) == simulated_series(s, events)
 
 
+def test_counted_series_of_a_sweep_grid_equal_the_simulation():
+    """The one loop of LRU max-min and hybrid probes at grid scale, with a
+    tenant that arrives late and one that departs in the final quarter."""
+    tenants = [
+        tenant(1, universe=300, soft=0.5),
+        tenant(2, universe=300, alpha=0.7, soft=0.4, weight=2, active_until=8_500),
+        tenant(3, universe=200, alpha=0.9, soft=0.6, active_from=2_000),
+    ]
+    cache = ProbeCache()
+    for policy in RANKED:
+        for capacity in (3, 40, 150, 301):
+            layout = None
+            if policy.startswith("hybrid"):
+                dc = capacity // 6
+                layout = RegionLayout(dc_sizes={1: dc, 2: dc, 3: dc}, sc_size=capacity - 3 * dc)
+            s = Scenario(
+                capacity=capacity, policy=policy, tenants=tenants, layout=layout,
+                total_txns=10_000, seed=4, sample_every=50,
+                strategy=SharingStrategy(loss_horizon=10, history_len=5),
+            )
+            series = cache.probe(s)
+            assert series == simulated_series(s, held_events(cache, s, 10_000))
+            assert set(series) == {1, 2, 3}
+
+
 def test_distances_recomputed_only_for_a_longer_trace():
     workloads = [tenant(1).workload, tenant(2, alpha=0.7).workload]
     cache = ProbeCache()
@@ -269,23 +288,28 @@ def test_lru_baseline_sweep_simulates_nothing(monkeypatch):
 )
 def test_fcfs_and_maxmin_probes_still_simulate(monkeypatch, replacement, simulated):
     """FCFS probes run run_scenario on insertion stamps; LRU maxmin probes
-    replay slot counts instead."""
+    are served by the slot-count loop instead, and drive nothing."""
     runs = counted_runs(monkeypatch)
-    drives = []
-    real_drive = harness._drive
+    drives, counted = [], []
+    real_drive, real_counted = harness._drive, harness._counted_rates
 
     def counting_drive(s, store, *args):
         drives.append((s.policy, type(store)))
         return real_drive(s, store, *args)
 
+    def counting_counted(s, *args):
+        counted.append(s.policy)
+        return real_counted(s, *args)
+
     monkeypatch.setattr(harness, "_drive", counting_drive)
+    monkeypatch.setattr(harness, "_counted_rates", counting_counted)
     base = Scenario(capacity=64, policy="global", tenants=TENANTS, replacement=replacement)
     capacity_sweep(TENANTS, [0.4], ["global", "static", "maxmin_fair"], base=base, **SWEEP)
     assert {policy for policy, _ in runs} == simulated
     assert {r for _, r in runs} <= {replacement}
-    store = FifoHeaps if replacement == "fcfs" else SlotCounts
-    assert {policy for policy, _ in drives} == simulated | {"maxmin_fair"}
-    assert {kind for _, kind in drives} == {store}
+    assert {policy for policy, _ in drives} == simulated
+    assert {kind for _, kind in drives} == ({FifoHeaps} if simulated else set())
+    assert set(counted) == {"maxmin_fair"} - simulated
 
 
 # the CSVs of this sweep before the stack-distance backend existed
@@ -336,25 +360,33 @@ def test_sweep_cli_csv_unchanged(tmp_path, replacement):
 # -- the search's premise: feasibility only grows with capacity ------------------
 
 
-def test_feasibility_is_monotone_on_the_sweep_benchmark_workload():
-    """Every grid capacity from min_slots to upper meets the target.
+def test_only_maxmin_fair_at_seed_0_meets_a_target_below_the_search_answer():
+    """Every grid capacity from 25 to upper, on either side of the answer.
 
     Tenants, targets and search grid are those of the sweep-3t benchmark
-    workload.  The binary search is only right if this holds.
+    workload.  The binary search assumes that feasibility only grows with
+    capacity.  For global and static under LRU that holds (the inclusion
+    property); max-min sharing is not a stack algorithm, so this pins what
+    is observed: no grid capacity above the search's answer fails, and one
+    below it meets the target.  maxmin_fair, seed 0, target 0.45: 325 meets
+    (final-quarter means 0.4578 and 0.4572), 350 fails (tenant 1 at
+    0.4466), 375 meets, and the search, which probes 350 and not 325,
+    answers 375.
     """
     tenants = [tenant(1, universe=1_000, soft=0.6), tenant(2, universe=1_000, alpha=0.7, soft=0.6)]
     upper, resolution = 1_500, 25
+    below = []
     for seed in range(4):
         cache = ProbeCache()
-        for policy in ("global", "static"):
+        for policy in ("global", "static", "maxmin_fair", "maxmin_selfish"):
             for target in (0.3, 0.45, 0.6):
                 found = min_slots_for_target(
                     policy, tenants, target, lower=50, upper=upper, resolution=resolution,
                     trials=1, seed=seed, cache=cache, **FAST,
                 )
-                failing = [
-                    c
-                    for c in range(found, upper + 1, resolution)
-                    if not meets_target(policy, tenants, c, target, [seed], cache=cache, **FAST)
-                ]
-                assert failing == [], (policy, target, seed, found)
+                for c in range(resolution, upper + 1, resolution):
+                    meets = meets_target(policy, tenants, c, target, [seed], cache=cache, **FAST)
+                    assert meets or c < found, (policy, target, seed, found, c)
+                    if meets and c < found:
+                        below.append((policy, seed, target, c, found))
+    assert below == [("maxmin_fair", 0, 0.45, 325, 375)]
