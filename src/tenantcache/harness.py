@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_right
-from collections import abc, deque
+from collections import abc
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache, partial
@@ -29,11 +29,13 @@ from .metrics import (
     check_objectives,
     ewma_update,
 )
-# global_insert, static_insert, maxmin_insert and hybrid_insert run nowhere
-# here, but the benchmark's tracer (perfbench/tracer.py) wraps them on this
-# module by name until the benchmark is refreshed (ROADMAP item 1)
+# global_insert, static_insert, maxmin_insert, hybrid_insert and
+# selfish_eligible run nowhere here, but the benchmark's tracer
+# (perfbench/tracer.py) wraps them on this module by name until the
+# benchmark is refreshed (ROADMAP item 1)
 from .sharing import (
     INF,
+    Donors,
     FifoHeaps,
     RecencyLists,
     SharingStrategy,
@@ -42,7 +44,6 @@ from .sharing import (
     hybrid_insert,
     maxmin_insert,
     pick_donor,
-    rank_donors,
     recency_insert,
     selfish_eligible,
     static_insert,
@@ -185,6 +186,13 @@ class Scenario:
         if self.layout is not None:
             return self.layout
         return derive_layout(self.policy, self.capacity, self.tenant_ids())
+
+
+def _check_policies(policies: Iterable[str], known: Sequence[str]) -> None:
+    """Raise a ConfigurationError naming policies unless every one is known."""
+    for policy in policies:
+        if policy not in known:
+            raise ConfigurationError("policies", f"{policy!r} is not one of {', '.join(known)}")
 
 
 def derive_layout(
@@ -401,8 +409,11 @@ def run_scenario(
 
 def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int) -> list:
     """run_scenario's loop over a validated scenario s: insert(store, (tenant,
-    item), ranking) for each (txn, tenant, item) of trace, and the trackers,
-    gaps, donor rankings and samples around it.
+    item), ranking) for each (txn, tenant, item) of trace, and the trackers
+    and samples around it.  Gaps, selfish answers, histories, the active set
+    and the donor ranking are one Donors account, told of each closed window
+    and each activation change; each arrival's tracker is built first, so the
+    account reads the arrival's rate from it.
 
     store is the cache state: RecencyLists or FifoHeaps in a run or an FCFS
     probe, a SlotStore in the tests' reference runs, or anything
@@ -411,37 +422,18 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
     static) SC donors go by age.
     """
     policy = s.policy
-    strategy = s.strategy
-    selfish = policy.endswith("selfish")
-
     reqs = {t.workload.tenant_id: t.requirement for t in s.tenants}
     # a tenant's tracker is built when it arrives and kept after it departs,
     # so an event of a tenant that has not arrived finds none
     trackers: dict = {}
-    # per tenant, one (owned slots, smoothed hit rate) point per closed window
-    histories = {k: deque(maxlen=strategy.history_len) for k in reqs}
-
-    # gaps drive victim selection; departed owners get +inf so their residual
-    # slots are reclaimed first
-    gaps: dict = {}
-    eligible: dict = {}
-    active: set = set()
-
-    def refresh(k) -> None:
-        """Set k's gap, and under selfish sharing its answer as a donor."""
-        hit_rate = trackers[k].hit_rate
-        gaps[k] = hit_rate - reqs[k].soft
-        if selfish:
-            eligible[k] = selfish_eligible(histories[k], hit_rate, reqs[k].soft, strategy)
+    donors = Donors({k: r.soft for k, r in reqs.items()}, s.strategy,
+                    policy.endswith("selfish"), ranked=policy not in ("global", "static"))
+    ranking, gaps = donors.ranking, donors.gaps
 
     workloads = [t.workload for t in s.tenants]
     # the active set from each txn where it changes; an idle stretch's two
     # entries share a txn, and the later one wins
     changes = {txn: set(ids) for txn, _, ids in activation_timeline(workloads, s.total_txns)}
-
-    ranked = policy not in ("global", "static")
-    answers = eligible if selfish else None
-    ranking = rank_donors(gaps, answers) if ranked else None
 
     records: list[SampleRecord] = []
     kept: dict = {}  # tenant -> its last sample, shared by records while unchanged
@@ -466,21 +458,14 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
     for txn, tenant, item in trace:
         if txn >= due:
             if taken is not None:
-                records.append(_sample(taken, store, trackers, reqs, gaps, active, kept))
+                records.append(_sample(taken, store, trackers, reqs, gaps, donors.active, kept))
                 taken = None
             while change_txns[next_change] <= txn:
                 now = changes[change_txns[next_change]]
-                for k in active - now:
-                    gaps[k] = INF
-                    eligible[k] = True
-                for k in now - active:
-                    if k not in trackers:
-                        trackers[k] = HitRateTracker(s.window_length, s.ewma_weight)
-                    refresh(k)
-                active = now
+                for k in now.difference(trackers):  # first arrivals
+                    trackers[k] = HitRateTracker(s.window_length, s.ewma_weight)
+                ranking = donors.change(now, lambda k: trackers[k].hit_rate)
                 next_change += 1
-                if ranked:
-                    ranking = rank_donors(gaps, answers)
             due = next_sample(txn)
             if due == txn:
                 taken, due = txn, txn + 1
@@ -493,13 +478,10 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
             raise UnknownTenantError(f"tenant {tenant!r} at txn {txn} {why}") from None
         outcome = insert(store, (tenant, item), ranking)
         if tracker.record_access(outcome.kind == "hit") is not None:
-            histories[tenant].append((sum(store.owned(tenant)), tracker.hit_rate))
-            refresh(tenant)
-            if ranked:
-                ranking = rank_donors(gaps, answers)
+            ranking = donors.closed(tenant, sum(store.owned(tenant)), tracker.hit_rate)
 
     if taken is not None:
-        records.append(_sample(taken, store, trackers, reqs, gaps, active, kept))
+        records.append(_sample(taken, store, trackers, reqs, gaps, donors.active, kept))
     return records
 
 
@@ -551,15 +533,17 @@ def compare_policies(
 ) -> dict[str, list[SampleRecord]]:
     """Replay one generated trace through each policy so curves are workload-identical.
 
-    The trace is generated once and held as a capacity search holds its
-    probes' traces, in a ProbeCache: tenant ids and 8-byte items, not events.
+    Every policy name and layout is checked before the first run.  The trace
+    is generated once and held as a capacity search holds its probes'
+    traces, in a ProbeCache: tenant ids and 8-byte items, not events.
     """
     base.validate()
+    _check_policies(policies, POLICIES)
+    layouts = {p: derive_layout(p, base.capacity, base.tenant_ids(), base.layout) for p in policies}
     workloads = [t.workload for t in base.tenants]
     cache = ProbeCache()
     results: dict[str, list[SampleRecord]] = {}
-    for policy in policies:
-        layout = derive_layout(policy, base.capacity, base.tenant_ids(), base.layout)
+    for policy, layout in layouts.items():
         scenario = replace(base, policy=policy, layout=layout)
         trace = cache.trace(workloads, base.total_txns, base.seed)
         results[policy] = run_scenario(scenario, trace=trace)
@@ -794,40 +778,28 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
     loop from the trace's tenant codes, so the accesses between two of them
     run with no check.  At each, in run_scenario's order: the closing
     tenant's window rate is folded into its EWMA with ewma_update, as
-    HitRateTracker does, its (slots, EWMA) point joins its history, its gap
-    and selfish answer are refreshed and the donors ranked again; a sample
-    yields the EWMA (0.0 before a first window) of each active tenant in id
-    order; a change gives departed tenants a gap of +inf, refreshes the
-    arrivals and ranks again.  The held trace is the scenario's own stream,
-    so no event is of a tenant that has not arrived.
+    HitRateTracker does, and the donor account, a Donors over tenant codes
+    as run_scenario keeps one over tenant ids, is told of the close with the
+    tenant's slots and EWMA; a sample yields the EWMA (0.0 before a first
+    window) of each active tenant in id order; a change is told to the
+    account with each arrival's EWMA.  Each event returns the new ranking.
+    The held trace is the scenario's own stream, so no event is of a tenant
+    that has not arrived.
     """
     ids, codes, _, tenant_d = distances
     codes = codes[: s.total_txns]
     n, m = len(codes), len(ids)
-    layout, strategy = s.resolved_layout(), s.strategy
+    layout = s.resolved_layout()
     window, weight, every = s.window_length, s.ewma_weight, s.sample_every
     index = {k: c for c, k in enumerate(ids)}
     softs = {index[t.workload.tenant_id]: t.requirement.soft for t in s.tenants}
-    # per tenant code: resident items, hits in the open window, EWMA, free
-    # DC slots and history; SC slots in a dict, as pick_donor reads owners
+    donors = Donors(softs, s.strategy, s.policy.endswith("selfish"), ranked=True)
+    # per tenant code: resident items, hits in the open window, EWMA and free
+    # DC slots; SC slots in a dict, as pick_donor reads owners
     held, hits, ewma = [0] * m, [0] * m, [None] * m
     dc_free = [layout.dc_sizes.get(k, 0) for k in ids]
-    histories = [deque(maxlen=strategy.history_len) for _ in ids]
     sc = dict.fromkeys(range(m), 0)
     sc_size = sc_free = layout.sc_size
-
-    selfish = s.policy.endswith("selfish")
-    gaps: dict = {}
-    eligible: dict = {}
-    answers = eligible if selfish else None
-    active: set = set()
-
-    def refresh(c) -> None:
-        """Set c's gap, and under selfish sharing its answer as a donor."""
-        rate = ewma[c] or 0.0  # 0.0 before a first window
-        gaps[c] = rate - softs[c]
-        if selfish:
-            eligible[c] = selfish_eligible(histories[c], rate, softs[c], strategy)
 
     # the accesses after which something happens: a window closes, a sample
     # is read, or the active set changes before the next access (after
@@ -840,7 +812,7 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
         closes.update(np.flatnonzero(codes == c)[window - 1 :: window].tolist())
     samples = set(range((sample_from + every) // every * every - 1, n, every))
 
-    ranking = rank_donors(gaps, answers)
+    ranking = donors.ranking
     start = 0
     for stop in sorted(closes | samples | change_after.keys() | {n - 1}):
         for c, d in zip(codes[start : stop + 1].tolist(), tenant_d[start : stop + 1].tolist()):
@@ -865,21 +837,12 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
         if stop in closes:  # c's access closed its window
             ewma[c] = ewma_update(ewma[c], hits[c] / window, weight)
             hits[c] = 0
-            histories[c].append((held[c], ewma[c]))
-            refresh(c)
-            ranking = rank_donors(gaps, answers)
+            ranking = donors.closed(c, held[c], ewma[c])
         if stop in samples:
-            for k in sorted(active):
-                yield ids[k], ewma[k] or 0.0
+            for k in sorted(donors.active):
+                yield ids[k], ewma[k] or 0.0  # 0.0 before a first window
         if stop in change_after:
-            now = change_after[stop]
-            for k in active - now:
-                gaps[k] = INF
-                eligible[k] = True
-            for k in now - active:
-                refresh(k)
-            active = now
-            ranking = rank_donors(gaps, answers)
+            ranking = donors.change(change_after[stop], lambda c: ewma[c] or 0.0)
 
 
 def _mean(rates: Sequence[float]) -> float:
@@ -1032,14 +995,17 @@ def capacity_sweep(
 ) -> list[CapacitySweepResult]:
     """min_slots_for_target across a target grid, with savings vs the baselines.
 
-    Every target is checked before the first search starts.  All searches
-    share one ProbeCache: each seed's trace is generated once (at the
-    longest length asked for so far), and each distinct (policy, capacity,
-    seed) probe is simulated once, whichever targets ask for it.
+    Every target and policy name is checked before the first search starts;
+    a hybrid policy is refused, since a probe derives its layout and hybrid
+    needs explicit dc_sizes.  All searches share one ProbeCache: each seed's
+    trace is generated once (at the longest length asked for so far), and
+    each distinct (policy, capacity, seed) probe is simulated once, whichever
+    targets ask for it.
     """
     for target in targets:
         if not 0.0 <= target < 1.0:
             raise ConfigurationError("targets", f"{target} is outside [0, 1)")
+    _check_policies(policies, [p for p in POLICIES if not p.startswith("hybrid")])
     cache = ProbeCache()
     results: list[CapacitySweepResult] = []
     for target in targets:

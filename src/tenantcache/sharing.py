@@ -13,7 +13,10 @@ slots would push it below its requirement.
 Gaps change only when a window closes or the active set changes, so the
 donor rule is split in two: rank_donors orders the tenants when their gaps
 change, and pick_donor walks that order on each SC replacement for the
-first tenant that owns an SC slot.
+first tenant that owns an SC slot.  Donors is the one account of the first
+half: gaps, selfish answers, (slots, EWMA) histories, the active set and
+the ranking, told of those two events by both the run driver
+(harness._drive) and the probe loop (harness._counted_rates).
 
 No run keeps slots.  Under LRU a tenant's resident items are always its
 most recent distinct ones (the stack property), so recency_insert is
@@ -23,14 +26,15 @@ its per-tenant stack distance alone, in one loop
 (harness._counted_rates).  FCFS is not a stack algorithm, so fifo_insert
 is hybrid_insert under FCFS on insertion stamps, in per-tenant min-heaps
 by region (FifoHeaps).  hybrid_insert on a SlotStore is the reference
-model all of them are held to.
+model all of them are held to; it favours plain steps over speed and builds
+a plain InsertOutcome for each access.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .cache_core import (
     SC,
@@ -171,45 +175,65 @@ def selfish_select_victim(
     return pick_donor(rank_donors(ranked, eligible), dict.fromkeys(ranked, 1), requester)
 
 
+class Donors:
+    """The donor account of one run or probe: each tenant's gap, its (owned
+    slots, smoothed hit rate) history and, under selfish sharing, its answer
+    as a donor; the active set; and rank_donors' ranking of them, None when
+    not ranked (global, static), where the gaps are still kept for the
+    records.
+
+    It changes only at two events, and each ranks the donors again and
+    returns the new ranking: a tenant's window closes (closed), or the
+    active set changes (change).  softs maps every tenant to its soft
+    requirement.
+    """
+
+    __slots__ = ("softs", "strategy", "ranked", "gaps", "answers", "histories", "active",
+                 "ranking")
+
+    def __init__(self, softs: Mapping, strategy: SharingStrategy, selfish: bool, ranked: bool):
+        self.softs, self.strategy, self.ranked = softs, strategy, ranked
+        self.gaps: dict = {}
+        self.answers: dict | None = {} if selfish else None
+        self.histories = {k: deque(maxlen=strategy.history_len) for k in softs}
+        self.active: set = set()
+        self._rank()
+
+    def _rank(self) -> DonorRanking | None:
+        self.ranking = rank_donors(self.gaps, self.answers) if self.ranked else None
+        return self.ranking
+
+    def _refresh(self, k, rate: float) -> None:
+        """Set k's gap from its smoothed hit rate, and under selfish sharing its answer."""
+        soft = self.softs[k]
+        self.gaps[k] = rate - soft
+        if self.answers is not None:
+            self.answers[k] = selfish_eligible(self.histories[k], rate, soft, self.strategy)
+
+    def closed(self, k, slots: int, rate: float) -> DonorRanking | None:
+        """k's window closed with slots owned and smoothed hit rate rate."""
+        self.histories[k].append((slots, rate))
+        self._refresh(k, rate)
+        return self._rank()
+
+    def change(self, now: set, rate: Callable) -> DonorRanking | None:
+        """The active set becomes now.  Departed tenants get gap +inf, so
+        they volunteer and their slots are reclaimed first; each arrival is
+        refreshed with rate(k), its smoothed hit rate."""
+        for k in self.active - now:
+            self.gaps[k] = INF
+        for k in now - self.active:
+            self._refresh(k, rate(k))
+        self.active = now
+        return self._rank()
+
+
 class InsertOutcome(NamedTuple):
     """What the insertion algorithm did with one access."""
 
     kind: str  # "hit" | "inserted" | "replaced"
     region: Region | None = None
     victim_tenant: object = None
-
-
-SC_HIT = InsertOutcome("hit", SC)
-SC_INSERTED = InsertOutcome("inserted", SC)
-
-
-class _DcOutcomes(dict):
-    """DC region -> its hit, inserted and static replaced outcomes, built on first use.
-
-    Outcomes are immutable, so one set serves every access to the region.
-    """
-
-    def __missing__(self, dcr):
-        outcomes = self[dcr] = (
-            InsertOutcome("hit", dcr),
-            InsertOutcome("inserted", dcr),
-            InsertOutcome("replaced", dcr, dcr[1]),
-        )
-        return outcomes
-
-
-_DC_OUTCOMES = _DcOutcomes()
-
-
-class _ScReplaced(dict):
-    """Donor -> the replaced outcome of an SC slot taken from it, built on first use."""
-
-    def __missing__(self, donor):
-        outcome = self[donor] = InsertOutcome("replaced", SC, donor)
-        return outcome
-
-
-_SC_REPLACED = _ScReplaced()
 
 
 def hybrid_insert(
@@ -240,23 +264,20 @@ def hybrid_insert(
 
     hit = store.lookup(key)  # restamps under LRU; an SC hit's swap keeps that stamp
     if hit is not None:
-        if dcr is None:
-            return SC_HIT
         region, idx = hit
-        if region == dcr:
-            return _DC_OUTCOMES[dcr][0]
-        store.swap(idx, store.select_victim(dcr, tenant))
-        return SC_HIT
+        if region == SC and dcr is not None:
+            store.swap(idx, store.select_victim(dcr, tenant))
+        return InsertOutcome("hit", region)
 
     free = store.free_slots
     if dcr is not None and free[dcr]:
         store.insert_into_empty(key, dcr)
-        return _DC_OUTCOMES[dcr][1]
+        return InsertOutcome("inserted", dcr)
     if not store.layout.sc_size:
         store.evict_victim(dcr, tenant)
         store.insert_into_empty(key, dcr)
-        return _DC_OUTCOMES[dcr][2]
-    outcome = SC_INSERTED
+        return InsertOutcome("replaced", dcr, tenant)
+    outcome = InsertOutcome("inserted", SC)
     if not free[SC]:
         if ranking is None:
             victim = store.select_victim(SC)
@@ -265,7 +286,7 @@ def hybrid_insert(
             donor = pick_donor(ranking, store.occupied[SC], tenant)
             victim = store.select_victim(SC, donor)
         store.evict(victim)
-        outcome = _SC_REPLACED[donor]
+        outcome = InsertOutcome("replaced", SC, donor)
     idx = store.insert_into_empty(key, SC)
     if dcr is not None:
         store.swap(idx, store.select_victim(dcr, tenant))

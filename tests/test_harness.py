@@ -1138,10 +1138,12 @@ class TestCli:
         import tenantcache.harness as harness
         from tenantcache.cli import main
 
-        def no_probe(s):
+        def no_probe(*args):
             raise AssertionError("a probe ran")
 
+        # LRU probes call no run_scenario; every probe goes through ProbeCache.probe
         monkeypatch.setattr(harness, "run_scenario", no_probe)
+        monkeypatch.setattr(ProbeCache, "probe", no_probe)
         code = main([
             "sweep", "--config", self.config_path(tmp_path, policy="global"),
             "--targets", "0.5", "--policies", "global", "--out", str(tmp_path / "sweep.csv"),
@@ -1149,6 +1151,41 @@ class TestCli:
         ])
         assert code == 2
         assert f"configuration error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,policies",
+        [("sweep", "global,bogus"), ("sweep", "global,hybrid_fair"), ("compare", "global,bogus")],
+        ids=["sweep-unknown", "sweep-hybrid", "compare-unknown"],
+    )
+    def test_bad_policies_exit_2_before_any_probe_or_run(
+        self, tmp_path, monkeypatch, capsys, command, policies
+    ):
+        import tenantcache.harness as harness
+        from tenantcache.cli import main
+
+        calls = []
+        real_probe, real_run = ProbeCache.probe, harness.run_scenario
+
+        def counting_probe(cache, s):
+            calls.append(("probe", s.policy))
+            return real_probe(cache, s)
+
+        def counting_run(s, *args, **kwargs):
+            calls.append(("run", s.policy))
+            return real_run(s, *args, **kwargs)
+
+        monkeypatch.setattr(ProbeCache, "probe", counting_probe)
+        monkeypatch.setattr(harness, "run_scenario", counting_run)
+        # the config has a layout, so a hybrid policy is refused by name, not for its layout
+        layout = RegionLayout(dc_sizes={1: 16, 2: 16}, sc_size=32)
+        cfg = self.config_path(tmp_path, policy="hybrid_fair", layout=layout)
+        flags = ["--targets", "0.5", "--out", str(tmp_path / "sweep.csv")]
+        if command == "compare":
+            flags = ["--out", str(tmp_path / "out")]
+        code = main([command, "--config", cfg, "--policies", policies, *flags])
+        assert code == 2
+        assert "configuration error: policies:" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("spec", ["0.3,", "0.6:0.3:-0.1", "0:inf:0.1", "-inf:0.5:0.1",
                                       "0:0.5:nan", "0.1:0.2:0.3:0.4", "0:0.00001:1e-7",
