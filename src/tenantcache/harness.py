@@ -26,7 +26,6 @@ from .metrics import (
     DEFAULT_WINDOW,
     HitRateTracker,
     Requirement,
-    check_objectives,
     ewma_update,
 )
 # global_insert, static_insert, maxmin_insert, hybrid_insert and
@@ -488,8 +487,9 @@ def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int)
 def _sample(txn, store, trackers, reqs, gaps, active, kept=None) -> SampleRecord:
     """One record over the active tenants.
 
-    Each gap is the driver's own (the one victim choice used); the hard flags
-    and the minimum gap come from check_objectives.  kept maps each tenant
+    Each gap is the driver's own (the one victim choice used), and G is
+    their minimum; a hard flag is h_k < H_k, as in check_objectives, the
+    objective's public definition.  kept maps each tenant
     to the field values and TenantSample it was last sampled with; a tenant
     whose fields are the very same objects again shares that sample, so a
     run's records hold one sample per change, not one per record.
@@ -499,21 +499,19 @@ def _sample(txn, store, trackers, reqs, gaps, active, kept=None) -> SampleRecord
     if kept is None:
         kept = {}
     ids = sorted(active)
-    hit_rates = {k: trackers[k].hit_rate for k in ids}
-    violations, min_gap = check_objectives(hit_rates, reqs, ids)
     tenants = {}
     for k in ids:
-        last = trackers[k].last_window_rate
+        rate, last = trackers[k].hit_rate, trackers[k].last_window_rate
         dc_n, sc_n = store.owned(k)
-        values = (hit_rates[k], last if last is not None else 0.0, dc_n, sc_n, gaps[k],
-                  violations[k])
+        values = (rate, last if last is not None else 0.0, dc_n, sc_n, gaps[k],
+                  rate < reqs[k].hard)
         old = kept.get(k)
         if old is not None and all(map(is_, values, old[0])):
             tenants[k] = old[1]
         else:
             tenants[k] = TenantSample(*values)
             kept[k] = (values, tenants[k])
-    return SampleRecord(txn=txn, tenants=tenants, min_gap=min_gap)
+    return SampleRecord(txn=txn, tenants=tenants, min_gap=min(gaps[k] for k in ids))
 
 
 def write_records_csv(records: Iterable[SampleRecord], out: str | IO[str]) -> None:
@@ -950,6 +948,8 @@ def min_slots_for_target(
     """
     if not 0.0 <= target < 1.0:
         raise ConfigurationError("target", "must be in [0, 1)")
+    if upper < 1:  # it would round onto the grid at 0, below any lower
+        raise ConfigurationError("upper", f"{upper} is below 1")
     if lower > upper:
         raise ConfigurationError("upper", f"{upper} is below lower {lower}")
     if resolution < 1:

@@ -31,6 +31,7 @@ a plain InsertOutcome for each access.
 """
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
@@ -56,11 +57,14 @@ class SharingStrategy:
     loss_horizon: int = DEFAULT_LOSS_HORIZON
     history_len: int = DEFAULT_HISTORY_LEN
 
+    # both are bounded by sys.maxsize, far past any slot count: a history's
+    # deque takes no larger maxlen, and a horizon past float range would
+    # overflow the regression's forecast mid-run
     def __post_init__(self):
-        if self.loss_horizon < 1:
-            raise ValueError("loss_horizon must be >= 1")
-        if self.history_len < 2:
-            raise ValueError("history_len must be >= 2")
+        if not 1 <= self.loss_horizon <= sys.maxsize:
+            raise ValueError(f"loss_horizon must be in [1, {sys.maxsize}]")
+        if not 2 <= self.history_len <= sys.maxsize:
+            raise ValueError(f"history_len must be in [2, {sys.maxsize}]")
 
 
 class DonorRanking(NamedTuple):

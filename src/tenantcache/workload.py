@@ -28,7 +28,7 @@ MAX_UNIVERSE = 2**24
 # weights, bounded by the sum over all tenants, must stay below this
 MAX_WEIGHT_SUM = 2**63
 
-# uniforms drawn from a tenant's RNG at a time, and most txns built in one chunk
+# most txns built in one chunk of generate_stream
 _BATCH = 8192
 
 
@@ -131,38 +131,6 @@ def _tenant_entropy(tenant_id) -> int:
     return zlib.crc32(str(tenant_id).encode())
 
 
-class _TenantSampler:
-    """One tenant's item draws, from its own RNG stream.
-
-    Uniforms come from the RNG in batches of _BATCH and are handed out in
-    order, each call mapping its share through the CDF it is given.  A
-    tenant's i-th draw is thus the i-th uniform of its stream however the
-    draws are grouped into calls, so streams are prefix-consistent and a
-    seed reproduces them.
-    """
-
-    def __init__(self, workload: TenantWorkload, master_seed: int):
-        seq = np.random.SeedSequence(
-            (master_seed & 0xFFFFFFFFFFFFFFFF, _tenant_entropy(workload.tenant_id))
-        )
-        self._rng = np.random.default_rng(seq)
-        self._uniforms = np.empty(0)
-        self._pos = 0
-
-    def take(self, count: int, cdf: np.ndarray) -> np.ndarray:
-        """The next count (>= 1) draws as ranks under cdf."""
-        parts = []
-        while count:
-            if self._pos == len(self._uniforms):
-                self._uniforms = self._rng.random(_BATCH)
-                self._pos = 0
-            part = self._uniforms[self._pos:self._pos + count]
-            self._pos += len(part)
-            count -= len(part)
-            parts.append(part)
-        return np.searchsorted(cdf, np.concatenate(parts), side="right")
-
-
 def activation_timeline(
     workloads: Iterable[TenantWorkload], total_txns: int
 ) -> list[tuple[int, int, tuple]]:
@@ -209,10 +177,13 @@ def generate_stream(
     active tenant's phase starts, so each tenant has one CDF per chunk.  A
     turn's tenant is found by arithmetic: its position in the rotation,
     searched in the active set's cumulative weights, so memory does not grow
-    with the weights.  Each tenant's draws for a chunk are one take() from
-    its sampler, and the samplers share one CDF per distinct (universe_size,
-    alpha).  Generation is lazy, one chunk ahead of the consumer, and a
-    shorter stream of the same workloads and seed is a prefix of a longer one.
+    with the weights.  Each tenant has its own generator, seeded from seed
+    and the tenant id, and its draws for a chunk are the generator's next
+    uniforms mapped through one CDF, shared by every tenant with the same
+    (universe_size, alpha).  A generator's uniforms are one stream however
+    the draws are grouped into calls, so generation is lazy, one chunk ahead
+    of the consumer, and a shorter stream of the same workloads and seed is a
+    prefix of a longer one.
     """
     workloads = list(workloads)
     if total_txns < 0:
@@ -226,7 +197,12 @@ def generate_stream(
         by_id[w.tenant_id] = w
     if sum(w.weight for w in workloads) >= MAX_WEIGHT_SUM:
         raise WorkloadError("tenant weights must sum to less than 2**63")
-    samplers = {i: _TenantSampler(w, seed) for i, w in by_id.items()}
+    rngs = {
+        i: np.random.default_rng(
+            np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, _tenant_entropy(i)))
+        )
+        for i in by_id
+    }
     cdfs: dict = {}  # (universe_size, alpha) -> CDF
 
     def cdf_at(w: TenantWorkload, sched: int) -> np.ndarray:
@@ -270,7 +246,8 @@ def generate_stream(
                 mine = codes == code
                 count = int(np.count_nonzero(mine))
                 if count:
-                    items[mine] = samplers[t].take(count, cdf_at(by_id[t], lo + skew))
+                    draws = rngs[t].random(count)
+                    items[mine] = np.searchsorted(cdf_at(by_id[t], lo + skew), draws, side="right")
             tenants = map(active.__getitem__, codes.tolist())
             yield from map(AccessEvent, range(lo, hi), tenants, items.tolist())
         # an active stretch spans at least one txn, so some turn was taken

@@ -31,7 +31,7 @@ from tenantcache.harness import (
     write_records_csv,
     write_sweep_csv,
 )
-from tenantcache.metrics import Requirement
+from tenantcache.metrics import Requirement, check_objectives
 from tenantcache.sharing import SharingStrategy
 from tenantcache.workload import (
     TenantWorkload,
@@ -357,9 +357,12 @@ class TestRunScenario:
             for r in records:
                 for k, t in r.tenants.items():
                     assert t.gap == t.ewma_hit_rate - reqs[k].soft, (policy, r.txn, k)
-                    assert t.hard_violation == (t.ewma_hit_rate < reqs[k].hard), (policy, r.txn)
                     flags.add(t.hard_violation)
-                assert r.min_gap == min(t.gap for t in r.tenants.values()), (policy, r.txn)
+                # a record's hard flags and G are check_objectives, the
+                # objective's public definition, over its own smoothed rates
+                rates = {k: t.ewma_hit_rate for k, t in r.tenants.items()}
+                flagged = {k: t.hard_violation for k, t in r.tenants.items()}
+                assert (flagged, r.min_gap) == check_objectives(rates, reqs, rates), policy
             assert flags == {False, True}, policy
 
     def test_trace_past_the_timeline_gives_empty_samples(self):
@@ -936,6 +939,9 @@ class TestCli:
             (lambda d: d["tenants"][1].update(weight=2**70), "tenants"),
             (lambda d: d.update(tenants=[{**t, "weight": 2**62} for t in d["tenants"]]),
              "tenants"),
+            (lambda d: d.update(policy="global", strategy={"history_len": 2**70}), "strategy"),
+            (lambda d: d.update(policy="maxmin_selfish", strategy={"loss_horizon": 10**400}),
+             "strategy"),
         ],
         ids=["string-capacity", "hard-above-soft", "zero-weight", "array-document",
              "unknown-replacement", "negative-region", "static-unlisted-tenant",
@@ -943,7 +949,8 @@ class TestCli:
              "float-capacity", "bool-capacity", "numeric-string-capacity", "float-weight",
              "bool-tenant-id", "bool-ewma-weight", "string-ewma-weight", "nan-alpha",
              "infinite-alpha", "dc-sizes-unknown-tenant", "negative-active-from",
-             "huge-universe", "huge-weight", "weights-summing-past-int64"],
+             "huge-universe", "huge-weight", "weights-summing-past-int64", "huge-history-len",
+             "loss-horizon-past-float-range"],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, edit, field):
         import os
@@ -1127,10 +1134,12 @@ class TestCli:
             (["--lower", "1000", "--upper", "100"], "upper"),
             (["--targets", "0:0.00001:1e-7"], "targets"),
             (["--targets", "0.5:1.5:0.1"], "targets"),
+            # an upper below 1 would round onto the grid at 0, below any lower
+            (["--lower", "0", "--upper", "0", "--targets", "0.0"], "upper"),
         ],
         ids=["zero-step", "no-step", "not-a-number", "zero-resolution", "negative-resolution",
              "zero-trials", "late-bad-target", "lower-above-upper", "step-too-fine",
-             "stop-out-of-range"],
+             "stop-out-of-range", "upper-below-one"],
     )
     def test_bad_sweep_arguments_exit_2_before_probing(
         self, tmp_path, monkeypatch, capsys, flags, field

@@ -320,9 +320,9 @@ class TestTraceIO:
         assert read_trace(path) == events
 
     def test_format(self, tmp_path):
-        path = str(tmp_path / "trace.txt")
-        write_trace([AccessEvent(0, 3, 17)], path)
-        assert open(path).read() == "0,3,17\n"
+        path = tmp_path / "trace.txt"
+        write_trace([AccessEvent(0, 3, 17)], str(path))
+        assert path.read_text() == "0,3,17\n"
 
     def test_open_handle_used_and_left_open(self):
         events = list(generate_stream(two_tenants(), 20, seed=2))
