@@ -34,6 +34,7 @@ from .metrics import (
 # benchmark is refreshed (ROADMAP item 1)
 from .sharing import (
     INF,
+    DonorCursor,
     Donors,
     FifoHeaps,
     RecencyLists,
@@ -42,7 +43,6 @@ from .sharing import (
     global_insert,
     hybrid_insert,
     maxmin_insert,
-    pick_donor,
     recency_insert,
     selfish_eligible,
     static_insert,
@@ -767,7 +767,8 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
     distance is below n_k; else a free DC slot (dc_k + 1); else a free SC
     slot (sc_k + 1); else, with no SC, the tenant's own oldest DC item goes
     and the counts stay; else pick_donor's donor gives one SC slot to the
-    tenant, which changes nothing when the donor is the tenant.
+    tenant, which changes nothing when the donor is the tenant; a
+    DonorCursor over the SC counts keeps that donor and moves the slot.
 
     One loop does run_scenario's accounting around those cases.  The donor
     ranking changes only after the access that closes a window and before
@@ -793,10 +794,11 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
     softs = {index[t.workload.tenant_id]: t.requirement.soft for t in s.tenants}
     donors = Donors(softs, s.strategy, s.policy.endswith("selfish"), ranked=True)
     # per tenant code: resident items, hits in the open window, EWMA and free
-    # DC slots; SC slots in a dict, as pick_donor reads owners
+    # DC slots; SC slots in a dict, under a DonorCursor once SC is full
     held, hits, ewma = [0] * m, [0] * m, [None] * m
     dc_free = [layout.dc_sizes.get(k, 0) for k in ids]
     sc = dict.fromkeys(range(m), 0)
+    take = DonorCursor(sc).take
     sc_size = sc_free = layout.sc_size
 
     # the accesses after which something happens: a window closes, a sample
@@ -825,11 +827,9 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
                 sc[c] += 1
                 held[c] = h + 1
             elif sc_size:
-                donor = pick_donor(ranking, sc, c)
+                donor = take(ranking, c)
                 if donor != c:
-                    sc[donor] -= 1
                     held[donor] -= 1
-                    sc[c] += 1
                     held[c] = h + 1
         start = stop + 1
         if stop in closes:  # c's access closed its window

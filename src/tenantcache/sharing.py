@@ -12,11 +12,14 @@ slots would push it below its requirement.
 
 Gaps change only when a window closes or the active set changes, so the
 donor rule is split in two: rank_donors orders the tenants when their gaps
-change, and pick_donor walks that order on each SC replacement for the
+change, and pick_donor, the rule's definition, walks that order for the
 first tenant that owns an SC slot.  Donors is the one account of the first
 half: gaps, selfish answers, (slots, EWMA) histories, the active set and
 the ranking, told of those two events by both the run driver
-(harness._drive) and the probe loop (harness._counted_rates).
+(harness._drive) and the probe loop (harness._counted_rates).  The engines
+make no walk per SC replacement: each takes SC slots through a
+DonorCursor, which keeps pick_donor's answer for the current ranking,
+placed by one walk per ranking and moved as SC counts step between 0 and 1.
 
 No run keeps slots.  Under LRU a tenant's resident items are always its
 most recent distinct ones (the stack property), so recency_insert is
@@ -297,21 +300,89 @@ def hybrid_insert(
     return outcome
 
 
+class DonorCursor:
+    """pick_donor's answer kept current over a mapping of SC slot counts,
+    so that a donation makes no walk.
+
+    For the ranking of the last donation it holds two positions in its
+    order: first, that of the first tenant that owns an SC slot, and vol,
+    that of the first such volunteer (every ranked tenant volunteers under
+    fair sharing); each is len(order) when there is none.  A new ranking
+    object places both by walking its order.  An engine fills SC before
+    its first donation and never frees an SC slot, so the counts may be
+    raised directly until then; after it every change is a take.  A take's
+    0 -> 1 step moves a position back to its tenant, and its 1 -> 0 step of
+    the tenant at a position walks that position on, so the walks of one
+    ranking sum to its length.  A tenant the ranking does not list never
+    donates.
+    """
+
+    __slots__ = ("counts", "ranking", "order", "rank", "volunteers", "first", "vol")
+
+    def __init__(self, counts: dict):
+        self.counts, self.ranking = counts, None  # the rest is placed at the first take
+
+    def _next(self, i: int, among) -> int:
+        """The first position from i whose tenant owns an SC slot and is among."""
+        counts, order = self.counts, self.order
+        while i < len(order) and not (counts.get(order[i]) and order[i] in among):
+            i += 1
+        return i
+
+    def take(self, ranking: DonorRanking, requester) -> object:
+        """The donor of requester's next SC slot, pick_donor(ranking, counts,
+        requester); one of its SC slots passes to requester."""
+        if ranking is not self.ranking:
+            self.ranking, (self.order, volunteers) = ranking, ranking
+            self.rank = {k: i for i, k in enumerate(self.order)}
+            self.volunteers = self.rank if volunteers is None else volunteers
+            self.first = self._next(0, self.rank)
+            self.vol = self.first if volunteers is None else self._next(0, volunteers)
+        counts, rank, order = self.counts, self.rank, self.order
+        had = counts[requester]
+        i = rank.get(requester)
+        if had and i is not None and i <= self.vol:
+            return requester
+        if self.vol < len(order):
+            donor = order[self.vol]
+        elif self.first < len(order):
+            donor = order[self.first]
+        else:
+            raise NoCandidateError("no victim candidates")
+        left = counts[donor] - 1
+        counts[donor] = left
+        counts[requester] = had + 1
+        if not left:
+            j = rank[donor]
+            if j == self.first:
+                self.first = self._next(j + 1, rank)
+            if j == self.vol:  # under fair sharing vol is first
+                vols = self.volunteers
+                self.vol = self.first if vols is rank else self._next(j + 1, vols)
+        if not had and i is not None:
+            self.first = min(self.first, i)
+            if requester in self.volunteers:
+                self.vol = min(self.vol, i)
+        return donor
+
+
 class SlotCounts:
-    """Each tenant's DC and SC slot counts under a layout, and the SC's free
-    slots: what RecencyLists and FifoHeaps keep of a store besides its keys.
+    """Each tenant's DC and SC slot counts under a layout, the SC's free
+    slots, and a DonorCursor over the SC counts: what RecencyLists and
+    FifoHeaps keep of a store besides its keys.
 
     owned reads as SlotStore's does.  It serves only the tenants it is
     built for.
     """
 
-    __slots__ = ("dc_sizes", "dc_count", "sc_count", "sc_size", "sc_free")
+    __slots__ = ("dc_sizes", "dc_count", "sc_count", "sc_size", "sc_free", "cursor")
 
     def __init__(self, layout: RegionLayout, tenant_ids: Iterable):
         self.dc_sizes = {k: layout.dc_sizes.get(k, 0) for k in tenant_ids}
         self.dc_count = dict.fromkeys(self.dc_sizes, 0)
         self.sc_count = dict.fromkeys(self.dc_sizes, 0)
         self.sc_size = self.sc_free = layout.sc_size
+        self.cursor = DonorCursor(self.sc_count)
 
     def owned(self, tenant) -> tuple[int, int]:
         """(dc_slots, sc_slots) currently occupied by tenant."""
@@ -358,11 +429,12 @@ def recency_insert(
     the newest end; else it is appended
     after taking a free DC slot, else a free SC slot; else, with no SC, the
     tenant's own least recent item goes; else a donor's least recent item
-    goes and its SC slot passes to the tenant.  The donor is pick_donor's
-    with a ranking, else (global caching) the owner of the shared list's
-    least recent key.  The outcome's kind is hybrid_insert's; it names no
-    region or victim.  The caller checks the tenant: one the lists are not
-    built for raises KeyError.
+    goes and its SC slot passes to the tenant.  With a ranking the donor is
+    pick_donor's, which the lists' DonorCursor keeps and takes the slot
+    from; else (global caching) it is the owner of the shared list's least
+    recent key.  The outcome's kind is hybrid_insert's; it
+    names no region or victim.  The caller checks the tenant: one the lists
+    are not built for raises KeyError.
     """
     tenant, item = key
     mine = lists.lists[tenant]
@@ -376,10 +448,9 @@ def recency_insert(
         lists.dc_count[tenant] = dc + 1
         mine[item] = None
         return _COUNTED_INSERTED
-    sc = lists.sc_count
     if lists.sc_free:
         lists.sc_free -= 1
-        sc[tenant] += 1
+        lists.sc_count[tenant] += 1
         mine[item] = None
         return _COUNTED_INSERTED
     if not lists.sc_size:
@@ -387,11 +458,11 @@ def recency_insert(
     else:
         if ranking is None:
             donor = mine.popitem(last=False)[0][0]
+            lists.sc_count[donor] -= 1
+            lists.sc_count[tenant] += 1
         else:
-            donor = pick_donor(ranking, sc, tenant)
+            donor = lists.cursor.take(ranking, tenant)
             lists.lists[donor].popitem(last=False)
-        sc[donor] -= 1
-        sc[tenant] += 1
     mine[item] = None
     return _COUNTED_REPLACED
 
@@ -471,11 +542,12 @@ def fifo_insert(heaps: FifoHeaps, key: tuple, ranking: DonorRanking | None = Non
     the key, with a new tick, takes a free DC slot; else, with no SC, it
     replaces the tenant's oldest DC key; else it takes a free SC slot or a
     donor's oldest SC key's, and with a DC it is promoted, the tenant's
-    oldest DC key moving out to SC.  The donor is pick_donor's with a
-    ranking, else (global caching) the owner of the shared heap's oldest
-    key.  The outcome's kind is hybrid_insert's; it names no region or
-    victim.  The caller checks the tenant: one the heaps are not built for
-    raises KeyError.
+    oldest DC key moving out to SC.  With a ranking the donor is
+    pick_donor's, which the heaps' DonorCursor keeps and takes the slot
+    from; else (global caching) it is the owner of the shared heap's oldest
+    key.  The outcome's kind is hybrid_insert's; it names no
+    region or victim.  The caller checks the tenant: one the heaps are not
+    built for raises KeyError.
     """
     tenant = key[0]
     dc_heap = heaps.dc_heaps[tenant]
@@ -501,21 +573,20 @@ def fifo_insert(heaps: FifoHeaps, key: tuple, ranking: DonorRanking | None = Non
         del heaps.stamps[dc.pop(heapreplace(dc_heap, stamp))]
         dc[stamp] = key
         return _COUNTED_REPLACED
-    counts = heaps.sc_count
     if heaps.sc_free:
         heaps.sc_free -= 1
+        heaps.sc_count[tenant] += 1
         outcome = _COUNTED_INSERTED
     else:
         if ranking is None:
             oldest = heaps.pop_oldest_sc(heaps.sc_heaps[tenant])
-            donor = sc[oldest][0]
+            heaps.sc_count[sc[oldest][0]] -= 1
+            heaps.sc_count[tenant] += 1
         else:
-            donor = pick_donor(ranking, counts, tenant)
+            donor = heaps.cursor.take(ranking, tenant)
             oldest = heaps.pop_oldest_sc(heaps.sc_heaps[donor])
         del heaps.stamps[sc.pop(oldest)]
-        counts[donor] -= 1
         outcome = _COUNTED_REPLACED
-    counts[tenant] += 1
     if has_dc:  # promoted: the oldest DC key moves out to SC
         moved = heapreplace(dc_heap, stamp)
         dc[stamp] = key

@@ -11,7 +11,8 @@ import zlib
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, chain
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -183,8 +184,17 @@ def generate_stream(
     (universe_size, alpha).  A generator's uniforms are one stream however
     the draws are grouped into calls, so generation is lazy, one chunk ahead
     of the consumer, and a shorter stream of the same workloads and seed is a
-    prefix of a longer one.
+    prefix of a longer one.  The arguments are checked at the first next().
     """
+    return chain.from_iterable(_chunks(workloads, total_txns, seed))
+
+
+# an AccessEvent from a (txn, tenant_id, item) tuple, built without a Python frame
+_event = partial(tuple.__new__, AccessEvent)
+
+
+def _chunks(workloads: Iterable[TenantWorkload], total_txns: int, seed: int) -> Iterator:
+    """generate_stream's events, one iterator of them per chunk."""
     workloads = list(workloads)
     if total_txns < 0:
         raise WorkloadError("total_txns must be >= 0")
@@ -249,7 +259,7 @@ def generate_stream(
                     draws = rngs[t].random(count)
                     items[mine] = np.searchsorted(cdf_at(by_id[t], lo + skew), draws, side="right")
             tenants = map(active.__getitem__, codes.tolist())
-            yield from map(AccessEvent, range(lo, hi), tenants, items.tolist())
+            yield map(_event, zip(range(lo, hi), tenants, items.tolist()))
         # an active stretch spans at least one txn, so some turn was taken
         last = (pos - 1) % period
         code = bisect_right(bounds, last) - 1

@@ -105,7 +105,7 @@ def scenarios(draw, policies=RANKED, replacement=LRU) -> Scenario:
     departures, selfish strategies, DCs of size 0, hybrids with no SC and
     static splits of any sizes."""
     policy = draw(st.sampled_from(policies))
-    ids = range(1, draw(st.integers(1, 3)) + 1)
+    ids = range(1, draw(st.integers(1, 6)) + 1)
     tenants = [draw(tenant_specs(k)) for k in ids]
     if policy in ("global", "maxmin_fair", "maxmin_selfish"):
         layout = RegionLayout.global_layout(draw(st.integers(1, 40)))
@@ -269,6 +269,41 @@ def test_counted_replay_over_churn(policy, dc_sizes, sc_size):
     expected, counted = store_and_counted(s, 0)
     assert counted == expected
     assert sum(k == 1 for k, _ in expected) == 60  # a sample every 50 txns
+
+
+def many_owners(policy: str, replacement: str) -> Scenario:
+    """Eight tenants in the shape of perfbench's churn-8t, scaled down: 3
+    and 5 leave, 7 and 8 arrive late, and each shifts its skew twice, so
+    rankings hold up to 8 tenants and the SC donor changes hands among
+    many owners."""
+    n = 4_000
+    spans = {3: {"active_until": n // 2}, 5: {"active_until": 3 * n // 4},
+             7: {"active_from": n // 4}, 8: {"active_from": n // 4}}
+    tenants = []
+    for tid, alpha in enumerate((1.0, 0.9, 0.8, 0.7, 0.6, 0.9, 0.8, 0.7), start=1):
+        phases = (WorkloadPhase(alpha), WorkloadPhase(alpha - 0.3, n // 3),
+                  WorkloadPhase(alpha, 2 * n // 3))
+        workload = TenantWorkload(tenant_id=tid, universe_size=200, phases=phases,
+                                  weight=1 + tid % 3, **spans.get(tid, {}))
+        tenants.append(TenantSpec(workload=workload,
+                                  requirement=Requirement(hard=0.2, soft=0.3 + tid % 3 / 10)))
+    dc_sizes = {k: 5 for k in range(1, 9)} if policy.startswith("hybrid") else {}
+    layout = RegionLayout(dc_sizes=dc_sizes, sc_size=80)
+    return Scenario(capacity=layout.capacity, policy=policy, tenants=tenants, layout=layout,
+                    total_txns=n, window_length=25, replacement=replacement,
+                    strategy=SharingStrategy(loss_horizon=5, history_len=4),
+                    seed=2, sample_every=100)
+
+
+@pytest.mark.parametrize("policy", RANKED)
+def test_eight_tenant_rankings_give_the_store_runs_records(policy):
+    """Probe loop, recency lists and insertion stamps, each against the store."""
+    expected, counted = store_and_counted(many_owners(policy, LRU), 0)
+    assert counted == expected
+    for replacement in (LRU, FCFS):
+        s = many_owners(policy, replacement)
+        trace = held_trace(s)
+        assert run_scenario(s, trace, 0) == reference(s, trace, 0)
 
 
 # -- the loop, case by case -----------------------------------------------------

@@ -51,7 +51,7 @@ def cases(draw):
     """A policy's layout, whether its donors are ranked, and accesses, each
     with the gaps to rank donors by."""
     policy = draw(st.sampled_from(["global", "static", "maxmin", "hybrid"]))
-    tenants = list(range(1, draw(st.integers(1, 3)) + 1))
+    tenants = list(range(1, draw(st.integers(1, 6)) + 1))
     if policy in ("global", "maxmin"):
         layout = RegionLayout({t: 0 for t in tenants}, draw(st.integers(1, 8)))
     elif policy == "static":
