@@ -552,7 +552,33 @@ def compare_policies(
 
 
 _COLD = np.iinfo(np.int32).max  # stack distance of a first access: a miss at any capacity
-_ROWS = 1_024  # reuses turned into Python ints at a time, so memory stays O(trace) words
+
+
+def _greater_before(values: np.ndarray) -> np.ndarray:
+    """How many earlier entries of values (ints >= 0) exceed each one, as int32.
+
+    All at once with a wavelet matrix (Claude, Navarro & Ordóñez, Inf. Syst.
+    2015), one level per bit from the top.  A level lists the values stably
+    partitioned by their higher bits, so an entry's earlier ones with the
+    same higher bits lie between its group's start, lo, and itself, hi.
+    Where its own bit is 0, those with a 1 there are greater.
+    """
+    m = len(values)
+    greater = np.zeros(m, dtype=np.int32)
+    lo = np.zeros(m, dtype=np.int32)
+    hi = np.arange(m, dtype=np.int32)
+    bits = np.empty(m, dtype=bool)
+    ones = np.zeros(m + 1, dtype=np.int32)  # ones[i]: the level's 1 bits before position i
+    for s in reversed(range(int(values.max(initial=0)).bit_length())):
+        mine = (values & (1 << s)).astype(bool)
+        bits[hi] = mine
+        np.cumsum(bits, dtype=np.int32, out=ones[1:])
+        at_lo, at_hi = ones.take(lo), ones.take(hi)
+        greater += np.where(mine, 0, at_hi - at_lo)
+        zeros = m - ones[-1]  # the next level lists the 0s, then the 1s
+        lo = np.where(mine, at_lo + zeros, lo - at_lo)
+        hi = np.where(mine, at_hi + zeros, hi - at_hi)
+    return greater
 
 
 def _stack_distances(keys: np.ndarray) -> np.ndarray:
@@ -562,37 +588,21 @@ def _stack_distances(keys: np.ndarray) -> np.ndarray:
     key's previous access, _COLD for a first access.  Under LRU an access
     hits a cache of c slots iff its distance is below c.
 
-    One pass with a Fenwick tree over the positions whose key has been
-    accessed again since, the stale ones (Bennett & Kruskal, IBM J. R&D
-    1975): the distinct keys accessed between an access and its key's
-    previous one at p are the positions in between less the stale ones among
-    them.  Every earlier reuse made one earlier position stale, so the stale
-    ones in between number the earlier reuses less the stale positions up to
-    p, which the tree counts.
+    The distinct keys accessed between an access and its key's previous
+    one at p number the positions in between less the stale ones, those of
+    a key accessed again before the access: one per earlier reuse whose own
+    previous access is after p.  _greater_before counts them for every
+    reuse at once.
     """
     n = len(keys)
     order = np.argsort(keys, kind="stable")
     repeat = keys[order[1:]] == keys[order[:-1]]
-    prev = np.full(n, -1, dtype=np.int64)
-    prev[order[1:][repeat]] = order[:-1][repeat]
-    reused = np.flatnonzero(prev >= 0)
-    before = prev[reused]
-    between = reused - before - 1 - np.arange(len(reused))
-    tree = [0] * (n + 1)  # 1-based
-    distances = np.full(n, _COLD, dtype=np.int32)
-    for lo in range(0, len(reused), _ROWS):
-        part = slice(lo, lo + _ROWS)
-        out = []
-        for d, x in zip(between[part].tolist(), (before[part] + 1).tolist()):
-            i = x  # add the stale positions up to x, then mark x stale
-            while i:
-                d += tree[i]
-                i &= i - 1
-            while x <= n:
-                tree[x] += 1
-                x += x & -x
-            out.append(d)
-        distances[reused[part]] = out
+    distances = np.full(n, _COLD, dtype=np.int32)  # first the previous access's position
+    distances[order[1:][repeat]] = order[:-1][repeat]
+    del order, repeat  # freed before _greater_before's levels
+    reused = np.flatnonzero(distances != _COLD).astype(np.int32)
+    before = distances[reused]
+    distances[reused] = reused - before - 1 - _greater_before(before)
     return distances
 
 
@@ -604,15 +614,17 @@ class ProbeCache:
     (policy, capacity, length, seed) probe already run (see probe), so a
     probe repeated for another target or by the binary search runs no
     simulation.  For LRU probes a seed's trace entry also holds two LRU
-    stack distances of each of its events: the global one, from one pass
-    over the whole trace, and the tenant's, from one pass over each
-    tenant's own substream.  They give the hit bits of every global and
-    static capacity at once, so those probes run no simulation at all, and
-    a max-min or hybrid probe keeps per-tenant slot counts over the tenant
-    distances in one loop, in place of a store.  They are computed on the
-    first probe that needs them and go with the trace entry, so a longer
-    trace, generated afresh, computes them afresh; a capacity search holds
-    each seed's trace at its longest probe's length before its first probe.
+    stack distances of each of its events, from _stack_distances' numpy
+    pass (no loop per access; a wavelet matrix, Claude et al. 2015): the
+    global one, from one pass over the whole trace, and the tenant's, from
+    one pass over each tenant's own substream.  They give the hit bits of
+    every global and static capacity at once, so those probes run no
+    simulation at all, and a max-min or hybrid probe keeps per-tenant slot
+    counts over the tenant distances in one loop, in place of a store.
+    They are computed on the first probe that needs them and go with the
+    trace entry, so a longer trace, generated afresh, computes them afresh;
+    a capacity search holds each seed's trace at its longest probe's length
+    before its first probe.
     A cache serves the probes of one tenant set and one base scenario only.
     It compares and hashes by identity.
     """

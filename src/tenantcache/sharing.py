@@ -190,9 +190,10 @@ class Donors:
     records.
 
     It changes only at two events, and each ranks the donors again and
-    returns the new ranking: a tenant's window closes (closed), or the
-    active set changes (change).  softs maps every tenant to its soft
-    requirement.
+    returns the ranking: a tenant's window closes (closed), or the active
+    set changes (change).  A ranking equal to the last is the last object,
+    so a DonorCursor over it is not placed again.  softs maps every tenant
+    to its soft requirement.
     """
 
     __slots__ = ("softs", "strategy", "ranked", "gaps", "answers", "histories", "active",
@@ -204,10 +205,14 @@ class Donors:
         self.answers: dict | None = {} if selfish else None
         self.histories = {k: deque(maxlen=strategy.history_len) for k in softs}
         self.active: set = set()
+        self.ranking: DonorRanking | None = None
         self._rank()
 
     def _rank(self) -> DonorRanking | None:
-        self.ranking = rank_donors(self.gaps, self.answers) if self.ranked else None
+        if self.ranked:
+            ranking = rank_donors(self.gaps, self.answers)
+            if ranking != self.ranking:
+                self.ranking = ranking
         return self.ranking
 
     def _refresh(self, k, rate: float) -> None:

@@ -85,3 +85,12 @@ def test_the_ranking_is_rebuilt_after_every_event():
         assert ranking == rank_donors(d.gaps, d.answers)
         orders.append(ranking.order)
     assert orders == [(1, 2), (2, 1), (2, 1), (2, 3, 1), (1, 2, 3)]
+
+
+def test_an_unchanged_ranking_is_the_same_object():
+    d = donors(selfish=False)
+    first = d.change({1, 2}, {1: 0.9, 2: 0.5}.__getitem__)
+    assert d.closed(1, 10, 0.8) is first  # tenant 1's gap stays the largest
+    changed = d.closed(2, 8, 0.95)  # tenant 2's gap passes tenant 1's
+    assert changed is not first and changed.order == (2, 1)
+    assert d.closed(2, 9, 0.9) is changed

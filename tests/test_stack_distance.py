@@ -10,6 +10,7 @@ simulation) to run_scenario: the same final-quarter EWMA series, exactly.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,13 +66,78 @@ def test_distances_equal_their_definition(keys):
     assert got.tolist() == distances_by_definition(keys)
 
 
-def test_distances_across_chunks():
-    # more than _ROWS reuses, so the pass crosses a chunk boundary
-    rng = np.random.default_rng(7)
-    keys = rng.zipf(1.3, size=3 * harness._ROWS) % 200
-    got = harness._stack_distances(keys)
-    assert (got != harness._COLD).sum() > harness._ROWS
-    assert got.tolist() == distances_by_definition(keys.tolist())
+def fenwick_distances(keys) -> list:
+    """The distances by a Fenwick tree over the stale positions (Bennett &
+    Kruskal, IBM J. R&D 1975), one Python step per access: an oracle apart
+    from the wavelet matrix.  The distinct keys accessed between an access
+    and its key's previous one at p are the positions in between less the
+    stale ones, those of a key accessed again since.  Every earlier reuse
+    made one earlier position stale, so the stale ones in between number
+    the earlier reuses less the stale positions up to p, which the tree
+    counts."""
+    tree = [0] * (len(keys) + 1)  # 1-based
+    last, out = {}, []
+    for i, key in enumerate(keys):
+        p = last.get(key)
+        last[key] = i
+        if p is None:
+            out.append(harness._COLD)
+            continue
+        d = i - p - 1 - (i - len(last))  # earlier reuses: accesses less first ones
+        x = p + 1
+        while x:  # add the stale positions up to p
+            d += tree[x]
+            x &= x - 1
+        x = p + 1
+        while x < len(tree):  # then mark p stale
+            tree[x] += 1
+            x += x & -x
+        out.append(d)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 5_000),
+    universe=st.integers(1, 6_000),
+    alpha=st.sampled_from([0.0, 1.2, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distances_equal_the_fenwick_pass(n, universe, alpha, seed):
+    """Up to 5000 keys, so up to 13 levels of the wavelet matrix."""
+    rng = np.random.default_rng(seed)
+    if alpha:
+        keys = rng.zipf(alpha, size=n) % universe
+    else:
+        keys = rng.integers(0, universe, size=n)
+    assert harness._stack_distances(keys).tolist() == fenwick_distances(keys.tolist())
+
+
+def test_distances_of_a_long_trace_equal_the_fenwick_pass():
+    """The global and the per-tenant distances of a 200k-txn Zipf trace."""
+    workloads = [tenant(1, universe=20_000).workload,
+                 tenant(2, universe=5_000, alpha=0.7, weight=2).workload]
+    cache = ProbeCache()
+    ids, codes, global_d, tenant_d = cache.stack_distances(workloads, 200_000, 3)
+    _, tenant_ids, items, _ = cache.traces[3]
+    assert len(global_d) == 200_000
+    assert global_d.tolist() == fenwick_distances(list(zip(tenant_ids, items.tolist())))
+    for c in range(len(ids)):
+        mine = codes == c
+        assert tenant_d[mine].tolist() == fenwick_distances(items[mine].tolist())
+
+
+def test_the_distance_pass_peaks_below_80_bytes_per_key():
+    """Memory that grows with the trace, for long probes: 400k Zipf keys,
+    almost all of them reuses, measured by tracemalloc."""
+    keys = np.random.default_rng(5).zipf(1.2, size=400_000) % 1_000
+    tracemalloc.start()
+    try:
+        harness._stack_distances(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * len(keys)
 
 
 # -- the oracle: random traces against the simulation ---------------------------
