@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect_right
 from collections import abc
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache, partial
+from itertools import repeat
 from operator import is_
 from types import NoneType, UnionType
 from typing import IO, Iterable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
@@ -611,34 +611,46 @@ class ProbeCache:
     trace that compare_policies replays through each policy.
 
     It holds one generated trace per seed and the series of each distinct
-    (policy, capacity, length, seed) probe already run (see probe), so a
-    probe repeated for another target or by the binary search runs no
-    simulation.  For LRU probes a seed's trace entry also holds two LRU
-    stack distances of each of its events, from _stack_distances' numpy
-    pass (no loop per access; a wavelet matrix, Claude et al. 2015): the
-    global one, from one pass over the whole trace, and the tenant's, from
-    one pass over each tenant's own substream.  They give the hit bits of
-    every global and static capacity at once, so those probes run no
-    simulation at all, and a max-min or hybrid probe keeps per-tenant slot
-    counts over the tenant distances in one loop, in place of a store.
-    They are computed on the first probe that needs them and go with the
-    trace entry, so a longer trace, generated afresh, computes them afresh;
-    a capacity search holds each seed's trace at its longest probe's length
-    before its first probe.
+    (policy, capacity, layout sizes, length, seed, sample_every) probe
+    already run (see probe), so a probe repeated for another target or by
+    the binary search runs no simulation.  For LRU probes a seed's trace
+    entry also holds two LRU stack distances of each of its events, from
+    _stack_distances' numpy pass (no loop per access; a wavelet matrix,
+    Claude et al. 2015): the global one, from one pass over the whole
+    trace, and the tenant's, from one pass over the trace in tenant order.
+    Every LRU probe is one loop over them, _counted_rates, in place of a
+    store.  They are computed on the first probe that needs them and go with
+    the trace entry, so a longer trace, generated afresh, computes them
+    afresh; a capacity search holds each seed's trace at its longest
+    probe's length before its first probe.
+
     A cache serves the probes of one tenant set and one base scenario only.
-    It compares and hashes by identity.
+    It keeps the workloads of its first trace and the fields its probes are
+    not keyed on (tenants, replacement, window, EWMA weight, strategy) of
+    its first probe, and raises a ValueError for a trace or probe that
+    differs; each is compared element by element, identity first, so a
+    sweep's check is a few identity tests.  It compares and hashes by
+    identity.
     """
 
-    __slots__ = ("traces", "series")
+    __slots__ = ("traces", "series", "workloads", "base")
 
     def __init__(self):
         # seed -> [length requested, tenant ids, items, stack distances or None]
         self.traces: dict = {}
-        # (policy, capacity, total_txns, seed) -> {tenant: final-quarter EWMA series}
+        # probe key -> {tenant: final-quarter EWMA series}
         self.series: dict = {}
+        self.workloads: list | None = None
+        self.base: tuple | None = None
 
     def hold(self, workloads: Sequence[TenantWorkload], total_txns: int, seed: int) -> list:
-        """seed's trace entry, generated afresh when shorter than total_txns."""
+        """seed's trace entry, generated afresh when shorter than total_txns.
+        workloads must equal those of the cache's first trace."""
+        workloads = list(workloads)
+        if self.workloads is None:
+            self.workloads = workloads
+        elif workloads != self.workloads:
+            raise ValueError("this ProbeCache holds the traces of other workloads")
         cached = self.traces.get(seed)
         if cached is None or cached[0] < total_txns:
             tenant_ids, items = [], array("q")
@@ -674,7 +686,9 @@ class ProbeCache:
 
         codes[i] is the index in tenant ids of event i's tenant.  A prefix of
         the trace has the prefix of its distances, so the arrays of the
-        longest trace held serve every shorter probe.
+        longest trace held serve every shorter probe.  In tenant order the
+        keys between two accesses of a key are all of its tenant, so one pass
+        over the keys in that order gives every tenant's distances.
         """
         entry = self.hold(workloads, total_txns, seed)
         if entry[3] is None:
@@ -684,10 +698,9 @@ class ProbeCache:
             codes = np.array([index[k] for k in tenant_ids], dtype=np.int32)
             keys = codes.astype(np.int64) * (int(items.max(initial=0)) + 1) + items
             global_d = _stack_distances(keys)
+            order = np.argsort(codes, kind="stable")
             tenant_d = np.empty_like(global_d)
-            for c in range(len(ids)):
-                mine = codes == c
-                tenant_d[mine] = _stack_distances(items[mine])
+            tenant_d[order] = _stack_distances(keys[order])
             entry[3] = (ids, codes, global_d, tenant_d)
         return entry[3]
 
@@ -696,30 +709,29 @@ class ProbeCache:
         its EWMA hit rate at each final-quarter sample that includes it, in
         sample order: those of run_scenario(s, trace, sample_from) on
         s.seed's held trace from three quarters of s.total_txns on, bit for
-        bit, memoised by (policy, capacity, total_txns, seed).
+        bit, memoised by (policy, capacity, layout sizes, total_txns, seed,
+        sample_every).
 
         s is validated as run_scenario validates it, before any trace is
-        held.  FCFS is not a stack algorithm, so an FCFS probe calls
-        run_scenario, on insertion stamps.  Under LRU an access of a global
-        probe hits iff its global distance is below the capacity, and one of
-        a static probe iff its tenant distance is below its tenant's DC
-        size; those hit bits fill each tenant's windows and EWMA as
-        HitRateTracker does, read at the sample txns at which
-        activation_timeline marks the tenant active.  A maxmin_* or hybrid_*
-        probe is one loop over (tenant, tenant distance) pairs,
-        _counted_rates: a tenant's resident items are its most recent
-        distinct ones, so its slot counts alone decide each access, and the
-        loop keeps the windows, gaps, donor rankings and samples around them
-        that run_scenario keeps, with no tracker, store or record.
+        held; a probe whose other fields differ from the first probe's
+        raises a ValueError.  The replacement alone picks the engine.  An
+        LRU probe is _counted_rates' one loop over the stack distances of
+        the held trace.  FCFS is not a stack algorithm, so an FCFS probe
+        calls run_scenario, on insertion stamps.
         """
-        key = (s.policy, s.capacity, s.total_txns, s.seed)
+        base = (tuple(s.tenants), s.replacement, s.window_length, s.ewma_weight, s.strategy)
+        if self.base is not None and base != self.base:
+            raise ValueError("this ProbeCache holds the probes of other tenants or another base")
+        layout = s.layout
+        sizes = None if layout is None else (layout.sc_size, *sorted(layout.dc_sizes.items()))
+        key = (s.policy, s.capacity, sizes, s.total_txns, s.seed, s.sample_every)
         if key not in self.series:
             s.validate()
+            self.base = base
             n, sample_from = s.total_txns, s.total_txns * 3 // 4
             workloads = [t.workload for t in s.tenants]
             if s.replacement == LRU:
-                rates = _stack_rates if s.policy in ("global", "static") else _counted_rates
-                pairs = rates(s, self.stack_distances(workloads, n, s.seed), sample_from)
+                pairs = _counted_rates(s, self.stack_distances(workloads, n, s.seed), sample_from)
             else:
                 records = run_scenario(s, trace=self.trace(workloads, n, s.seed),
                                        sample_from=sample_from)
@@ -731,80 +743,52 @@ class ProbeCache:
         return self.series[key]
 
 
-def _stack_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[tuple]:
-    """(tenant, EWMA hit rate) at each final-quarter sample of an LRU global
-    or static probe s, in ProbeCache.probe's order, from the stack distances
-    of its held trace."""
-    ids, codes, global_d, tenant_d = distances
-    codes = codes[: s.total_txns]
-    n = len(codes)
-    if s.policy == "global":
-        hits = global_d[:n] < s.capacity
-    else:
-        dc_sizes = s.resolved_layout().dc_sizes
-        hits = tenant_d[:n] < np.array([dc_sizes[k] for k in ids])[codes]
-    every, window = s.sample_every, s.window_length
-    sample_txns = np.arange((sample_from + every) // every * every - 1, n, every)
-    # per tenant, its EWMA hit rate at each sample txn
-    at_samples = {}
-    for c, k in enumerate(ids):
-        mine = np.flatnonzero(codes == c)
-        m = len(mine) // window
-        rates = hits[mine[: m * window]].reshape(m, window).sum(axis=1) / window
-        ewma, curve = None, [0.0]  # curve[w]: the EWMA once w windows have closed
-        for rate in rates.tolist():
-            ewma = ewma_update(ewma, rate, s.ewma_weight)
-            curve.append(ewma)
-        closed = np.searchsorted(mine, sample_txns, side="right") // window
-        at_samples[k] = [curve[w] for w in closed.tolist()]
-    timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
-    # an idle stretch's two entries share a txn, and bisect_right picks the later
-    starts = [txn for txn, _, _ in timeline]
-    return (
-        (k, at_samples[k][i])
-        for i, txn in enumerate(sample_txns.tolist())
-        for k in timeline[bisect_right(starts, txn) - 1][2]
-    )
-
-
 def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[tuple]:
-    """(tenant, EWMA hit rate) at each final-quarter sample of an LRU
-    maxmin_* or hybrid_* probe s, in ProbeCache.probe's order, from the
-    tenant stack distances of its held trace: run_scenario's, bit for bit.
+    """(tenant, EWMA hit rate) at each final-quarter sample of an LRU probe
+    s, in ProbeCache.probe's order, from the stack distances of its held
+    trace: run_scenario's, bit for bit.
 
-    Under LRU tenant k's resident items are always the n_k = dc_k + sc_k
-    most recent distinct items of its substream, and every victim is its
-    owner's least recent item (see recency_insert).  So slot counts alone
-    decide each access, in hybrid_insert's order: a hit iff its tenant
-    distance is below n_k; else a free DC slot (dc_k + 1); else a free SC
-    slot (sc_k + 1); else, with no SC, the tenant's own oldest DC item goes
-    and the counts stay; else pick_donor's donor gives one SC slot to the
-    tenant, which changes nothing when the donor is the tenant; a
-    DonorCursor over the SC counts keeps that donor and moves the slot.
+    global and static are stack algorithms with no donor ranking, so each
+    access's hit is known before the loop: its global distance is below the
+    capacity (global), or its tenant distance below its tenant's DC size
+    (static).  Each window's hits are summed per tenant in numpy.
 
-    One loop does run_scenario's accounting around those cases.  The donor
-    ranking changes only after the access that closes a window and before
-    the access at an activation_timeline change, and samples are read after
-    the access at their txn.  All three kinds of txn are known before the
-    loop from the trace's tenant codes, so the accesses between two of them
-    run with no check.  At each, in run_scenario's order: the closing
-    tenant's window rate is folded into its EWMA with ewma_update, as
-    HitRateTracker does, and the donor account, a Donors over tenant codes
-    as run_scenario keeps one over tenant ids, is told of the close with the
+    Under the other policies tenant k's resident items are always the n_k =
+    dc_k + sc_k most recent distinct items of its substream, and every
+    victim is its owner's least recent item (see recency_insert).  So slot
+    counts alone decide each access, in hybrid_insert's order, and the loop
+    counts them: a hit iff its tenant distance is below n_k; else a free DC
+    slot (dc_k + 1); else a free SC slot (sc_k + 1); else, with no SC, the
+    tenant's own oldest DC item goes and the counts stay; else pick_donor's
+    donor gives one SC slot to the tenant, which changes nothing when the
+    donor is the tenant; a DonorCursor over the SC counts keeps that donor
+    and moves the slot.
+
+    One loop does run_scenario's accounting around those accesses.  The
+    donor ranking changes only after the access that closes a window and
+    before the access at an activation_timeline change, and samples are
+    read after the access at their txn.  All three kinds of txn are known
+    before the loop from the trace's tenant codes, so the accesses between
+    two of them run with no check, and only under a ranked policy.  At each,
+    in run_scenario's order: the closing tenant's window rate is folded
+    into its EWMA with ewma_update, as HitRateTracker does, and under a
+    ranked policy the donor account, a Donors over tenant codes as
+    run_scenario keeps one over tenant ids, is told of the close with the
     tenant's slots and EWMA; a sample yields the EWMA (0.0 before a first
     window) of each active tenant in id order; a change is told to the
     account with each arrival's EWMA.  Each event returns the new ranking.
     The held trace is the scenario's own stream, so no event is of a tenant
     that has not arrived.
     """
-    ids, codes, _, tenant_d = distances
+    ids, codes, global_d, tenant_d = distances
     codes = codes[: s.total_txns]
     n, m = len(codes), len(ids)
     layout = s.resolved_layout()
     window, weight, every = s.window_length, s.ewma_weight, s.sample_every
     index = {k: c for c, k in enumerate(ids)}
     softs = {index[t.workload.tenant_id]: t.requirement.soft for t in s.tenants}
-    donors = Donors(softs, s.strategy, s.policy.endswith("selfish"), ranked=True)
+    ranked = s.policy not in ("global", "static")
+    donors = Donors(softs, s.strategy, s.policy.endswith("selfish"), ranked)
     # per tenant code: resident items, hits in the open window, EWMA and free
     # DC slots; SC slots in a dict, under a DonorCursor once SC is full
     held, hits, ewma = [0] * m, [0] * m, [None] * m
@@ -819,40 +803,56 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
     # the later one wins)
     timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
     change_after = {txn - 1: {index[k] for k in now} for txn, _, now in timeline if txn < n}
-    closes: set = set()
+    # under global and static an access hits iff its distance is below its
+    # tenant's limit, so each window's hits are known before the loop; a
+    # ranked policy's loop counts its own
+    if s.policy == "global":
+        known, limits = global_d, [s.capacity] * m
+    else:
+        known, limits = tenant_d, dc_free
+    closes: dict = {}  # closing access -> (its tenant code, its window's known hits)
     for c in range(m):
-        closes.update(np.flatnonzero(codes == c)[window - 1 :: window].tolist())
+        mine = np.flatnonzero(codes == c)
+        ends = mine[window - 1 :: window]
+        got = ([0] * len(ends) if ranked else
+               (known[mine[: len(ends) * window]] < limits[c]).reshape(-1, window).sum(1).tolist())
+        closes.update(zip(ends.tolist(), zip(repeat(c), got)))
     samples = set(range((sample_from + every) // every * every - 1, n, every))
 
     ranking = donors.ranking
+    active: list = []  # the active tenant codes, in id order
     start = 0
-    for stop in sorted(closes | samples | change_after.keys() | {n - 1}):
-        for c, d in zip(codes[start : stop + 1].tolist(), tenant_d[start : stop + 1].tolist()):
-            h = held[c]
-            if d < h:
-                hits[c] += 1
-            elif dc_free[c]:
-                dc_free[c] -= 1
-                held[c] = h + 1
-            elif sc_free:
-                sc_free -= 1
-                sc[c] += 1
-                held[c] = h + 1
-            elif sc_size:
-                donor = take(ranking, c)
-                if donor != c:
-                    held[donor] -= 1
+    for stop in sorted(closes.keys() | samples | change_after.keys() | {n - 1}):
+        if ranked:
+            for c, d in zip(codes[start : stop + 1].tolist(), tenant_d[start : stop + 1].tolist()):
+                h = held[c]
+                if d < h:
+                    hits[c] += 1
+                elif dc_free[c]:
+                    dc_free[c] -= 1
                     held[c] = h + 1
-        start = stop + 1
-        if stop in closes:  # c's access closed its window
-            ewma[c] = ewma_update(ewma[c], hits[c] / window, weight)
+                elif sc_free:
+                    sc_free -= 1
+                    sc[c] += 1
+                    held[c] = h + 1
+                elif sc_size:
+                    donor = take(ranking, c)
+                    if donor != c:
+                        held[donor] -= 1
+                        held[c] = h + 1
+            start = stop + 1
+        if stop in closes:
+            c, got = closes[stop]
+            ewma[c] = ewma_update(ewma[c], (hits[c] + got) / window, weight)
             hits[c] = 0
-            ranking = donors.closed(c, held[c], ewma[c])
+            if ranked:
+                ranking = donors.closed(c, held[c], ewma[c])
         if stop in samples:
-            for k in sorted(donors.active):
+            for k in active:
                 yield ids[k], ewma[k] or 0.0  # 0.0 before a first window
         if stop in change_after:
             ranking = donors.change(change_after[stop], lambda c: ewma[c] or 0.0)
+            active = sorted(donors.active)
 
 
 def _mean(rates: Sequence[float]) -> float:

@@ -23,9 +23,10 @@ placed by one walk per ranking and moved as SC counts step between 0 and 1.
 
 No run keeps slots.  Under LRU a tenant's resident items are always its
 most recent distinct ones (the stack property), so recency_insert is
-hybrid_insert under LRU on per-tenant recency lists (RecencyLists); a
-capacity probe goes further and decides each access from slot counts and
-its per-tenant stack distance alone, in one loop
+hybrid_insert under LRU on per-tenant recency lists (RecencyLists); an
+LRU capacity probe goes further and decides each access from its stack
+distance alone, against the capacity or its DC size under global and
+static and against its tenant's slot counts otherwise, in one loop
 (harness._counted_rates).  FCFS is not a stack algorithm, so fifo_insert
 is hybrid_insert under FCFS on insertion stamps, in per-tenant min-heaps
 by region (FifoHeaps).  hybrid_insert on a SlotStore is the reference

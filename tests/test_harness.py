@@ -668,7 +668,7 @@ class TestProbeCache:
 
     def test_sweep_runs_each_probe_once_and_generates_each_trace_once(self, monkeypatch):
         """Each distinct probe runs once, on insertion stamps (FCFS) or in the
-        slot-count loop (LRU maxmin), and each seed's trace is generated once,
+        one loop over stack distances (LRU), and each seed's trace is generated once,
         at the length of the upper probe, though the lower probe is shorter."""
         import tenantcache.harness as harness
 
@@ -703,8 +703,62 @@ class TestProbeCache:
             assert sorted(generated) == [(0, 512), (1, 512)]
         assert len(runs) == len(set(runs))
         assert {(r, p) for r, p, _, _ in runs} == {
-            ("lru", "maxmin_fair"), ("fcfs", "global"), ("fcfs", "static"), ("fcfs", "maxmin_fair")
+            (r, p) for r in ("lru", "fcfs") for p in ("global", "static", "maxmin_fair")
         }
+
+    def test_probes_of_other_layouts_or_sampling_are_not_served_from_the_memo(self):
+        tenants = [tenant(1), tenant(2, alpha=0.7)]
+
+        def hybrid(dc_sizes, sample_every=20):
+            return small_scenario(
+                "hybrid_fair", 200, tenants=tenants, sample_every=sample_every,
+                layout=RegionLayout(dc_sizes=dc_sizes, sc_size=40),
+            )
+
+        cache = ProbeCache()
+        probes = [hybrid({1: 150, 2: 10}), hybrid({1: 10, 2: 150}), hybrid({1: 10, 2: 150}, 50)]
+        served = [cache.probe(s) for s in probes]
+        fresh = [ProbeCache().probe(s) for s in probes]
+        assert served == fresh
+        assert fresh[0] != fresh[1] != fresh[2]
+
+    def test_a_probe_of_other_tenants_raises(self):
+        lone = [tenant(1, universe=1_000, alpha=0.5)]
+        assert not meets_target("global", lone, 100, 0.5, [0], min_txns=4_000)
+        cache = ProbeCache()
+        assert meets_target("global", [tenant(1, universe=100, alpha=1.2)], 100, 0.5, [0],
+                            min_txns=4_000, cache=cache)
+        with pytest.raises(ValueError, match="other tenants"):
+            meets_target("global", lone, 100, 0.5, [0], min_txns=4_000, cache=cache)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("replacement", "fcfs"), ("window_length", 50), ("ewma_weight", 0.5),
+         ("strategy", SharingStrategy(loss_horizon=3))],
+        ids=["replacement", "window_length", "ewma_weight", "strategy"],
+    )
+    def test_a_probe_of_another_base_raises(self, field, value):
+        s = small_scenario("global", sample_every=20)
+        cache = ProbeCache()
+        cache.probe(s)
+        # equal fields in new objects are the same base
+        assert cache.probe(replace(s, tenants=list(s.tenants), strategy=SharingStrategy()))
+        with pytest.raises(ValueError, match="another base"):
+            cache.probe(replace(s, **{field: value}))
+
+    def test_a_trace_of_other_workloads_raises(self):
+        cache = ProbeCache()
+        workloads = [tenant(1).workload]
+        list(cache.trace(workloads, 100, 0))
+        list(cache.trace(tuple(workloads), 100, 1))
+        with pytest.raises(ValueError, match="other workloads"):
+            list(cache.trace([tenant(1, alpha=0.7).workload], 100, 0))
+        with pytest.raises(ValueError, match="other workloads"):
+            cache.stack_distances([tenant(2).workload], 100, 0)
+
+    def test_a_cache_compares_and_hashes_by_identity(self):
+        a, b = ProbeCache(), ProbeCache()
+        assert a != b and len({a, b, a}) == 2
 
     def test_early_ending_stream_generated_once(self, monkeypatch):
         import tenantcache.harness as harness
@@ -1059,7 +1113,7 @@ class TestCli:
         from tenantcache.cli import main
         from tenantcache.sharing import SharingStrategy
 
-        # an LRU probe is served by the slot-count loop; an FCFS one runs
+        # an LRU probe is served by the one loop over stack distances; an FCFS one runs
         # run_scenario
         probes = []
         monkeypatch.setattr(

@@ -262,22 +262,8 @@ def test_probe_series_equal_the_simulation(data, policies, replacement):
     assert cache.probe(s) is cache.probe(s)  # memoised
 
 
-def test_series_of_a_sweep_grid_equal_the_simulation():
-    # long enough that the distance pass takes its reuses in several chunks
-    tenants = [tenant(1, universe=300), tenant(2, universe=300, alpha=0.7, weight=2)]
-    cache = ProbeCache()
-    for policy in ("global", "static"):
-        for capacity in (2, 17, 64, 150, 301):
-            s = Scenario(
-                capacity=capacity, policy=policy, tenants=tenants, total_txns=10_000,
-                seed=4, sample_every=50,
-            )
-            events = held_events(cache, s, 10_000)
-            assert cache.probe(s) == simulated_series(s, events)
-
-
 def test_counted_series_of_a_sweep_grid_equal_the_simulation():
-    """The one loop of LRU max-min and hybrid probes at grid scale, with a
+    """The one loop of LRU probes at grid scale under every policy, with a
     tenant that arrives late and one that departs in the final quarter."""
     tenants = [
         tenant(1, universe=300, soft=0.5),
@@ -285,7 +271,7 @@ def test_counted_series_of_a_sweep_grid_equal_the_simulation():
         tenant(3, universe=200, alpha=0.9, soft=0.6, active_from=2_000),
     ]
     cache = ProbeCache()
-    for policy in RANKED:
+    for policy in POLICIES:
         for capacity in (3, 40, 150, 301):
             layout = None
             if policy.startswith("hybrid"):
@@ -353,8 +339,8 @@ def test_lru_baseline_sweep_simulates_nothing(monkeypatch):
     [("fcfs", {"global", "static", "maxmin_fair"}), ("lru", set())],
 )
 def test_fcfs_and_maxmin_probes_still_simulate(monkeypatch, replacement, simulated):
-    """FCFS probes run run_scenario on insertion stamps; LRU maxmin probes
-    are served by the slot-count loop instead, and drive nothing."""
+    """FCFS probes run run_scenario on insertion stamps; every LRU probe is
+    served by the one loop over stack distances instead, and drives nothing."""
     runs = counted_runs(monkeypatch)
     drives, counted = [], []
     real_drive, real_counted = harness._drive, harness._counted_rates
@@ -375,7 +361,7 @@ def test_fcfs_and_maxmin_probes_still_simulate(monkeypatch, replacement, simulat
     assert {r for _, r in runs} <= {replacement}
     assert {policy for policy, _ in drives} == simulated
     assert {kind for _, kind in drives} == ({FifoHeaps} if simulated else set())
-    assert set(counted) == {"maxmin_fair"} - simulated
+    assert set(counted) == {"global", "static", "maxmin_fair"} - simulated
 
 
 # the CSVs of this sweep before the stack-distance backend existed
