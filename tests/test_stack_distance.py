@@ -262,6 +262,21 @@ def test_probe_series_equal_the_simulation(data, policies, replacement):
     assert cache.probe(s) is cache.probe(s)  # memoised
 
 
+def test_series_of_a_sweep_grid_equal_the_simulation():
+    """Global and static LRU probes at grid scale, from a cache that none of
+    the other policies' probes have touched."""
+    tenants = [tenant(1, universe=300), tenant(2, universe=300, alpha=0.7, weight=2)]
+    cache = ProbeCache()
+    for policy in ("global", "static"):
+        for capacity in (2, 17, 64, 150, 301):
+            s = Scenario(
+                capacity=capacity, policy=policy, tenants=tenants, total_txns=10_000,
+                seed=4, sample_every=50,
+            )
+            events = held_events(cache, s, 10_000)
+            assert cache.probe(s) == simulated_series(s, events)
+
+
 def test_counted_series_of_a_sweep_grid_equal_the_simulation():
     """The one loop of LRU probes at grid scale under every policy, with a
     tenant that arrives late and one that departs in the final quarter."""
