@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-from array import array
 from collections import abc
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -28,9 +27,9 @@ from .metrics import (
     Requirement,
     ewma_update,
 )
-# global_insert, static_insert, maxmin_insert, hybrid_insert and
-# selfish_eligible run nowhere here, but the benchmark's tracer
-# (perfbench/tracer.py) wraps them on this module by name until the
+# global_insert, static_insert, maxmin_insert, hybrid_insert,
+# selfish_eligible and generate_stream run nowhere here, but the benchmark's
+# tracer (perfbench/tracer.py) wraps them on this module by name until the
 # benchmark is refreshed (ROADMAP item 1)
 from .sharing import (
     INF,
@@ -52,6 +51,9 @@ from .workload import (
     MAX_WEIGHT_SUM,
     TenantWorkload,
     WorkloadPhase,
+    _chunks,
+    _stream_length,
+    _triples,
     activation_timeline,
     generate_stream,
     text_file,
@@ -378,7 +380,8 @@ def run_scenario(
     A lookup hit before any mutation counts as a hit; everything else is a
     miss.  A given trace holds (txn, tenant_id, item) triples, AccessEvents
     or plain tuples, in increasing txn order; without one the scenario's
-    stream is generated.  Gaps are allowed: every activation change at or
+    stream is generated chunk by chunk and read as plain tuples, with no
+    AccessEvent built.  Gaps are allowed: every activation change at or
     before an event's txn is applied before its access, and a skipped txn is
     not sampled.  One SampleRecord is emitted every sample_every transactions
     from txn sample_from on, over the tenants active at that txn per
@@ -402,7 +405,7 @@ def run_scenario(
         engine, insert = FifoHeaps, fifo_insert
     store = engine(layout, s.tenant_ids(), shared=policy == "global")
     if trace is None:
-        trace = generate_stream([t.workload for t in s.tenants], s.total_txns, s.seed)
+        trace = _triples(_chunks([t.workload for t in s.tenants], s.total_txns, s.seed))
     return _drive(s, store, insert, trace, sample_from)
 
 
@@ -533,7 +536,7 @@ def compare_policies(
 
     Every policy name and layout is checked before the first run.  The trace
     is generated once and held as a capacity search holds its probes'
-    traces, in a ProbeCache: tenant ids and 8-byte items, not events.
+    traces, in a ProbeCache: tenant codes and items in arrays, not events.
     """
     base.validate()
     _check_policies(policies, POLICIES)
@@ -610,19 +613,20 @@ class ProbeCache:
     """What the probes of one capacity search or sweep share, and the one
     trace that compare_policies replays through each policy.
 
-    It holds one generated trace per seed and the series of each distinct
-    (policy, capacity, layout sizes, length, seed, sample_every) probe
-    already run (see probe), so a probe repeated for another target or by
-    the binary search runs no simulation.  For LRU probes a seed's trace
-    entry also holds two LRU stack distances of each of its events, from
-    _stack_distances' numpy pass (no loop per access; a wavelet matrix,
-    Claude et al. 2015): the global one, from one pass over the whole
-    trace, and the tenant's, from one pass over the trace in tenant order.
-    Every LRU probe is one loop over them, _counted_rates, in place of a
-    store.  They are computed on the first probe that needs them and go with
-    the trace entry, so a longer trace, generated afresh, computes them
-    afresh; a capacity search holds each seed's trace at its longest
-    probe's length before its first probe.
+    It holds one generated trace per seed, as arrays with a tenant code and
+    an item per txn and no Python object per txn (see hold), and the series
+    of each distinct (policy, capacity, layout sizes, length, seed,
+    sample_every) probe already run (see probe), so a probe repeated for
+    another target or by the binary search runs no simulation.  For LRU
+    probes a seed's trace entry also holds two LRU stack distances of each
+    of its events, from _stack_distances' numpy pass (no loop per access; a
+    wavelet matrix, Claude et al. 2015): the global one, from one pass over
+    the whole trace, and the tenant's, from one pass over the trace in
+    tenant order.  Every LRU probe is one loop over them, _counted_rates, in
+    place of a store.  They are computed on the first probe that needs them
+    and go with the trace entry, so a longer trace, generated afresh,
+    computes them afresh; a capacity search holds each seed's trace at its
+    longest probe's length before its first probe.
 
     A cache serves the probes of one tenant set and one base scenario only.
     It keeps the workloads of its first trace and the fields its probes are
@@ -633,35 +637,42 @@ class ProbeCache:
     identity.
     """
 
-    __slots__ = ("traces", "series", "workloads", "base")
+    __slots__ = ("traces", "series", "workloads", "ids", "base")
 
     def __init__(self):
-        # seed -> [length requested, tenant ids, items, stack distances or None]
+        # seed -> [length requested, tenant codes, items, stack distances or None]
         self.traces: dict = {}
         # probe key -> {tenant: final-quarter EWMA series}
         self.series: dict = {}
         self.workloads: list | None = None
+        self.ids: list | None = None  # the workloads' tenant ids, sorted: what codes index
         self.base: tuple | None = None
 
     def hold(self, workloads: Sequence[TenantWorkload], total_txns: int, seed: int) -> list:
         """seed's trace entry, generated afresh when shorter than total_txns.
-        workloads must equal those of the cache's first trace."""
+        workloads must equal those of the cache's first trace.
+
+        The entry is [length requested, codes, items, stack distances or
+        None]: per event the index of its tenant in the sorted tenant ids
+        (int32) and its item (int64), 12 bytes, in arrays of the stream's
+        own length, preallocated and filled from _chunks' arrays chunk by
+        chunk.
+        """
         workloads = list(workloads)
         if self.workloads is None:
-            self.workloads = workloads
+            self.workloads, self.ids = workloads, sorted(w.tenant_id for w in workloads)
         elif workloads != self.workloads:
             raise ValueError("this ProbeCache holds the traces of other workloads")
         cached = self.traces.get(seed)
         if cached is None or cached[0] < total_txns:
-            tenant_ids, items = [], array("q")
-            for ev in generate_stream(workloads, total_txns, seed):
-                tenant_ids.append(ev.tenant_id)
-                items.append(ev.item)
-            # items kept as 8-byte integers, never as int objects; a memoryview
-            # over them yields plain ints
-            cached = self.traces[seed] = [
-                total_txns, tenant_ids, np.frombuffer(items, dtype=np.int64), None
-            ]
+            n = _stream_length(workloads, total_txns)
+            codes, items = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int64)
+            index = {k: c for c, k in enumerate(self.ids)}
+            for txns, active, local, drawn in _chunks(workloads, total_txns, seed):
+                chunk = slice(txns.start, txns.stop)
+                codes[chunk] = np.array([index[k] for k in active], dtype=np.int32)[local]
+                items[chunk] = drawn
+            cached = self.traces[seed] = [total_txns, codes, items, None]
         return cached
 
     def trace(
@@ -674,34 +685,36 @@ class ProbeCache:
         longest length requested so far serves every shorter probe.  It is
         kept under that length, not its event count, so a stream that ends
         early is generated once.  Nothing is generated until the first event
-        is asked for.
+        is asked for.  Each tuple is built from the held arrays as it is
+        asked for, by memoryviews over them: the tenant id objects of the
+        workloads and plain int items.
         """
-        _, tenant_ids, items, _ = self.hold(workloads, total_txns, seed)
-        yield from zip(range(total_txns), tenant_ids, memoryview(items))
+        _, codes, items, _ = self.hold(workloads, total_txns, seed)
+        yield from zip(range(total_txns), map(self.ids.__getitem__, memoryview(codes)),
+                       memoryview(items))
 
     def stack_distances(
         self, workloads: Sequence[TenantWorkload], total_txns: int, seed: int
     ) -> tuple:
         """(tenant ids, codes, global, per-tenant distances) of seed's held trace.
 
-        codes[i] is the index in tenant ids of event i's tenant.  A prefix of
-        the trace has the prefix of its distances, so the arrays of the
-        longest trace held serve every shorter probe.  In tenant order the
-        keys between two accesses of a key are all of its tenant, so one pass
-        over the keys in that order gives every tenant's distances.
+        codes[i] is the index in tenant ids of event i's tenant: the held
+        codes themselves, so the keys are built in numpy from the held
+        arrays.  A prefix of the trace has the prefix of its distances, so
+        the arrays of the longest trace held serve every shorter probe.  In
+        tenant order the keys between two accesses of a key are all of its
+        tenant, so one pass over the keys in that order gives every tenant's
+        distances.
         """
         entry = self.hold(workloads, total_txns, seed)
         if entry[3] is None:
-            _, tenant_ids, items, _ = entry
-            ids = sorted(w.tenant_id for w in workloads)
-            index = {k: c for c, k in enumerate(ids)}
-            codes = np.array([index[k] for k in tenant_ids], dtype=np.int32)
+            _, codes, items, _ = entry
             keys = codes.astype(np.int64) * (int(items.max(initial=0)) + 1) + items
             global_d = _stack_distances(keys)
             order = np.argsort(codes, kind="stable")
             tenant_d = np.empty_like(global_d)
             tenant_d[order] = _stack_distances(keys[order])
-            entry[3] = (ids, codes, global_d, tenant_d)
+            entry[3] = (self.ids, codes, global_d, tenant_d)
         return entry[3]
 
     def probe(self, s: Scenario) -> dict:

@@ -174,7 +174,41 @@ def generate_stream(
     arrive.  Each draw maps through the CDF of the tenant's phase in force at
     the draw's schedule txn (txn plus the timeline's skew).
 
-    Events are built in chunks of at most _BATCH txns, cut also where some
+    The events are _chunks' arrays, one chunk ahead of the consumer, each
+    built into an AccessEvent only when it is asked for, so generation is
+    lazy, and a shorter stream of the same workloads and seed is a prefix of
+    a longer one.  The arguments are checked at the first next().
+    """
+    return map(_event, _triples(_chunks(workloads, total_txns, seed)))
+
+
+# an AccessEvent from a (txn, tenant_id, item) tuple, built without a Python frame
+_event = partial(tuple.__new__, AccessEvent)
+
+
+def _triples(chunks: Iterable[tuple]) -> Iterator[tuple[int, object, int]]:
+    """The (txn, tenant_id, item) tuples of _chunks' chunks, in order."""
+    return chain.from_iterable(
+        zip(txns, np.array(active, dtype=object)[codes].tolist(), items.tolist())
+        for txns, active, codes, items in chunks
+    )
+
+
+def _stream_length(workloads: Iterable[TenantWorkload], total_txns: int) -> int:
+    """How many events generate_stream(workloads, total_txns) yields: fewer
+    than total_txns when it ends early, none when total_txns < 0 (refused)."""
+    timeline = activation_timeline(workloads, total_txns)
+    # the stream ends at a last entry with no active ids
+    return timeline[-1][0] if timeline and not timeline[-1][2] else max(total_txns, 0)
+
+
+def _chunks(workloads: Iterable[TenantWorkload], total_txns: int, seed: int) -> Iterator[tuple]:
+    """generate_stream's stream as arrays, one chunk at a time.
+
+    Each chunk is (txns, active, codes, items): txns the range of its txn
+    indices, active the active tenant ids in id order, and per txn the
+    index in active of its tenant (codes, intp) and its item (items,
+    int64).  Chunks hold at most _BATCH txns and are cut also where some
     active tenant's phase starts, so each tenant has one CDF per chunk.  A
     turn's tenant is found by arithmetic: its position in the rotation,
     searched in the active set's cumulative weights, so memory does not grow
@@ -182,19 +216,9 @@ def generate_stream(
     and the tenant id, and its draws for a chunk are the generator's next
     uniforms mapped through one CDF, shared by every tenant with the same
     (universe_size, alpha).  A generator's uniforms are one stream however
-    the draws are grouped into calls, so generation is lazy, one chunk ahead
-    of the consumer, and a shorter stream of the same workloads and seed is a
-    prefix of a longer one.  The arguments are checked at the first next().
+    the draws are grouped into calls, so the chunks of a shorter stream are
+    a prefix of a longer one's, cut at the shorter length.
     """
-    return chain.from_iterable(_chunks(workloads, total_txns, seed))
-
-
-# an AccessEvent from a (txn, tenant_id, item) tuple, built without a Python frame
-_event = partial(tuple.__new__, AccessEvent)
-
-
-def _chunks(workloads: Iterable[TenantWorkload], total_txns: int, seed: int) -> Iterator:
-    """generate_stream's events, one iterator of them per chunk."""
     workloads = list(workloads)
     if total_txns < 0:
         raise WorkloadError("total_txns must be >= 0")
@@ -253,13 +277,16 @@ def _chunks(workloads: Iterable[TenantWorkload], total_txns: int, seed: int) -> 
             pos = (pos + hi - lo) % period
             items = np.empty(hi - lo, dtype=np.int64)
             for code, t in enumerate(active):
-                mine = codes == code
-                count = int(np.count_nonzero(mine))
-                if count:
-                    draws = rngs[t].random(count)
-                    items[mine] = np.searchsorted(cdf_at(by_id[t], lo + skew), draws, side="right")
-            tenants = map(active.__getitem__, codes.tolist())
-            yield map(_event, zip(range(lo, hi), tenants, items.tolist()))
+                mine = np.flatnonzero(codes == code)
+                if len(mine):
+                    # in increasing order each search starts from the last
+                    # one's answer: the same items, in fewer cache misses
+                    draws = rngs[t].random(len(mine))
+                    order = draws.argsort()
+                    items[mine[order]] = np.searchsorted(
+                        cdf_at(by_id[t], lo + skew), draws[order], side="right"
+                    )
+            yield range(lo, hi), active, codes, items
         # an active stretch spans at least one txn, so some turn was taken
         last = (pos - 1) % period
         code = bisect_right(bounds, last) - 1

@@ -3,18 +3,23 @@
 Below are zipf_pmf, _TenantSampler (with its per-event draw), generate_stream
 and _next_after as they stood when the stream was built one event at a time,
 copied verbatim.  For any workloads, length and seed, workload.generate_stream
-must yield the same events.
+must yield the same events, and so must each other reader of the chunks:
+run_scenario's own stream, as plain tuples, and a ProbeCache's held trace.
 """
 from __future__ import annotations
 
 import math
 from typing import Iterable, Iterator, Sequence
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tenantcache import workload
+from tenantcache import harness, workload
+from tenantcache.cache_core import RegionLayout
+from tenantcache.harness import POLICIES, ProbeCache, Scenario, TenantSpec, run_scenario
 from tenantcache.workload import (
     _BATCH,
     AccessEvent,
@@ -197,9 +202,23 @@ def tenants_of(specs):
          300, 5)
 def test_chunked_stream_equals_per_event_stream(specs, length, seed):
     ws = tenants_of(specs)
-    assert list(workload.generate_stream(ws, length, seed)) == list(
-        generate_stream(ws, length, seed)
-    )
+    expected = list(generate_stream(ws, length, seed))
+    assert list(workload.generate_stream(ws, length, seed)) == expected
+
+    # the stream run_scenario generates for itself, caught on its way to the loop
+    scenario = Scenario(capacity=1, policy="global", tenants=[TenantSpec(w) for w in ws],
+                        total_txns=length, seed=seed)
+    with mock.patch.object(harness, "_drive", lambda s, store, insert, trace, _: list(trace)):
+        triples = run_scenario(scenario)
+    assert triples == expected
+    assert {type(t) for t in triples} <= {tuple}
+
+    # a held trace: its tuples, and the tenant codes its stack distances read
+    cache = ProbeCache()
+    assert list(cache.trace(ws, length, seed)) == expected
+    ids, codes, _, _ = cache.stack_distances(ws, length, seed)
+    assert ids == sorted(w.tenant_id for w in ws)
+    assert [ids[c] for c in codes.tolist()] == [ev.tenant_id for ev in expected]
 
 
 def test_shared_cdf_equals_per_tenant_cdf():
@@ -209,3 +228,29 @@ def test_shared_cdf_equals_per_tenant_cdf():
             cdf[-1] = 1.0
             assert np.array_equal(workload._zipf_cdf(universe, alpha), cdf)
             assert np.array_equal(workload.zipf_pmf(universe, alpha), zipf_pmf(universe, alpha))
+
+
+# a phase start and an arrival inside the second chunk, a departure inside the
+# third, over more than two chunks
+CROSS_CHUNK = [
+    TenantWorkload(tenant_id=1, universe_size=300,
+                   phases=(WorkloadPhase(0.9), WorkloadPhase(0.5, start_txn=_BATCH + 1_000))),
+    TenantWorkload(tenant_id=2, universe_size=200, weight=3, active_until=2 * _BATCH + 700),
+    TenantWorkload(tenant_id=3, universe_size=400, phases=(WorkloadPhase(1.1),),
+                   active_from=_BATCH + 2_500, weight=2),
+]
+
+
+@pytest.mark.parametrize("replacement", ["lru", "fcfs"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_run_across_chunks_equals_the_run_on_the_generated_events(policy, replacement):
+    layout = RegionLayout(dc_sizes={1: 15, 2: 15, 3: 15}, sc_size=45)
+    s = Scenario(capacity=90, policy=policy, tenants=[TenantSpec(w) for w in CROSS_CHUNK],
+                 layout=layout if policy.startswith("hybrid") else None,
+                 total_txns=2 * _BATCH + 3_000, replacement=replacement, seed=4,
+                 sample_every=250)
+    events = list(workload.generate_stream(CROSS_CHUNK, s.total_txns, s.seed))
+    own, given = run_scenario(s), run_scenario(s, trace=events)
+    assert len(own) == len(given) == s.total_txns // s.sample_every
+    for mine, theirs in zip(own, given):
+        assert mine == theirs

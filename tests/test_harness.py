@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -673,7 +674,7 @@ class TestProbeCache:
         import tenantcache.harness as harness
 
         runs, generated = [], []
-        real_drive, real_generate = harness._drive, harness.generate_stream
+        real_drive, real_chunks = harness._drive, harness._chunks
         real_counted = harness._counted_rates
 
         def counting_drive(s, *args):
@@ -684,13 +685,13 @@ class TestProbeCache:
             runs.append((s.replacement, s.policy, s.capacity, s.seed))
             return real_counted(s, *args)
 
-        def counting_generate(workloads, total_txns, seed=0):
+        def counting_chunks(workloads, total_txns, seed):
             generated.append((seed, total_txns))
-            return real_generate(workloads, total_txns, seed)
+            return real_chunks(workloads, total_txns, seed)
 
         monkeypatch.setattr(harness, "_drive", counting_drive)
         monkeypatch.setattr(harness, "_counted_rates", counting_counted)
-        monkeypatch.setattr(harness, "generate_stream", counting_generate)
+        monkeypatch.setattr(harness, "_chunks", counting_chunks)
         tenants = [tenant(1, universe=60), tenant(2, universe=60, alpha=0.7)]
         for replacement in ("lru", "fcfs"):
             generated.clear()
@@ -764,13 +765,13 @@ class TestProbeCache:
         import tenantcache.harness as harness
 
         calls = []
-        real_generate = harness.generate_stream
+        real_chunks = harness._chunks
 
-        def counting_generate(*args):
+        def counting_chunks(*args):
             calls.append(args)
-            return real_generate(*args)
+            return real_chunks(*args)
 
-        monkeypatch.setattr(harness, "generate_stream", counting_generate)
+        monkeypatch.setattr(harness, "_chunks", counting_chunks)
         workloads = [TenantWorkload(tenant_id=1, universe_size=50, active_until=100)]
         cache = ProbeCache()
         first = list(cache.trace(workloads, 300, 7))
@@ -780,6 +781,22 @@ class TestProbeCache:
         assert first == again == list(generate_stream(workloads, 300, 7))
         assert len(first) == 100
         assert shorter == first[:60]
+
+    def test_a_held_trace_peaks_below_20_bytes_per_txn(self):
+        """A 400k-txn trace is held as a 4-byte tenant code and an 8-byte item
+        per txn, in arrays filled chunk by chunk: tracemalloc's peak over
+        generating and holding it, CDFs and chunks included."""
+        workloads = [tenant(1, universe=20_000).workload,
+                     tenant(2, universe=5_000, alpha=0.7, weight=2).workload]
+        cache = ProbeCache()
+        tracemalloc.start()
+        try:
+            cache.hold(workloads, 400_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cache.traces[0][2]) == 400_000
+        assert peak <= 20 * 400_000
 
 
 class TestSuggestDcSize:
