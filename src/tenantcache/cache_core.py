@@ -10,11 +10,11 @@ eviction and the swap of two slots' contents; sharing.hybrid_insert is the
 insertion algorithm every policy runs over them.
 
 No run keeps slots.  LRU runs keep per-tenant recency lists
-(sharing.recency_insert) and FCFS runs keep insertion stamps in per-tenant
-heaps (sharing.fifo_insert); the store is the reference model both are
-tested against, under either policy.  So it favours plain steps over speed:
-it keeps the occupied slots of each region by owner, and a victim query
-scans the candidates for the least stamp.
+(sharing.RecencyLists) and FCFS runs keep insertion stamps in per-tenant
+heaps (sharing.FifoHeaps, through sharing.fifo_insert); the store is the
+reference model both are tested against, under either policy.  So it
+favours plain steps over speed: it keeps the occupied slots of each region
+by owner, and a victim query scans the candidates for the least stamp.
 """
 from __future__ import annotations
 

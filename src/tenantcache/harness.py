@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import abc
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache, partial
-from itertools import repeat
-from operator import is_
+from itertools import islice, repeat
+from operator import is_, itemgetter
 from types import NoneType, UnionType
 from typing import IO, Iterable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -38,15 +39,14 @@ from .sharing import (
     FifoHeaps,
     RecencyLists,
     SharingStrategy,
-    fifo_insert,
     global_insert,
     hybrid_insert,
     maxmin_insert,
-    recency_insert,
     selfish_eligible,
     static_insert,
 )
 from .workload import (
+    _BATCH,
     DEFAULT_UNIVERSE,
     MAX_WEIGHT_SUM,
     TenantWorkload,
@@ -370,121 +370,201 @@ def run_scenario(
     The run keeps no slots.  Under LRU tenant k's resident items are
     always its dc_k + sc_k most recent distinct items and every victim is
     its owner's least recent one (the stack property; Mattson et al. 1970),
-    so recency_insert replays hybrid_insert's cases on per-tenant recency
-    lists (one shared list under global) and slot counts, RecencyLists.
-    FCFS is not a stack algorithm, so fifo_insert replays them on
+    so RecencyLists replays hybrid_insert's cases on per-tenant recency
+    lists (one shared list under global) and slot counts.  FCFS is not a
+    stack algorithm, so FifoHeaps replays them through fifo_insert on
     insertion stamps, in per-tenant heaps by region (one shared SC heap
-    under global) and slot counts, FifoHeaps.  Either gives the records of
+    under global) and slot counts.  Either gives the records of
     hybrid_insert on a SlotStore of the same replacement bit for bit.
 
     A lookup hit before any mutation counts as a hit; everything else is a
     miss.  A given trace holds (txn, tenant_id, item) triples, AccessEvents
-    or plain tuples, in increasing txn order; without one the scenario's
-    stream is generated chunk by chunk and read as plain tuples, with no
-    AccessEvent built.  Gaps are allowed: every activation change at or
-    before an event's txn is applied before its access, and a skipped txn is
-    not sampled.  One SampleRecord is emitted every sample_every transactions
-    from txn sample_from on, over the tenants active at that txn per
-    activation_timeline (the generator's account of arrivals and
-    departures).  Sampling only reads the run, so sample_from decides which
-    records are built, never their values.  Selfish or fair sharing follows
-    the policy name; donors are ranked again whenever a gap, a selfish
-    answer or the active set changes.  An event of a tenant the scenario
-    does not list, or of one that has not arrived yet, raises
-    UnknownTenantError under every policy; a departed tenant's events are
-    accepted.  The run is fully deterministic given the scenario (seed
-    included).
+    or plain tuples, in strictly increasing txn order (else ValueError),
+    each txn an int that int64 holds (else OverflowError); items may be
+    any hashable value.  Without one the scenario's stream is generated
+    chunk by chunk as arrays, with no AccessEvent built.  Gaps are
+    allowed: every activation change at or before an event's txn is
+    applied before its access, and a skipped txn is not sampled.  One SampleRecord is emitted
+    every sample_every transactions from txn sample_from on, over the
+    tenants active at that txn per activation_timeline (the generator's
+    account of arrivals and departures).  Sampling only reads the run, so
+    sample_from decides which records are built, never their values.
+    Selfish or fair sharing follows the policy name; donors are ranked
+    again whenever a gap, a selfish answer or the active set changes.  An
+    event of a tenant the scenario does not list, or of one that has not
+    arrived yet, raises UnknownTenantError under every policy once the
+    events before it are served; a departed tenant's events are accepted.
+    The run is fully deterministic given the scenario (seed included).
     """
     s.validate()
-    layout, policy = s.resolved_layout(), s.policy
-    # the insert is resolved once per run from the module globals, so that
-    # wrappers apply
-    if s.replacement == LRU:
-        engine, insert = RecencyLists, recency_insert
-    else:
-        engine, insert = FifoHeaps, fifo_insert
-    store = engine(layout, s.tenant_ids(), shared=policy == "global")
-    if trace is None:
-        trace = _triples(_chunks([t.workload for t in s.tenants], s.total_txns, s.seed))
-    return _drive(s, store, insert, trace, sample_from)
+    engine = RecencyLists if s.replacement == LRU else FifoHeaps
+    store = engine(s.resolved_layout(), s.tenant_ids(), shared=s.policy == "global")
+    return _drive(s, store, trace, sample_from)
 
 
-def _drive(s: Scenario, store, insert, trace: Iterable[tuple], sample_from: int) -> list:
-    """run_scenario's loop over a validated scenario s: insert(store, (tenant,
-    item), ranking) for each (txn, tenant, item) of trace, and the trackers
-    and samples around it.  Gaps, selfish answers, histories, the active set
-    and the donor ranking are one Donors account, told of each closed window
-    and each activation change; each arrival's tracker is built first, so the
-    account reads the arrival's rate from it.
+_NEVER = np.iinfo(np.int64).max  # the arrival txn of a tenant that never arrives
 
-    store is the cache state: RecencyLists or FifoHeaps in a run or an FCFS
-    probe, a SlotStore in the tests' reference runs, or anything
-    else whose owned(tenant) gives (dc_slots, sc_slots).  insert returns an
-    outcome of kind "hit" or another.  Without a donor ranking (global,
-    static) SC donors go by age.
+
+def _drive(s: Scenario, store, trace: Iterable[tuple] | None, sample_from: int) -> list:
+    """run_scenario's driver over a validated scenario s: the accesses of
+    trace (s's own stream when None) served by store, and the windows,
+    donor account and samples around them.
+
+    The accesses come from _accesses in chunks of at most _BATCH, and the
+    driver finds each chunk's stops before serving it (_stops): the
+    accesses that close a window, those whose txn is sampled, and the
+    activation changes applied before an access.  Between two stops the
+    donor ranking cannot change, so store.serve(events, ranking, hits)
+    takes all the accesses in between in one call and adds each tenant's
+    hits to hits; nothing is called per access here.  At each
+    stop, in this order: the closing tenant's HitRateTracker folds its
+    window's hits (close_window) and the donor account is told of the
+    close with the tenant's slots and smoothed rate; the sample is read;
+    each change is told to the account, each arrival's tracker built
+    first, so that the account reads the arrival's rate from it.  Gaps,
+    selfish answers, histories, the active set and the donor ranking are
+    that one Donors account.  Memory is the store's, the records' and one
+    chunk's, whatever the trace length.
+
+    store is the cache state: RecencyLists or FifoHeaps in a run or an
+    FCFS probe, or anything else with that serve and an owned(tenant)
+    that gives (dc_slots, sc_slots), as the tests' SlotStore reference
+    runs have.  Without a donor ranking (global, static) SC donors go by
+    age.
     """
     policy = s.policy
     reqs = {t.workload.tenant_id: t.requirement for t in s.tenants}
-    # a tenant's tracker is built when it arrives and kept after it departs,
-    # so an event of a tenant that has not arrived finds none
+    ids = sorted(reqs)
+    index = {k: c for c, k in enumerate(ids)}
+    # a tenant's tracker is built when it arrives and kept after it departs
     trackers: dict = {}
+    hits = dict.fromkeys(ids, 0)  # each tenant's hits in its open window
+    counts = [0] * len(ids)  # each tenant's accesses in its open window, by code
     donors = Donors({k: r.soft for k, r in reqs.items()}, s.strategy,
                     policy.endswith("selfish"), ranked=policy not in ("global", "static"))
     ranking, gaps = donors.ranking, donors.gaps
 
-    workloads = [t.workload for t in s.tenants]
     # the active set from each txn where it changes; an idle stretch's two
     # entries share a txn, and the later one wins
-    changes = {txn: set(ids) for txn, _, ids in activation_timeline(workloads, s.total_txns)}
+    timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
+    changes = {txn: set(now) for txn, _, now in timeline}
+    pending = sorted(changes)
+    arrivals = np.full(len(ids), _NEVER, dtype=np.int64)  # each code's first arrival txn
+    for txn in reversed(pending):
+        arrivals[[index[k] for k in changes[txn]]] = txn
 
     records: list[SampleRecord] = []
     kept: dict = {}  # tenant -> its last sample, shared by records while unchanged
-    sample_every = s.sample_every
-
-    def next_sample(t: int) -> int:
-        """The first sampled txn at or after t."""
-        t = max(t, sample_from)
-        return (t + sample_every) // sample_every * sample_every - 1
-
-    # the loop acts at two kinds of txn: activation changes, before an
-    # access, and a sample, after it.  due is the next txn to act at, so an
-    # event makes one comparison.  Every change at or before an event's txn
-    # is applied, so one the trace skips takes effect at the next event; a
-    # sample is taken only at a txn the trace holds, when the event after it
-    # arrives, or after the last event.
-    change_txns = sorted(changes) + [INF]
-    next_change = 0
-    taken = None  # the txn of a sample waiting for its access to finish
-    due = min(change_txns[0], next_sample(sample_from))
-
-    for txn, tenant, item in trace:
-        if txn >= due:
-            if taken is not None:
-                records.append(_sample(taken, store, trackers, reqs, gaps, donors.active, kept))
-                taken = None
-            while change_txns[next_change] <= txn:
-                now = changes[change_txns[next_change]]
+    window, every = s.window_length, s.sample_every
+    for txns, codes, events in _accesses(s, trace, index, arrivals):
+        stops, closes, samples, applied = _stops(txns, codes, counts, window, every,
+                                                 sample_from, pending)
+        events = iter(events)
+        start = 0
+        for stop in stops:
+            if stop >= start:
+                store.serve(islice(events, stop + 1 - start), ranking, hits)
+                start = stop + 1
+            if stop in closes:
+                k = ids[closes[stop][0]]
+                tracker = trackers[k]
+                tracker.close_window(hits[k])
+                hits[k] = 0
+                ranking = donors.closed(k, sum(store.owned(k)), tracker.hit_rate)
+            if stop in samples:
+                records.append(_sample(int(txns[stop]), store, trackers, reqs, gaps,
+                                       donors.active, kept))
+            for txn in applied[stop] if stop in applied else ():
+                now = changes[txn]
                 for k in now.difference(trackers):  # first arrivals
-                    trackers[k] = HitRateTracker(s.window_length, s.ewma_weight)
+                    trackers[k] = HitRateTracker(window, s.ewma_weight)
                 ranking = donors.change(now, lambda k: trackers[k].hit_rate)
-                next_change += 1
-            due = next_sample(txn)
-            if due == txn:
-                taken, due = txn, txn + 1
-            due = min(due, change_txns[next_change])
-
-        try:  # before the access: an all-SC store would serve any tenant
-            tracker = trackers[tenant]
-        except KeyError:
-            why = "has not arrived" if tenant in reqs else "is not in the scenario"
-            raise UnknownTenantError(f"tenant {tenant!r} at txn {txn} {why}") from None
-        outcome = insert(store, (tenant, item), ranking)
-        if tracker.record_access(outcome.kind == "hit") is not None:
-            ranking = donors.closed(tenant, sum(store.owned(tenant)), tracker.hit_rate)
-
-    if taken is not None:
-        records.append(_sample(taken, store, trackers, reqs, gaps, donors.active, kept))
     return records
+
+
+def _accesses(s: Scenario, trace: Iterable[tuple] | None, index: dict,
+              arrivals: np.ndarray) -> Iterator[tuple]:
+    """The accesses of a run, at most _BATCH at a time, as (txns, codes,
+    events): txns a range or an int64 array, codes each access's tenant's
+    index in the sorted ids (index), an intp array, and events an iterable
+    of the (txn, tenant_id, item) triples themselves.
+
+    Without a trace they are s's stream, read from _chunks' arrays and
+    zipped as plain ints.  A given trace is read in islices, its txns and
+    tenant codes each through np.fromiter: a txn that int64 cannot hold
+    raises OverflowError there, and txns that do not increase raise
+    ValueError.  An event of a tenant not in index, or before its first
+    arrival txn in arrivals (indexed by code), ends the chunk before it;
+    it raises UnknownTenantError at the next chunk asked for, so the
+    events before it are served first.
+    """
+    if trace is None:
+        for txns, active, local, items in _chunks([t.workload for t in s.tenants],
+                                                  s.total_txns, s.seed):
+            codes = np.array([index[k] for k in active], dtype=np.intp)[local]
+            yield txns, codes, _triples(txns, active, local, items)
+        return
+    events, last = iter(trace), None
+    while chunk := list(islice(events, _BATCH)):
+        n = len(chunk)
+        txns = np.fromiter(map(itemgetter(0), chunk), np.int64, n)
+        if (txns[1:] <= txns[:-1]).any() or last is not None and txns[0] <= last:
+            raise ValueError("the txns of a given trace must increase")
+        last = txns[-1]
+        codes = np.fromiter(map(index.get, map(itemgetter(1), chunk), repeat(-1)), np.intp, n)
+        since = arrivals[codes]
+        wrong = (codes < 0) | (since == _NEVER) | (txns < since)
+        at = wrong.argmax() if wrong.any() else n
+        yield txns[:at], codes[:at], chunk[:at]
+        if at < n:
+            txn, tenant = chunk[at][:2]
+            why = "is not in the scenario" if codes[at] < 0 else "has not arrived"
+            raise UnknownTenantError(f"tenant {tenant!r} at txn {txn} {why}")
+
+
+def _stops(txns, codes: np.ndarray, counts: list, window: int, every: int, sample_from: int,
+           pending: list, known: tuple | None = None) -> tuple:
+    """One chunk's stops, each the position in the chunk of the access it
+    follows: (every stop in order, closes, samples, changes).  The chunk's
+    last access is always a stop.
+
+    txns are the chunk's txns, increasing: a range when consecutive, else
+    an int64 array; codes[i] is access i's tenant code.  closes maps each
+    access that closes its tenant's window to (the code, the window's hits
+    per known, else 0).  counts[c] is tenant c's accesses in its open
+    window before the chunk, and is moved past the chunk in place.  known
+    is (distances, limits): an access hits iff its distance is below its
+    tenant's limit; it needs every count 0.  samples holds each
+    access whose txn is sampled: from sample_from on, every sample_every
+    txns, (txn + 1) % every == 0.  changes maps a position to the change
+    txns of pending that are applied after it (-1: before the chunk's first
+    access), each before the first access at or after its txn; they leave
+    pending.
+    """
+    n = len(codes)
+    if not n:
+        return [], {}, set(), {}
+    closes: dict = {}
+    for c, seen in enumerate(counts):
+        mine = np.flatnonzero(codes == c)
+        ends = mine[window - 1 - seen :: window]
+        counts[c] = (seen + len(mine)) % window
+        got = ([0] * len(ends) if known is None else
+               (known[0][mine[: len(ends) * window]] < known[1][c])
+               .reshape(-1, window).sum(1).tolist())
+        closes.update(zip(ends.tolist(), zip(repeat(c), got)))
+    if isinstance(txns, range):
+        first = max(txns.start, sample_from)
+        first += -(first + 1) % every  # the first sampled txn from there
+        samples = set(range(first - txns.start, n, every))
+    else:
+        samples = set(np.flatnonzero((txns % every == every - 1) & (txns >= sample_from)).tolist())
+    due = bisect_right(pending, txns[-1])
+    changes: dict = {}
+    for txn in pending[:due]:
+        changes.setdefault(bisect_left(txns, txn) - 1, []).append(txn)
+    del pending[:due]
+    return sorted(closes.keys() | samples | changes.keys() | {n - 1}), closes, samples, changes
 
 
 def _sample(txn, store, trackers, reqs, gaps, active, kept=None) -> SampleRecord:
@@ -768,7 +848,7 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
 
     Under the other policies tenant k's resident items are always the n_k =
     dc_k + sc_k most recent distinct items of its substream, and every
-    victim is its owner's least recent item (see recency_insert).  So slot
+    victim is its owner's least recent item (see RecencyLists.serve).  So slot
     counts alone decide each access, in hybrid_insert's order, and the loop
     counts them: a hit iff its tenant distance is below n_k; else a free DC
     slot (dc_k + 1); else a free SC slot (sc_k + 1); else, with no SC, the
@@ -780,12 +860,14 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
     One loop does run_scenario's accounting around those accesses.  The
     donor ranking changes only after the access that closes a window and
     before the access at an activation_timeline change, and samples are
-    read after the access at their txn.  All three kinds of txn are known
-    before the loop from the trace's tenant codes, so the accesses between
-    two of them run with no check, and only under a ranked policy.  At each,
-    in run_scenario's order: the closing tenant's window rate is folded
-    into its EWMA with ewma_update, as HitRateTracker does, and under a
-    ranked policy the donor account, a Donors over tenant codes as
+    read after the access at their txn.  All three kinds of stop are known
+    before the loop from the trace's tenant codes, found by _stops as
+    run_scenario's driver finds a chunk's (here the one chunk is the whole
+    held trace), so the accesses between two of them run with no check,
+    and only under a ranked policy.  At each, in run_scenario's order:
+    the closing tenant's window rate is folded into its EWMA with
+    ewma_update, as HitRateTracker does, and under a ranked policy the
+    donor account, a Donors over tenant codes as
     run_scenario keeps one over tenant ids, is told of the close with the
     tenant's slots and EWMA; a sample yields the EWMA (0.0 before a first
     window) of each active tenant in id order; a change is told to the
@@ -810,32 +892,23 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
     take = DonorCursor(sc).take
     sc_size = sc_free = layout.sc_size
 
-    # the accesses after which something happens: a window closes, a sample
-    # is read, or the active set changes before the next access (after
-    # access -1 for txn 0; an idle stretch's two entries share a txn, and
-    # the later one wins)
-    timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
-    change_after = {txn - 1: {index[k] for k in now} for txn, _, now in timeline if txn < n}
     # under global and static an access hits iff its distance is below its
     # tenant's limit, so each window's hits are known before the loop; a
     # ranked policy's loop counts its own
-    if s.policy == "global":
-        known, limits = global_d, [s.capacity] * m
-    else:
-        known, limits = tenant_d, dc_free
-    closes: dict = {}  # closing access -> (its tenant code, its window's known hits)
-    for c in range(m):
-        mine = np.flatnonzero(codes == c)
-        ends = mine[window - 1 :: window]
-        got = ([0] * len(ends) if ranked else
-               (known[mine[: len(ends) * window]] < limits[c]).reshape(-1, window).sum(1).tolist())
-        closes.update(zip(ends.tolist(), zip(repeat(c), got)))
-    samples = set(range((sample_from + every) // every * every - 1, n, every))
+    known = (None if ranked else
+             (global_d, [s.capacity] * m) if s.policy == "global" else (tenant_d, dc_free))
+    # the stops of the one chunk, the whole held trace, whose txns are its
+    # positions; an idle stretch's two timeline entries share a txn, and
+    # the later one wins
+    timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
+    changes = {txn: {index[k] for k in now} for txn, _, now in timeline}
+    stops, closes, samples, applied = _stops(range(n), codes, [0] * m, window, every,
+                                             sample_from, sorted(changes), known)
 
     ranking = donors.ranking
     active: list = []  # the active tenant codes, in id order
     start = 0
-    for stop in sorted(closes.keys() | samples | change_after.keys() | {n - 1}):
+    for stop in stops:
         if ranked:
             for c, d in zip(codes[start : stop + 1].tolist(), tenant_d[start : stop + 1].tolist()):
                 h = held[c]
@@ -863,8 +936,8 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
         if stop in samples:
             for k in active:
                 yield ids[k], ewma[k] or 0.0  # 0.0 before a first window
-        if stop in change_after:
-            ranking = donors.change(change_after[stop], lambda c: ewma[c] or 0.0)
+        for txn in applied[stop] if stop in applied else ():
+            ranking = donors.change(changes[txn], lambda c: ewma[c] or 0.0)
             active = sorted(donors.active)
 
 

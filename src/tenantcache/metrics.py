@@ -73,7 +73,14 @@ class HitRateTracker:
             self.window_hits += 1
         if self.window_accesses < self.window_length:
             return None
-        rate = _window_rate(self.window_hits, self.window_length)
+        return self.close_window(self.window_hits)
+
+    def close_window(self, hits: int) -> float:
+        """Close a full window of hits hits: fold its rate into the EWMA
+        estimate, reset the counters and return the rate.  A driver that
+        counts each window's accesses and hits itself calls it once per
+        window, in place of record_access once per access."""
+        rate = _window_rate(hits, self.window_length)
         self.ewma = ewma_update(self.ewma, rate, self.ewma_weight)
         self.last_window_rate = rate
         self.window_hits = 0

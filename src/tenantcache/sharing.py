@@ -21,17 +21,20 @@ make no walk per SC replacement: each takes SC slots through a
 DonorCursor, which keeps pick_donor's answer for the current ranking,
 placed by one walk per ranking and moved as SC counts step between 0 and 1.
 
-No run keeps slots.  Under LRU a tenant's resident items are always its
-most recent distinct ones (the stack property), so recency_insert is
-hybrid_insert under LRU on per-tenant recency lists (RecencyLists); an
-LRU capacity probe goes further and decides each access from its stack
-distance alone, against the capacity or its DC size under global and
-static and against its tenant's slot counts otherwise, in one loop
-(harness._counted_rates).  FCFS is not a stack algorithm, so fifo_insert
-is hybrid_insert under FCFS on insertion stamps, in per-tenant min-heaps
-by region (FifoHeaps).  hybrid_insert on a SlotStore is the reference
-model all of them are held to; it favours plain steps over speed and builds
-a plain InsertOutcome for each access.
+No run keeps slots.  The run driver hands each engine the accesses
+between two of its stops (window closes, samples, activation changes) in
+one serve call, which adds each tenant's hits.  Under LRU a tenant's
+resident items are always its most recent distinct ones (the stack
+property), so RecencyLists.serve is hybrid_insert under LRU, its cases
+inline, on per-tenant recency lists; an LRU capacity probe goes further
+and decides each access from its stack distance alone, against the
+capacity or its DC size under global and static and against its tenant's
+slot counts otherwise, in one loop (harness._counted_rates).  FCFS is not a
+stack algorithm, so FifoHeaps.serve calls fifo_insert, hybrid_insert under
+FCFS on insertion stamps in per-tenant min-heaps by region, once per
+access.  hybrid_insert on a SlotStore is the reference model all of them
+are held to; it favours plain steps over speed and builds a plain
+InsertOutcome for each access.
 """
 from __future__ import annotations
 
@@ -377,8 +380,8 @@ class SlotCounts:
     slots, and a DonorCursor over the SC counts: what RecencyLists and
     FifoHeaps keep of a store besides its keys.
 
-    owned reads as SlotStore's does.  It serves only the tenants it is
-    built for.
+    owned reads as SlotStore's does, and is what the run driver reads of an
+    engine besides its serve.  It serves only the tenants it is built for.
     """
 
     __slots__ = ("dc_sizes", "dc_count", "sc_count", "sc_size", "sc_free", "cursor")
@@ -402,7 +405,7 @@ _COUNTED_REPLACED = InsertOutcome("replaced")
 
 class RecencyLists(SlotCounts):
     """SlotCounts plus the resident keys in recency order, least recent
-    first: all that recency_insert keeps of an LRU store.
+    first: all that an LRU store's run keeps (see serve).
 
     lists maps each tenant to a collections.OrderedDict of its resident
     items; with shared (global caching) every tenant maps to one
@@ -418,59 +421,54 @@ class RecencyLists(SlotCounts):
         self.lists = {k: one if shared else OrderedDict() for k in self.dc_sizes}
         self.shared = shared
 
+    def serve(self, events: Iterable[tuple], ranking: DonorRanking | None, hits: dict) -> None:
+        """hybrid_insert on an LRU store for each (txn, tenant, item) of
+        events, in order, on recency lists in place of slots, adding one to
+        hits[tenant] for each hit.  ranking holds for every access.
 
-def recency_insert(
-    lists: RecencyLists, key: tuple, ranking: DonorRanking | None = None
-) -> InsertOutcome:
-    """hybrid_insert on an LRU store, on recency lists in place of slots.
-
-    Under LRU a hit or an insert puts its key on top of its own tenant's
-    stack and every eviction takes its owner's least recent item, so a
-    tenant's resident items are its dc_k + sc_k most recent distinct ones.
-    In a hybrid layout the DC fills first and is never freed, and a
-    promotion moves the DC's oldest item out to SC, newer than every SC item
-    of the tenant, so a donor's SC victim is its least recent item too.
-    Each case of hybrid_insert is then a list step, in its order: a hit iff
-    the item is in its tenant's list (the key, in a shared list), moved to
-    the newest end; else it is appended
-    after taking a free DC slot, else a free SC slot; else, with no SC, the
-    tenant's own least recent item goes; else a donor's least recent item
-    goes and its SC slot passes to the tenant.  With a ranking the donor is
-    pick_donor's, which the lists' DonorCursor keeps and takes the slot
-    from; else (global caching) it is the owner of the shared list's least
-    recent key.  The outcome's kind is hybrid_insert's; it
-    names no region or victim.  The caller checks the tenant: one the lists
-    are not built for raises KeyError.
-    """
-    tenant, item = key
-    mine = lists.lists[tenant]
-    if lists.shared:
-        item = key
-    if item in mine:
-        mine.move_to_end(item)
-        return _COUNTED_HIT
-    dc = lists.dc_count[tenant]
-    if dc < lists.dc_sizes[tenant]:
-        lists.dc_count[tenant] = dc + 1
-        mine[item] = None
-        return _COUNTED_INSERTED
-    if lists.sc_free:
-        lists.sc_free -= 1
-        lists.sc_count[tenant] += 1
-        mine[item] = None
-        return _COUNTED_INSERTED
-    if not lists.sc_size:
-        mine.popitem(last=False)
-    else:
-        if ranking is None:
-            donor = mine.popitem(last=False)[0][0]
-            lists.sc_count[donor] -= 1
-            lists.sc_count[tenant] += 1
-        else:
-            donor = lists.cursor.take(ranking, tenant)
-            lists.lists[donor].popitem(last=False)
-    mine[item] = None
-    return _COUNTED_REPLACED
+        Under LRU a hit or an insert puts its key on top of its own tenant's
+        stack and every eviction takes its owner's least recent item, so a
+        tenant's resident items are its dc_k + sc_k most recent distinct
+        ones.  In a hybrid layout the DC fills first and is never freed, and
+        a promotion moves the DC's oldest item out to SC, newer than every SC
+        item of the tenant, so a donor's SC victim is its least recent item
+        too.  Each case of hybrid_insert is then a list step, in its order:
+        a hit iff the item is in its tenant's list (the key, in a shared
+        list), moved to the newest end; else it is appended after taking a
+        free DC slot, else a free SC slot; else, with no SC, the tenant's
+        own least recent item goes; else a donor's least recent item goes
+        and its SC slot passes to the tenant.  With a ranking the donor is
+        pick_donor's, which the lists' DonorCursor keeps and takes the slot
+        from; else (global caching) it is the owner of the shared list's
+        least recent key.  The caller checks the tenants: one the lists are
+        not built for raises KeyError.
+        """
+        lists, shared, dc_count, dc_sizes = self.lists, self.shared, self.dc_count, self.dc_sizes
+        sc_count, sc_size, sc_free = self.sc_count, self.sc_size, self.sc_free
+        for _, tenant, item in events:
+            mine = lists[tenant]
+            if shared:
+                item = (tenant, item)
+            if item in mine:
+                mine.move_to_end(item)
+                hits[tenant] += 1
+                continue
+            dc = dc_count[tenant]
+            if dc < dc_sizes[tenant]:
+                dc_count[tenant] = dc + 1
+            elif sc_free:
+                sc_free -= 1
+                sc_count[tenant] += 1
+            elif not sc_size:
+                mine.popitem(last=False)
+            elif ranking is None:
+                donor = mine.popitem(last=False)[0][0]
+                sc_count[donor] -= 1
+                sc_count[tenant] += 1
+            else:
+                lists[self.cursor.take(ranking, tenant)].popitem(last=False)
+            mine[item] = None
+        self.sc_free = sc_free
 
 
 class FifoHeaps(SlotCounts):
@@ -532,6 +530,14 @@ class FifoHeaps(SlotCounts):
             self.room += 1
         self.room += 1
         return heappop(heap)
+
+    def serve(self, events: Iterable[tuple], ranking: DonorRanking | None, hits: dict) -> None:
+        """fifo_insert for each (txn, tenant, item) of events, in order,
+        adding one to hits[tenant] for each hit.  ranking holds for every
+        access."""
+        for _, tenant, item in events:
+            if fifo_insert(self, (tenant, item), ranking) is _COUNTED_HIT:
+                hits[tenant] += 1
 
 
 def fifo_insert(heaps: FifoHeaps, key: tuple, ranking: DonorRanking | None = None) -> InsertOutcome:

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, starmap
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ MAX_UNIVERSE = 2**24
 # weights, bounded by the sum over all tenants, must stay below this
 MAX_WEIGHT_SUM = 2**63
 
-# most txns built in one chunk of generate_stream
+# most txns in one chunk: of generate_stream, and of a run's driver (harness._drive)
 _BATCH = 8192
 
 
@@ -179,19 +179,17 @@ def generate_stream(
     lazy, and a shorter stream of the same workloads and seed is a prefix of
     a longer one.  The arguments are checked at the first next().
     """
-    return map(_event, _triples(_chunks(workloads, total_txns, seed)))
+    return map(_event, chain.from_iterable(starmap(_triples, _chunks(workloads, total_txns, seed))))
 
 
 # an AccessEvent from a (txn, tenant_id, item) tuple, built without a Python frame
 _event = partial(tuple.__new__, AccessEvent)
 
 
-def _triples(chunks: Iterable[tuple]) -> Iterator[tuple[int, object, int]]:
-    """The (txn, tenant_id, item) tuples of _chunks' chunks, in order."""
-    return chain.from_iterable(
-        zip(txns, np.array(active, dtype=object)[codes].tolist(), items.tolist())
-        for txns, active, codes, items in chunks
-    )
+def _triples(txns: range, active: tuple, codes: np.ndarray, items: np.ndarray) -> Iterator[tuple]:
+    """The (txn, tenant_id, item) tuples of one of _chunks' chunks, plain
+    ints and the workloads' tenant id objects."""
+    return zip(txns, np.array(active, dtype=object)[codes].tolist(), items.tolist())
 
 
 def _stream_length(workloads: Iterable[TenantWorkload], total_txns: int) -> int:

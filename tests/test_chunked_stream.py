@@ -205,13 +205,23 @@ def test_chunked_stream_equals_per_event_stream(specs, length, seed):
     expected = list(generate_stream(ws, length, seed))
     assert list(workload.generate_stream(ws, length, seed)) == expected
 
-    # the stream run_scenario generates for itself, caught on its way to the loop
+    # the stream run_scenario generates for itself, caught at the driver's
+    # chunk source, as plain ints
     scenario = Scenario(capacity=1, policy="global", tenants=[TenantSpec(w) for w in ws],
                         total_txns=length, seed=seed)
-    with mock.patch.object(harness, "_drive", lambda s, store, insert, trace, _: list(trace)):
-        triples = run_scenario(scenario)
+    triples = []
+
+    def caught(*args):
+        for txns, codes, events in real(*args):
+            events = list(events)
+            triples.extend(events)
+            yield txns, codes, events
+
+    real = harness._accesses
+    with mock.patch.object(harness, "_accesses", caught):
+        run_scenario(scenario)
     assert triples == expected
-    assert {type(t) for t in triples} <= {tuple}
+    assert {type(v) for t in triples for v in t} <= {int}
 
     # a held trace: its tuples, and the tenant codes its stack distances read
     cache = ProbeCache()

@@ -2,15 +2,16 @@
 
 Under LRU a tenant's resident items are always its most recent distinct
 ones, and every victim is its owner's least recent item.  So run_scenario
-runs LRU scenarios on per-tenant recency lists (recency_insert over
-RecencyLists), and ProbeCache.probe serves an LRU max-min or hybrid probe
-with one loop over per-tenant stack distances that keeps slot counts alone
-(_counted_rates).  FCFS scenarios run on insertion stamps (fifo_insert over
-FifoHeaps).  Each must give the driver's results over a SlotStore of the
-same replacement and hybrid_insert, the reference model: the same records
-(the same EWMA at each sample, for the loop), or the same error class.  The
-unit tests hold the loop to each case of hybrid_insert's case list, one
-hand-built distance trace per case.
+runs LRU scenarios on per-tenant recency lists (RecencyLists.serve, a
+segment of accesses per call), and ProbeCache.probe serves an LRU max-min
+or hybrid probe with one loop over per-tenant stack distances that keeps
+slot counts alone (_counted_rates).  FCFS scenarios run on insertion stamps
+(FifoHeaps.serve, through fifo_insert).  Each must give the results of the
+same driver over a SlotStore of the same replacement, served by
+hybrid_insert once per access (StoreRun), the reference model: the same
+records (the same EWMA at each sample, for the loop), or the same error
+class.  The unit tests hold the loop to each case of hybrid_insert's case
+list, one hand-built distance trace per case.
 """
 from __future__ import annotations
 
@@ -43,11 +44,26 @@ from tenantcache.workload import TenantWorkload, WorkloadPhase
 RANKED = ("maxmin_fair", "maxmin_selfish", "hybrid_fair", "hybrid_selfish")
 
 
+class StoreRun:
+    """A SlotStore of a replacement, served as the driver serves an engine:
+    hybrid_insert once per access."""
+
+    def __init__(self, layout: RegionLayout, replacement: str):
+        self.store = SlotStore(layout, replacement)
+
+    def serve(self, events, ranking, hits: dict) -> None:
+        for _, tenant, item in events:
+            if hybrid_insert(self.store, (tenant, item), ranking).kind == "hit":
+                hits[tenant] += 1
+
+    def owned(self, tenant) -> tuple:
+        return self.store.owned(tenant)
+
+
 def reference(s: Scenario, trace, sample_from: int) -> list:
     """The driver's records over a SlotStore of s's replacement and hybrid_insert."""
     s.validate()
-    store = SlotStore(s.resolved_layout(), s.replacement)
-    return _drive(s, store, hybrid_insert, trace, sample_from)
+    return _drive(s, StoreRun(s.resolved_layout(), s.replacement), trace, sample_from)
 
 
 def held_trace(s: Scenario, cache: ProbeCache | None = None) -> list:

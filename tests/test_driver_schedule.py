@@ -12,9 +12,11 @@ at or before an event's txn, and such traces are checked on their own.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Iterable
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from tenantcache.cache_core import RegionLayout, SlotStore
@@ -26,6 +28,7 @@ from tenantcache.workload import (
     TenantWorkload,
     WorkloadPhase,
     activation_timeline,
+    _BATCH,
     generate_stream,
 )
 
@@ -271,3 +274,68 @@ def test_skipped_activation_changes_take_effect(
         if ev[0] not in changes and gaps[ev[0] % len(gaps)]
     ]
     check_skipped_changes_take_effect(s, events, sample_from)
+
+
+# -- across chunks -------------------------------------------------------------
+
+# the driver reads a trace _BATCH events at a time; these traces cross chunk
+# boundaries, where the stops of one chunk must carry into the next
+AFTER = [True] * _BATCH + [False] * 108 + [True] * _BATCH  # txns 8192-8299 dropped
+
+
+@pytest.mark.parametrize("replacement", ["lru", "fcfs"])
+@settings(phases=[Phase.explicit], deadline=None)
+@given(
+    policy=st.sampled_from(POLICIES),
+    activity=st.lists(spans, min_size=1, max_size=3),
+    total_txns=st.integers(100, 700),
+    sample_every=st.integers(1, 50),
+    sample_from=st.sampled_from(("grid", "off", "past")) | st.integers(0, 300),
+    gaps=st.none() | st.lists(st.booleans(), min_size=1, max_size=40),
+    seed=st.integers(0, 3),
+)
+# windows of 17 accesses straddle each boundary, and txn 8191, a chunk's
+# last access, is sampled
+@example("hybrid_selfish", [(0, None), (0, None), (0, None)], 20_000, 64, 0, None, 0)
+# an arrival at a chunk's first txn, sampled from there on
+@example("hybrid_fair", [(0, None), (_BATCH, None)], 20_000, 128, _BATCH, None, 1)
+# an idle stretch (two timeline entries at txn 8000) just before a boundary,
+# and a departure inside the third chunk
+@example("maxmin_fair", [(0, 8_000), (8_500, None), (0, 17_500)], 20_000, 100, "grid", None, 2)
+# a departure and an early end, sampled off the grid
+@example("maxmin_selfish", [(0, 12_000), (3_000, 15_000)], 20_000, 333, "off", None, 3)
+# a gapped trace: txns 8192-8299 are dropped, so the arrival at 8200 is
+# skipped and applies before the next chunk's first access, at txn 8300
+@example("global", [(0, None), (8_200, None)], 20_000, 50, 0, AFTER, 0)
+@example("static", [(0, None), (8_200, None)], 20_000, 50, 0, AFTER, 1)
+def test_schedule_matches_the_per_event_loop_across_chunks(
+    replacement, policy, activity, total_txns, sample_every, sample_from, gaps, seed
+):
+    s = replace(scenario(policy, activity, total_txns, sample_every, seed), replacement=replacement)
+    sample_from = sample_start(sample_from, sample_every, total_txns)
+    workloads = [t.workload for t in s.tenants]
+    events = [tuple(ev) for ev in generate_stream(workloads, total_txns, seed)]
+    if gaps is not None:
+        events = [ev for ev in events if gaps[ev[0] % len(gaps)]]
+    if skipped_changes(s, events):
+        check_skipped_changes_take_effect(s, events, sample_from)
+        return
+    expected = outcome(reference_run_scenario, s, iter(events), sample_from)
+    assert outcome(run_scenario, s, iter(events), sample_from) == expected
+    if gaps is None:
+        assert outcome(run_scenario, s, None, sample_from) == expected
+
+
+@pytest.mark.parametrize("replacement", ["lru", "fcfs"])
+def test_items_past_int64_keep_keys_of_their_own(replacement):
+    """Under global every key is a (tenant, item) pair in one shared cache,
+    so an item that int64 cannot hold, one that wraps to another's value,
+    and another tenant's same item are each a key of their own: in one
+    slot, every access of this trace misses."""
+    s = replace(scenario("global", [(0, None), (0, None)], 600, 10, 0),
+                capacity=1, replacement=replacement)
+    items = (1, 1 + 2**64)  # equal in 64 bits
+    events = [(txn, 1 if txn % 3 else 2, items[txn % 2]) for txn in range(600)]
+    expected = reference_run_scenario(s, iter(events))
+    assert run_scenario(s, trace=iter(events)) == expected
+    assert {t.ewma_hit_rate for r in expected for t in r.tenants.values()} == {0.0}

@@ -425,27 +425,36 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("policy", ["global", "maxmin_fair", "static", "hybrid_fair"])
     def test_insert_looked_up_on_module_at_run_start(self, monkeypatch, policy):
-        """Each engine calls the insert it finds on the harness module at run
-        start: the recency-list insert under LRU, the insertion-stamp insert
-        under FCFS, and never the store's algorithm under any name."""
+        """No run calls the store's algorithm under any of its names on the
+        harness module: the engine of the replacement, recency lists under
+        LRU and insertion stamps under FCFS, serves every access, total_txns
+        in all, a segment per call."""
         import tenantcache.harness as harness
+        from tenantcache.sharing import FifoHeaps, RecencyLists
 
-        names = ("recency_insert", "fifo_insert", "global_insert", "static_insert",
-                 "maxmin_insert", "hybrid_insert")
         calls = {}
-        for name in names:
+        for name in ("global_insert", "static_insert", "maxmin_insert", "hybrid_insert"):
             def counting(*args, name=name, real=getattr(harness, name)):
                 calls[name] = calls.get(name, 0) + 1
                 return real(*args)
 
             monkeypatch.setattr(harness, name, counting)
+        served = {}
+        for engine in (RecencyLists, FifoHeaps):
+            def serving(store, events, *args, engine=engine, real=engine.serve):
+                events = list(events)
+                served[engine] = served.get(engine, 0) + len(events)
+                return real(store, events, *args)
+
+            monkeypatch.setattr(engine, "serve", serving)
         hybrid = RegionLayout(dc_sizes={1: 8, 2: 8}, sc_size=48)
-        for replacement, name in (("lru", "recency_insert"), ("fcfs", "fifo_insert")):
-            calls.clear()
+        for replacement, engine in (("lru", RecencyLists), ("fcfs", FifoHeaps)):
+            served.clear()
             layout = derive_layout(policy, 64, [1, 2], hybrid)
             s = small_scenario(policy=policy, layout=layout, replacement=replacement)
             run_scenario(s)
-            assert calls == {name: s.total_txns}
+            assert calls == {}
+            assert served == {engine: s.total_txns}
 
 
 class TestActivation:
