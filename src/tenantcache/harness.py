@@ -457,7 +457,8 @@ def _drive(s: Scenario, store, trace: Iterable[tuple] | None, sample_from: int) 
     kept: dict = {}  # tenant -> its last sample, shared by records while unchanged
     window, every = s.window_length, s.sample_every
     for txns, codes, events in _accesses(s, trace, index, arrivals):
-        stops, closes, samples, applied = _stops(txns, codes, counts, window, every,
+        mine = [np.flatnonzero(codes == c) for c in range(len(ids))]
+        stops, closes, samples, applied = _stops(txns, mine, counts, window, every,
                                                  sample_from, pending)
         events = iter(events)
         start = 0
@@ -466,7 +467,7 @@ def _drive(s: Scenario, store, trace: Iterable[tuple] | None, sample_from: int) 
                 store.serve(islice(events, stop + 1 - start), ranking, hits)
                 start = stop + 1
             if stop in closes:
-                k = ids[closes[stop][0]]
+                k = ids[closes[stop]]
                 tracker = trackers[k]
                 tracker.close_window(hits[k])
                 hits[k] = 0
@@ -522,37 +523,30 @@ def _accesses(s: Scenario, trace: Iterable[tuple] | None, index: dict,
             raise UnknownTenantError(f"tenant {tenant!r} at txn {txn} {why}")
 
 
-def _stops(txns, codes: np.ndarray, counts: list, window: int, every: int, sample_from: int,
-           pending: list, known: tuple | None = None) -> tuple:
+def _stops(txns, mine: list, counts: list, window: int, every: int, sample_from: int,
+           pending: list) -> tuple:
     """One chunk's stops, each the position in the chunk of the access it
     follows: (every stop in order, closes, samples, changes).  The chunk's
     last access is always a stop.
 
     txns are the chunk's txns, increasing: a range when consecutive, else
-    an int64 array; codes[i] is access i's tenant code.  closes maps each
-    access that closes its tenant's window to (the code, the window's hits
-    per known, else 0).  counts[c] is tenant c's accesses in its open
-    window before the chunk, and is moved past the chunk in place.  known
-    is (distances, limits): an access hits iff its distance is below its
-    tenant's limit; it needs every count 0.  samples holds each
-    access whose txn is sampled: from sample_from on, every sample_every
-    txns, (txn + 1) % every == 0.  changes maps a position to the change
-    txns of pending that are applied after it (-1: before the chunk's first
-    access), each before the first access at or after its txn; they leave
-    pending.
+    an int64 array; mine[c] holds the positions of tenant c's accesses, in
+    order.  closes maps each access that closes its tenant's window to the
+    tenant's code.  counts[c] is tenant c's accesses in its open window
+    before the chunk, and is moved past the chunk in place.  samples holds
+    each access whose txn is sampled: from sample_from on, every
+    sample_every txns, (txn + 1) % every == 0.  changes maps a position to
+    the change txns of pending that are applied after it (-1: before the
+    chunk's first access), each before the first access at or after its
+    txn; they leave pending.
     """
-    n = len(codes)
+    n = len(txns)
     if not n:
         return [], {}, set(), {}
     closes: dict = {}
-    for c, seen in enumerate(counts):
-        mine = np.flatnonzero(codes == c)
-        ends = mine[window - 1 - seen :: window]
-        counts[c] = (seen + len(mine)) % window
-        got = ([0] * len(ends) if known is None else
-               (known[0][mine[: len(ends) * window]] < known[1][c])
-               .reshape(-1, window).sum(1).tolist())
-        closes.update(zip(ends.tolist(), zip(repeat(c), got)))
+    for c, (seen, at) in enumerate(zip(counts, mine)):
+        counts[c] = (seen + len(at)) % window
+        closes.update(zip(at[window - 1 - seen :: window].tolist(), repeat(c)))
     if isinstance(txns, range):
         first = max(txns.start, sample_from)
         first += -(first + 1) % every  # the first sampled txn from there
@@ -893,24 +887,31 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
     sc_size = sc_free = layout.sc_size
 
     # under global and static an access hits iff its distance is below its
-    # tenant's limit, so each window's hits are known before the loop; a
-    # ranked policy's loop counts its own
-    known = (None if ranked else
-             (global_d, [s.capacity] * m) if s.policy == "global" else (tenant_d, dc_free))
+    # tenant's limit, so each window's hits are known before the loop, in
+    # the order of its tenant's closes; a ranked policy's loop counts its own
+    mine = [np.flatnonzero(codes == c) for c in range(m)]
+    known = [repeat(0)] * m
+    if not ranked:
+        dist, limits = ((global_d, [s.capacity] * m) if s.policy == "global" else
+                        (tenant_d, dc_free))
+        for c, (at, limit) in enumerate(zip(mine, limits)):
+            at = at[: len(at) - len(at) % window]
+            known[c] = iter((dist[at] < limit).reshape(-1, window).sum(1).tolist())
     # the stops of the one chunk, the whole held trace, whose txns are its
     # positions; an idle stretch's two timeline entries share a txn, and
     # the later one wins
     timeline = activation_timeline([t.workload for t in s.tenants], s.total_txns)
     changes = {txn: {index[k] for k in now} for txn, _, now in timeline}
-    stops, closes, samples, applied = _stops(range(n), codes, [0] * m, window, every,
-                                             sample_from, sorted(changes), known)
+    stops, closes, samples, applied = _stops(range(n), mine, [0] * m, window, every,
+                                             sample_from, sorted(changes))
 
     ranking = donors.ranking
     active: list = []  # the active tenant codes, in id order
+    accesses = zip(codes.tolist(), tenant_d[:n].tolist()) if ranked else None
     start = 0
     for stop in stops:
         if ranked:
-            for c, d in zip(codes[start : stop + 1].tolist(), tenant_d[start : stop + 1].tolist()):
+            for c, d in islice(accesses, stop + 1 - start):
                 h = held[c]
                 if d < h:
                     hits[c] += 1
@@ -928,8 +929,8 @@ def _counted_rates(s: Scenario, distances: tuple, sample_from: int) -> Iterator[
                         held[c] = h + 1
             start = stop + 1
         if stop in closes:
-            c, got = closes[stop]
-            ewma[c] = ewma_update(ewma[c], (hits[c] + got) / window, weight)
+            c = closes[stop]
+            ewma[c] = ewma_update(ewma[c], (hits[c] + next(known[c])) / window, weight)
             hits[c] = 0
             if ranked:
                 ranking = donors.closed(c, held[c], ewma[c])

@@ -271,7 +271,7 @@ def hybrid_insert(
     the tenants it lists; an all-SC layout serves any tenant.  The key is
     read once, by store.lookup, whose LRU restamp an SC hit's swap keeps.
     Every case is a sequence of the store's primitive steps: this is the
-    reference model that recency_insert and fifo_insert are held to.
+    reference model that RecencyLists.serve and fifo_insert are held to.
     """
     tenant = key[0]
     dcr = store.dc_regions.get(tenant)

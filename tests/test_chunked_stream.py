@@ -221,6 +221,7 @@ def test_chunked_stream_equals_per_event_stream(specs, length, seed):
     with mock.patch.object(harness, "_accesses", caught):
         run_scenario(scenario)
     assert triples == expected
+    assert {type(t) for t in triples} <= {tuple}
     assert {type(v) for t in triples for v in t} <= {int}
 
     # a held trace: its tuples, and the tenant codes its stack distances read
