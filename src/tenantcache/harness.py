@@ -952,6 +952,9 @@ def _mean(rates: Sequence[float]) -> float:
 
 MIN_PROBE_TXNS = 40_000  # the shortest probe, in txns
 PROBE_TXNS_PER_SLOT = 4  # a probe's txns per slot of capacity, above the shortest
+# most txns a capacity search holds per seed (12 bytes each, 192 MiB), so that
+# an upper past it is refused before anything is held
+MAX_HELD_TXNS = 2**24
 
 
 def probe_txns(capacity: int, min_txns: int, txns_per_slot: int) -> int:
@@ -1043,7 +1046,8 @@ def min_slots_for_target(
     finds the answer.  Every probe goes through meets_target with one
     ProbeCache, the given one or one private to this search.  Before the
     first probe the cache holds each seed's trace at the length of the upper
-    probe, the longest, so that no probe's trace is generated twice.
+    probe, the longest, so that no probe's trace is generated twice; an
+    upper whose probe is longer than MAX_HELD_TXNS is refused first.
     """
     if not 0.0 <= target < 1.0:
         raise ConfigurationError("target", "must be in [0, 1)")
@@ -1058,11 +1062,16 @@ def min_slots_for_target(
     seeds = [seed + i for i in range(trials)]
     lower = max(resolution, (lower // resolution) * resolution)
     upper = ((upper + resolution - 1) // resolution) * resolution
+    held = probe_txns(upper, min_txns, txns_per_slot)
+    if held > MAX_HELD_TXNS:
+        raise ConfigurationError(
+            "upper", f"{upper} slots would hold {held} txns per seed, above {MAX_HELD_TXNS}"
+        )
     if cache is None:
         cache = ProbeCache()
     workloads = [t.workload for t in tenants]
     for each in seeds:
-        cache.hold(workloads, probe_txns(upper, min_txns, txns_per_slot), each)
+        cache.hold(workloads, held, each)
 
     def ok(capacity: int) -> bool:
         return meets_target(

@@ -20,6 +20,9 @@ the ranking, told of those two events by both the run driver
 make no walk per SC replacement: each takes SC slots through a
 DonorCursor, which keeps pick_donor's answer for the current ranking,
 placed by one walk per ranking and moved as SC counts step between 0 and 1.
+A take that names the requester itself moves nothing, so within one
+RecencyLists.serve call (one ranking) its answer stands until some take
+moves a slot, and serve does not ask the cursor again until then.
 
 No run keeps slots.  The run driver hands each engine the accesses
 between two of its stops (window closes, samples, activation changes) in
@@ -323,7 +326,9 @@ class DonorCursor:
     0 -> 1 step moves a position back to its tenant, and its 1 -> 0 step of
     the tenant at a position walks that position on, so the walks of one
     ranking sum to its length.  A tenant the ranking does not list never
-    donates.
+    donates.  A take that answers the requester itself changes no count and
+    no position, so under the same ranking that answer stands for that
+    requester until a take moves a slot: RecencyLists.serve relies on it.
     """
 
     __slots__ = ("counts", "ranking", "order", "rank", "volunteers", "first", "vol")
@@ -440,11 +445,18 @@ class RecencyLists(SlotCounts):
         and its SC slot passes to the tenant.  With a ranking the donor is
         pick_donor's, which the lists' DonorCursor keeps and takes the slot
         from; else (global caching) it is the owner of the shared list's
-        least recent key.  The caller checks the tenants: one the lists are
-        not built for raises KeyError.
+        least recent key.  A take that names the tenant itself moves no
+        slot, and the ranking is fixed for the call, so that answer stands
+        until a take moves a slot: serve keeps the tenants so answered in a
+        set, started afresh each call and cleared at each take that moves a
+        slot, and a later miss of one of them drops its own least recent
+        item without asking the cursor.  The caller checks the tenants: one
+        the lists are not built for raises KeyError.
         """
         lists, shared, dc_count, dc_sizes = self.lists, self.shared, self.dc_count, self.dc_sizes
         sc_count, sc_size, sc_free = self.sc_count, self.sc_size, self.sc_free
+        # selfs: the tenants take has named as their own donors since a slot last moved
+        take, selfs = self.cursor.take, set()
         for _, tenant, item in events:
             mine = lists[tenant]
             if shared:
@@ -465,8 +477,15 @@ class RecencyLists(SlotCounts):
                 donor = mine.popitem(last=False)[0][0]
                 sc_count[donor] -= 1
                 sc_count[tenant] += 1
+            elif tenant in selfs:
+                mine.popitem(last=False)
             else:
-                lists[self.cursor.take(ranking, tenant)].popitem(last=False)
+                donor = take(ranking, tenant)
+                if donor is tenant:
+                    selfs.add(tenant)
+                else:
+                    selfs.clear()
+                lists[donor].popitem(last=False)
             mine[item] = None
         self.sc_free = sc_free
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import zlib
 from bisect import bisect_right
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -22,8 +23,11 @@ DEFAULT_UNIVERSE = 100_000
 # Largest universe_size a TenantWorkload accepts.  A stream holds a dense
 # float64 CDF of universe_size entries per distinct (universe_size, alpha), so
 # this bound caps one at 128 MiB; a larger universe is refused, not left to
-# exhaust memory.
+# exhaust memory.  Between streams the process keeps recent CDFs of at most
+# CDF_MEMO_ENTRIES entries in all (32 MiB); one larger than that is built for
+# its stream and not kept.
 MAX_UNIVERSE = 2**24
+CDF_MEMO_ENTRIES = 2**22
 
 # the round-robin numbers its turns in unsigned 64-bit arrays: a rotation's
 # weights, bounded by the sum over all tenants, must stay below this
@@ -52,11 +56,32 @@ def zipf_pmf(universe_size: int, alpha: float) -> np.ndarray:
     return weights
 
 
+# (universe_size, alpha) -> read-only CDF, least recently used first
+_cdf_memo: OrderedDict = OrderedDict()
+
+
 def _zipf_cdf(universe_size: int, alpha: float) -> np.ndarray:
-    """Cumulative zipf_pmf, built in the pmf's own array, with its last entry 1.0."""
+    """Cumulative zipf_pmf, built in the pmf's own array, with its last entry
+    1.0, and read-only.
+
+    The process keeps the CDFs it builds in a memo of at most
+    CDF_MEMO_ENTRIES entries in all, evicting the least recently used
+    first; a CDF larger than that is built on every call and not kept.
+    """
+    key = (universe_size, alpha)
+    cdf = _cdf_memo.get(key)
+    if cdf is not None:
+        _cdf_memo.move_to_end(key)
+        return cdf
     cdf = zipf_pmf(universe_size, alpha)
     np.cumsum(cdf, out=cdf)
     cdf[-1] = 1.0  # guard against rounding shortfall
+    cdf.flags.writeable = False
+    if len(cdf) <= CDF_MEMO_ENTRIES:
+        _cdf_memo[key] = cdf
+        kept = sum(map(len, _cdf_memo.values()))
+        while kept > CDF_MEMO_ENTRIES:
+            kept -= len(_cdf_memo.popitem(last=False)[1])
     return cdf
 
 
@@ -213,9 +238,12 @@ def _chunks(workloads: Iterable[TenantWorkload], total_txns: int, seed: int) -> 
     with the weights.  Each tenant has its own generator, seeded from seed
     and the tenant id, and its draws for a chunk are the generator's next
     uniforms mapped through one CDF, shared by every tenant with the same
-    (universe_size, alpha).  A generator's uniforms are one stream however
-    the draws are grouped into calls, so the chunks of a shorter stream are
-    a prefix of a longer one's, cut at the shorter length.
+    (universe_size, alpha).  That CDF is _zipf_cdf's: built once per process
+    while its memo keeps it, so a sweep's seeds or a benchmark's repeated
+    passes share it, and else once per stream.  A generator's uniforms are
+    one stream however the draws are grouped into calls, so the chunks of a
+    shorter stream are a prefix of a longer one's, cut at the shorter
+    length.
     """
     workloads = list(workloads)
     if total_txns < 0:
@@ -235,7 +263,9 @@ def _chunks(workloads: Iterable[TenantWorkload], total_txns: int, seed: int) -> 
         )
         for i in by_id
     }
-    cdfs: dict = {}  # (universe_size, alpha) -> CDF
+    # (universe_size, alpha) -> CDF: the stream's hold on its CDFs, so that
+    # one the memo does not keep is still built once per stream
+    cdfs: dict = {}
 
     def cdf_at(w: TenantWorkload, sched: int) -> np.ndarray:
         key = (w.universe_size, w.alpha_at(sched))

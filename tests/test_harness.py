@@ -586,6 +586,38 @@ class TestCapacitySearch:
             min_slots_for_target("global", [tenant(1)], 0.5, lower=1000, upper=100)
         assert exc.value.field_name == "upper"
 
+    def test_an_upper_past_the_held_bound_is_refused_before_anything_is_held(
+        self, monkeypatch
+    ):
+        import tracemalloc
+
+        def no_hold(*args):
+            raise AssertionError("a trace was held")
+
+        monkeypatch.setattr(ProbeCache, "hold", no_hold)
+        cache = ProbeCache()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError) as exc:
+                min_slots_for_target("global", [tenant(1)], 0.3, upper=50_000_000, cache=cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.field_name == "upper"
+        assert cache.traces == {} and peak < 1_000_000
+
+    def test_the_held_bound_counts_the_upper_probe_rounded_onto_the_grid(self, monkeypatch):
+        import tenantcache.harness as harness
+
+        # upper 60 rounds to 64 on a grid of 8: a probe of 4 * 64 = 256 txns
+        args = ("global", [tenant(1)], 0.0)
+        kw = dict(lower=8, upper=60, resolution=8, trials=1, min_txns=100, txns_per_slot=4)
+        monkeypatch.setattr(harness, "MAX_HELD_TXNS", 255)
+        with pytest.raises(ConfigurationError, match="upper: 64 slots would hold 256 txns"):
+            min_slots_for_target(*args, **kw)
+        monkeypatch.setattr(harness, "MAX_HELD_TXNS", 256)
+        assert min_slots_for_target(*args, **kw) == 8
+
     def test_infeasible_upper_bound_raises(self):
         # uniform accesses over 10k items cannot hit 95% with 64 slots
         t = tenant(1, universe=10_000, alpha=0.0)
@@ -888,6 +920,38 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         rows = [line.split(",")[:2] for line in proc.stdout.splitlines()[1:]]
         assert rows[-2:] == [["3999", "1"], ["3999", "2"]]
+
+    @pytest.mark.parametrize("command", ["sweep", "suggest-dc"])
+    def test_a_huge_upper_exits_2_without_holding_a_trace(self, tmp_path, command):
+        import os
+        import resource
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import tenantcache
+
+        # 200 million txns per seed would be 2.4 GB held; under a 1.5 GB cap
+        # holding them ends in a MemoryError, so the refusal must come first
+        if command == "sweep":
+            flags = ["--config", self.config_path(tmp_path, policy="global"),
+                     "--targets", "0.3", "--policies", "global",
+                     "--out", str(tmp_path / "sweep.csv")]
+        else:
+            flags = ["--hard", "0.05", "--alpha", "1.0"]
+        src = str(Path(tenantcache.__file__).resolve().parent.parent)
+        limit = 1_500_000 * 1024
+        proc = subprocess.run(
+            [sys.executable, "-m", "tenantcache.cli", command, *flags, "--upper", "50000000"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "configuration error: upper: 50000000 slots would hold" in proc.stderr
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
         "command,out",

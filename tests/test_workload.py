@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tenantcache import workload
 from tenantcache.workload import (
     MAX_UNIVERSE,
     MAX_WEIGHT_SUM,
@@ -57,6 +58,66 @@ class TestZipfPmf:
         pmf = zipf_pmf(n, alpha)
         assert abs(pmf.sum() - 1.0) < 1e-9
         assert np.all(np.diff(pmf) <= 1e-15)
+
+
+# phases and universes that need three CDFs, each of at most 300 entries
+MEMO_TENANTS = [
+    TenantWorkload(tenant_id=1, universe_size=300,
+                   phases=(WorkloadPhase(0.9), WorkloadPhase(0.5, start_txn=400))),
+    TenantWorkload(tenant_id=2, universe_size=200, weight=2),
+]
+MEMO_KEYS = {(300, 0.9), (300, 0.5), (200, 1.0)}
+
+
+class TestCdfMemo:
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        """An empty memo of at most 1000 entries in place of the process's."""
+        monkeypatch.setattr(workload, "_cdf_memo", collections.OrderedDict())
+        monkeypatch.setattr(workload, "CDF_MEMO_ENTRIES", 1000)
+        return workload._cdf_memo
+
+    def test_a_stream_is_the_same_from_a_cold_a_warm_and_an_evicted_memo(self, memo):
+        cold = list(generate_stream(MEMO_TENANTS, 1000, seed=3))
+        assert set(memo) == MEMO_KEYS
+        warm = list(generate_stream(MEMO_TENANTS, 1000, seed=3))
+        # other workloads' CDFs push every one of this stream's out
+        others = [TenantWorkload(tenant_id=k, universe_size=400, phases=(WorkloadPhase(a),))
+                  for k, a in ((1, 0.7), (2, 1.1))]
+        list(generate_stream(others, 100, seed=3))
+        assert set(memo) == {(400, 0.7), (400, 1.1)}
+        evicted = list(generate_stream(MEMO_TENANTS, 1000, seed=3))
+        assert cold == warm == evicted
+
+    def test_a_memo_cdf_is_read_only_and_the_pmf_is_not(self, memo):
+        cdf = workload._zipf_cdf(50, 1.0)
+        with pytest.raises(ValueError):
+            cdf[0] = 0.5
+        assert workload._zipf_cdf(50, 1.0) is cdf
+        pmf = zipf_pmf(50, 1.0)
+        pmf[0] = 0.5
+        assert zipf_pmf(50, 1.0)[0] != 0.5
+
+    def test_the_memo_keeps_at_most_its_bound_least_recently_used_out_first(self, memo):
+        for universe in (300, 400, 200):
+            workload._zipf_cdf(universe, 1.0)
+        workload._zipf_cdf(300, 1.0)  # now more recent than 400's
+        workload._zipf_cdf(250, 1.0)  # 1150 entries: 400's goes
+        assert list(memo) == [(200, 1.0), (300, 1.0), (250, 1.0)]
+        for universe in (1, 999, 7, 500, 1000, 3):
+            workload._zipf_cdf(universe, 0.8)
+            assert sum(map(len, memo.values())) <= 1000
+        # 3 entries beside 1000 pass the bound, so the older 1000 goes
+        assert list(memo) == [(3, 0.8)]
+
+    def test_a_cdf_past_the_bound_is_built_and_not_kept(self, memo):
+        workload._zipf_cdf(10, 1.0)
+        big = workload._zipf_cdf(1001, 1.0)
+        assert list(memo) == [(10, 1.0)]
+        expected = np.cumsum(zipf_pmf(1001, 1.0))
+        expected[-1] = 1.0
+        assert np.array_equal(big, expected) and not big.flags.writeable
+        assert workload._zipf_cdf(1001, 1.0) is not big
 
 
 def two_tenants(**kw2):
